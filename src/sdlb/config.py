@@ -13,6 +13,7 @@ Parse -> serialize -> parse is the identity.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -64,7 +65,19 @@ def _num(d: dict, key: str, path: str, default=None) -> float:
     v = d[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {v!r}")
-    return float(v)
+    return _finite(v, f"{path}.{key}")
+
+
+def _finite(v: int | float, where: str) -> float:
+    """``v`` as a float; NaN, infinities and integers beyond the float
+    range are refused."""
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{where}: expected a finite number, got {x}")
+    return x
 
 
 def _int(d: dict, key: str, path: str, default=None) -> int:
@@ -294,7 +307,7 @@ class ScenarioConfig:
                     integral and not isinstance(v, int)
                 ):
                     raise ConfigError(f"sweeps.{key}[{i}]: invalid value {v!r}")
-                out.append(v if integral else float(v))
+                out.append(v if integral else _finite(v, f"sweeps.{key}[{i}]"))
             return tuple(out)
 
         sweeps = SweepSpec(

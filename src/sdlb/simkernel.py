@@ -29,9 +29,6 @@ Determinism: one RNG stream per (cell, kind) derived from the master seed
 by spawn keys, so adding cells never perturbs existing streams; the event
 queue breaks time ties by event-kind rank, then ids. Identical inputs
 give byte-identical reports.
-
-The hot cell-level loop consumes pre-drawn arrays and is JIT-compiled when
-numba is installed; the pure-Python path computes the identical result.
 """
 from __future__ import annotations
 
@@ -103,86 +100,103 @@ class SimEvent:
 # cell-level birth-death kernel
 # ---------------------------------------------------------------------------
 
+_BLOCK = 1 << 13  # events per vector stage: bounds the temporaries' memory
 
-def _birth_death_chunk(
-    lam, mu, m, k1, k2, horizon, inv_w, inv_b, batch_len, n_batches,
-    exps, unis, t, k, jb, prev_b,
-):
-    """Advance the chain through one chunk of pre-drawn randomness.
 
-    Returns accumulators for the chunk plus the carried state; ``done``
-    flags that the horizon was reached before the chunk ran out.
+def _crossings(prev, cur, k1, k2):
+    """Directed threshold crossings from occupancy ``prev`` to ``cur``.
+
+    Returns (U->B, B->O, O->B, B->U), the order of ``TransitionKind``;
+    works on ints and elementwise on integer arrays.
     """
-    occ = np.zeros(m + 1)
-    bt = np.zeros((n_batches, m + 1))
-    arrivals = 0
-    departures = 0
-    blocked = 0
-    u2b = 0
-    b2o = 0
-    o2b = 0
-    b2u = 0
-    nwin = 0
-    events = 0
-    done = False
-    for i in range(exps.shape[0]):
-        tot = lam + k * mu
-        tn = t + exps[i] / tot
-        if tn >= horizon:
-            done = True
-            break
-        dt = tn - t
-        occ[k] += dt
-        bi = int(t * inv_b)
-        bj = int(tn * inv_b)
-        if bi >= n_batches:
-            bi = n_batches - 1
-        if bj >= n_batches:
-            bj = n_batches - 1
-        if bi == bj:
-            bt[bi, k] += dt
-        else:
-            bt[bi, k] += (bi + 1) * batch_len - t
-            for bb in range(bi + 1, bj):
-                bt[bb, k] += batch_len
-            bt[bj, k] += tn - bj * batch_len
-        wj = int(tn * inv_w)
-        if wj > jb:
-            if k != prev_b:
-                if prev_b < k1 <= k:
-                    u2b += 1
-                if prev_b < k2 <= k:
-                    b2o += 1
-                if prev_b > k2 >= k:
-                    o2b += 1
-                if prev_b > k1 >= k:
-                    b2u += 1
-            prev_b = k
-            nwin += wj - jb
-            jb = wj
-        t = tn
-        events += 1
-        if unis[i] * tot < lam:
-            arrivals += 1
-            if k == m:
-                blocked += 1
-            else:
-                k += 1
-        else:
-            k -= 1
-            departures += 1
     return (
-        occ, bt, arrivals, departures, blocked,
-        u2b, b2o, o2b, b2u, nwin, events, done, t, k, jb, prev_b,
+        (prev < k1) & (k1 <= cur),
+        (prev < k2) & (k2 <= cur),
+        (prev > k2) & (k2 >= cur),
+        (prev > k1) & (k1 >= cur),
     )
 
 
-try:  # optional acceleration; the fallback computes the identical result
-    from numba import njit as _njit
+def _arrival_thresholds(unis, tot, lam):
+    """c[i] = #{j : unis[i] * tot[j] < lam}; event i is an arrival iff k < c[i].
 
-    _birth_death_chunk = _njit(cache=True)(_birth_death_chunk)
-except ImportError:  # pragma: no cover - exercised only without numba
-    pass
+    The predicate is monotone in j, so a search on lam/u lands within a step
+    of c; the fix-up re-evaluates the exact expression, so no decision flips.
+    """
+    m = tot.shape[0] - 1
+    with np.errstate(divide="ignore"):
+        c = np.searchsorted(tot, lam / unis)
+    while True:
+        up = (c <= m) & (unis * tot[np.minimum(c, m)] < lam)
+        down = (c > 0) & ~(unis * tot[np.maximum(c - 1, 0)] < lam)
+        if not (up.any() or down.any()):
+            return c
+        c += up
+        c -= down
+
+
+def _window_crossings(crossed, kb, wj, jb, prev_b, k1, k2):
+    """Tally crossings at the window boundaries passed by events that spend
+    their interval at occupancy kb[i] and end in window wj[i], each against
+    the occupancy at the boundary passed before; returns the new (jb, prev_b).
+    """
+    cur = kb[wj > np.concatenate(([jb], wj[:-1]))]
+    if cur.size:
+        prev = np.concatenate(([prev_b], cur[:-1]))
+        for x, hits in enumerate(_crossings(prev, cur, k1, k2)):
+            crossed[x] += int(np.count_nonzero(hits))
+        prev_b = int(cur[-1])
+    return int(wj[-1]), prev_b
+
+
+def _walk(k, c, m):
+    """Occupancy before each event, and after the last one."""
+    before = []
+    append = before.append
+    for ci in c.tolist():
+        append(k)
+        if k < ci:
+            if k < m:
+                k += 1
+        else:
+            k -= 1
+    return np.array(before), k
+
+
+def _add_interval(occ, bt, k, t, tn, inv_b, batch_len):
+    """Add the time [t, tn) spent at occupancy k to ``occ`` and to the
+    batch slices it spans."""
+    occ[k] += tn - t
+    last = bt.shape[0] - 1
+    bi = min(int(t * inv_b), last)
+    bj = min(int(tn * inv_b), last)
+    if bi == bj:
+        bt[bi, k] += tn - t
+    else:
+        bt[bi, k] += (bi + 1) * batch_len - t
+        bt[bi + 1:bj, k] += batch_len
+        bt[bj, k] += tn - bj * batch_len
+
+
+def _add_intervals(occ, bt, kb, tp, tn, inv_b, batch_len):
+    """``_add_interval`` for every event of a block, summed in event order.
+
+    ``np.add.at`` is unbuffered and in index order, so each accumulator
+    sees the same sequence of additions as an event-by-event loop.
+    """
+    last = bt.shape[0] - 1
+    bi = np.minimum((tp * inv_b).astype(np.int64), last)
+    bj = np.minimum((tn * inv_b).astype(np.int64), last)
+    cell = bi * bt.shape[1] + kb
+    dt = tn - tp
+    flat = bt.reshape(-1)
+    start = 0
+    for i in [*np.flatnonzero(bi != bj).tolist(), len(kb)]:
+        np.add.at(occ, kb[start:i], dt[start:i])
+        np.add.at(flat, cell[start:i], dt[start:i])
+        if i < len(kb):
+            _add_interval(occ, bt, kb[i], float(tp[i]), float(tn[i]), inv_b, batch_len)
+        start = i + 1
 
 
 @dataclass
@@ -308,81 +322,71 @@ def run_cell_mc(
         raise ValueError(f"window must be > 0, got {window}")
 
     rng = np.random.default_rng(seed)
-    m = p.m
+    lam, m, k1, k2 = p.lam, p.m, p.k1, p.k2
     occ_time = np.zeros(m + 1)
     batch_time = np.zeros((n_batches, m + 1))
-    tallies = {kindt: 0 for kindt in TransitionKind}
-    arrivals = departures = blocked = events = 0
-    nwin = 0
+    crossed = [0, 0, 0, 0]
+    arrivals = blocked = events = 0
     t = 0.0
     k = 0
-    jb = 0
-    prev_b = 0
+    jb = 0  # index of the window boundary last passed
+    prev_b = 0  # occupancy at that boundary
     inv_w = 1.0 / window
     batch_len = horizon / n_batches
     inv_b = 1.0 / batch_len
+    tot = np.array([lam + j * p.mu for j in range(m + 1)])
 
-    if p.lam > 0:
-        while True:
-            exps = rng.exponential(size=chunk_size)
-            unis = rng.random(size=chunk_size)
-            (
-                occ_c, bt_c, arr_c, dep_c, blk_c,
-                u2b, b2o, o2b, b2u, nwin_c, ev_c, done, t, k, jb, prev_b,
-            ) = _birth_death_chunk(
-                p.lam, p.mu, m, p.k1, p.k2, horizon, inv_w, inv_b,
-                batch_len, n_batches, exps, unis, t, k, jb, prev_b,
-            )
-            occ_time += occ_c
-            batch_time += bt_c
-            arrivals += arr_c
-            departures += dep_c
-            blocked += blk_c
-            events += ev_c
-            nwin += nwin_c
-            tallies[TransitionKind.UNDER_TO_BALANCED] += u2b
-            tallies[TransitionKind.BALANCED_TO_OVER] += b2o
-            tallies[TransitionKind.OVER_TO_BALANCED] += o2b
-            tallies[TransitionKind.BALANCED_TO_UNDER] += b2u
+    # Only the integer occupancy walk is sequential; every float is
+    # computed by the same expression, in the same order, as an
+    # event-by-event loop would, so reports are bit-identical to it.
+    done = lam <= 0
+    while not done:
+        exps = rng.exponential(size=chunk_size)
+        unis = rng.random(size=chunk_size)
+        # per-chunk partial sums, added to the totals once per chunk
+        occ_c = np.zeros(m + 1)
+        bt_c = np.zeros((n_batches, m + 1))
+        for lo in range(0, chunk_size, _BLOCK):
+            c = _arrival_thresholds(unis[lo:lo + _BLOCK], tot, lam)
+            kb, k_end = _walk(k, c, m)
+            tn = exps[lo:lo + _BLOCK] / tot[kb]
+            tn[0] += t
+            np.cumsum(tn, out=tn)
+            n = int(np.searchsorted(tn, horizon))  # events ending before it
+            if n < kb.size:
+                done = True
+                k_end = int(kb[n])
+                kb, tn, c = kb[:n], tn[:n], c[:n]
+            if n:
+                tp = np.concatenate(([t], tn[:-1]))
+                _add_intervals(occ_c, bt_c, kb, tp, tn, inv_b, batch_len)
+                jb, prev_b = _window_crossings(
+                    crossed, kb, (tn * inv_w).astype(np.int64), jb, prev_b, k1, k2
+                )
+                admitted = kb < c
+                arrivals += int(np.count_nonzero(admitted))
+                blocked += int(np.count_nonzero(admitted & (kb == m)))
+                events += n
+                t = float(tn[-1])
+            k = k_end
             if done:
                 break
+        occ_time += occ_c
+        batch_time += bt_c
 
-    # flush the tail interval [t, horizon): occupancy is k throughout
-    dt = horizon - t
-    occ_time[k] += dt
-    bi = min(int(t * inv_b), n_batches - 1)
-    bj = n_batches - 1
-    if bi == bj:
-        batch_time[bi, k] += dt
-    else:
-        batch_time[bi, k] += (bi + 1) * batch_len - t
-        for bb in range(bi + 1, bj):
-            batch_time[bb, k] += batch_len
-        batch_time[bj, k] += horizon - bj * batch_len
-    wj = int(horizon * inv_w)
-    if wj > jb:
-        if k != prev_b:
-            if prev_b < p.k1 <= k:
-                tallies[TransitionKind.UNDER_TO_BALANCED] += 1
-            if prev_b < p.k2 <= k:
-                tallies[TransitionKind.BALANCED_TO_OVER] += 1
-            if prev_b > p.k2 >= k:
-                tallies[TransitionKind.OVER_TO_BALANCED] += 1
-            if prev_b > p.k1 >= k:
-                tallies[TransitionKind.BALANCED_TO_UNDER] += 1
-        nwin += wj - jb
-
-    freq = occ_time / horizon
-    batch_frac = batch_time / batch_len
-    se = batch_frac.std(axis=0, ddof=1) / math.sqrt(n_batches)
+    # the tail [t, horizon) at occupancy k
+    _add_interval(occ_time, batch_time, k, t, horizon, inv_b, batch_len)
+    jb, _ = _window_crossings(
+        crossed, np.array([k]), np.array([int(horizon * inv_w)]), jb, prev_b, k1, k2
+    )
 
     stats = CellStats(
-        occupancy_freq=freq,
-        occupancy_se=se,
-        transition_counts=tallies,
-        window_count=nwin,
+        occupancy_freq=occ_time / horizon,
+        occupancy_se=(batch_time / batch_len).std(axis=0, ddof=1) / math.sqrt(n_batches),
+        transition_counts=dict(zip(TransitionKind, crossed)),
+        window_count=jb,
         arrivals=arrivals,
-        departures=departures,
+        departures=events - arrivals,
         blocked=blocked,
         in_system=k,
         events=events,
@@ -511,7 +515,8 @@ def run_system_sim(
     blocked = [0] * n_kinds
     mig_in = [0] * n_kinds
     mig_out = [0] * n_kinds
-    tallies = [{kindt: 0 for kindt in TransitionKind} for _ in range(n_kinds)]
+    # occupancy changes between consecutive ticks, counted per (prev, cur)
+    moves: list[dict[tuple[int, int], int]] = [{} for _ in range(n_kinds)]
     nwin = [0] * n_kinds
     counters: dict[str, int] = {}
     failover: list[float] = []
@@ -555,19 +560,6 @@ def run_system_sim(
     for border in scenario.borders:
         if border.time <= horizon:
             push(heap, (border.time, SimEventKind.BORDER_REQUEST, border.cell_id, 0, 0))
-
-    def crossings(ki: int, prev: int, cur: int):
-        k1 = params[ki].k1
-        k2 = params[ki].k2
-        tl = tallies[ki]
-        if prev < k1 <= cur:
-            tl[TransitionKind.UNDER_TO_BALANCED] += 1
-        if prev < k2 <= cur:
-            tl[TransitionKind.BALANCED_TO_OVER] += 1
-        if prev > k2 >= cur:
-            tl[TransitionKind.OVER_TO_BALANCED] += 1
-        if prev > k1 >= cur:
-            tl[TransitionKind.BALANCED_TO_UNDER] += 1
 
     def migrate_one(c: int, t: float, states: list[LoadState]):
         nonlocal next_sid
@@ -665,7 +657,8 @@ def run_system_sim(
                         last_reported[c][ki] = state
                     prev = occ_at_tick[c][ki]
                     if cur != prev:
-                        crossings(ki, prev, cur)
+                        mv = moves[ki]
+                        mv[prev, cur] = mv.get((prev, cur), 0) + 1
                     occ_at_tick[c][ki] = cur
                     nwin[ki] += 1
                 if scenario.balancing_enabled:
@@ -743,10 +736,14 @@ def run_system_sim(
     total_time = n_cells * horizon
     for ki, kind in enumerate(_KIND_ORDER):
         p = params[ki]
+        tallies = dict.fromkeys(TransitionKind, 0)
+        for (prev, cur), n in moves[ki].items():
+            for kindt, hit in zip(TransitionKind, _crossings(prev, cur, p.k1, p.k2)):
+                tallies[kindt] += n * hit
         per_type[kind] = CellStats(
             occupancy_freq=occ_time[ki] / total_time,
             occupancy_se=None,
-            transition_counts=tallies[ki],
+            transition_counts=tallies,
             window_count=nwin[ki],
             arrivals=arrivals[ki],
             departures=departures[ki],

@@ -223,6 +223,25 @@ class TestExitCodes:
         path.write_text(json.dumps(doc))
         assert main(["figures", "--config", str(path)]) == 2
 
+    def test_nan_overhead_period_is_config_error(self, tmp_path, capsys):
+        doc = default_config().to_dict()
+        doc["overhead"]["T"] = float("nan")
+        doc["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        assert main(["figures", "--config", str(path)]) == 2
+        assert "overhead.T" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_horizon_is_config_error(self, tmp_path, capsys):
+        doc = default_config().to_dict()
+        doc["sim"]["horizon"] = float("inf")
+        doc["output_dir"] = str(tmp_path / "out")
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(doc))
+        assert main(["scenario", "--config", str(path)]) == 2
+        assert "sim.horizon" in capsys.readouterr().err
+
     def test_default_config_used_when_omitted(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["figures", "--out", "figs"]) == 0

@@ -110,6 +110,20 @@ class TestValidation:
         with pytest.raises(ConfigError, match="overhead.d"):
             ScenarioConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("section,key,value", [
+        ("overhead", "d", float("-inf")),
+        ("types", "umts", {"lam": float("nan")}),
+        ("sweeps", "arrival_rates", [100.0, float("inf")]),
+        ("sweeps", "arrival_rates", [100.0, 10**400]),
+    ])
+    def test_non_finite_number_rejected(self, doc, section, key, value):
+        if isinstance(value, dict):
+            doc[section][key].update(value)
+        else:
+            doc[section][key] = value
+        with pytest.raises(ConfigError, match=f"{section}.{key}.*finite"):
+            ScenarioConfig.from_dict(doc)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
             load_config(tmp_path / "nope.json")

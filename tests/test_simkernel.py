@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from sdlb.simkernel import (
     BorderEvent,
     LmmFault,
     SimScenario,
+    _arrival_thresholds,
     horizon_for_events,
     run_cell_mc,
     run_system_sim,
@@ -172,6 +175,170 @@ class TestRunCellMc:
             run_cell_mc(params(), horizon=10.0, window=0.0, seed=1)
         with pytest.raises(ValueError):
             horizon_for_events(params(lam=0.0), 1000)
+
+
+# ---------------------------------------------------------------------------
+# bit identity of the cell kernel
+# ---------------------------------------------------------------------------
+
+
+def reference_cell_mc(p, horizon, window, seed, n_batches=64, chunk_size=1 << 16):
+    """``run_cell_mc`` event by event: the same draws, the same float
+    expressions in the same order, so the two reports must be equal bytes."""
+    rng = np.random.default_rng(seed)
+    occ_time = np.zeros(p.m + 1)
+    batch_time = np.zeros((n_batches, p.m + 1))
+    tallies = dict.fromkeys(TransitionKind, 0)
+    arrivals = blocked = events = nwin = 0
+    t, k, jb, prev_b = 0.0, 0, 0, 0
+    inv_w = 1.0 / window
+    batch_len = horizon / n_batches
+    inv_b = 1.0 / batch_len
+
+    def interval(occ, bt, t, tn):
+        occ[k] += tn - t
+        bi = min(int(t * inv_b), n_batches - 1)
+        bj = min(int(tn * inv_b), n_batches - 1)
+        if bi == bj:
+            bt[bi, k] += tn - t
+        else:
+            bt[bi, k] += (bi + 1) * batch_len - t
+            for b in range(bi + 1, bj):
+                bt[b, k] += batch_len
+            bt[bj, k] += tn - bj * batch_len
+
+    def boundary(tn):
+        nonlocal jb, prev_b, nwin
+        wj = int(tn * inv_w)
+        if wj > jb:
+            tallies[TransitionKind.UNDER_TO_BALANCED] += prev_b < p.k1 <= k
+            tallies[TransitionKind.BALANCED_TO_OVER] += prev_b < p.k2 <= k
+            tallies[TransitionKind.OVER_TO_BALANCED] += prev_b > p.k2 >= k
+            tallies[TransitionKind.BALANCED_TO_UNDER] += prev_b > p.k1 >= k
+            prev_b = k
+            nwin += wj - jb
+            jb = wj
+
+    done = p.lam <= 0
+    while not done:
+        exps = rng.exponential(size=chunk_size)
+        unis = rng.random(size=chunk_size)
+        occ_c = np.zeros(p.m + 1)
+        bt_c = np.zeros((n_batches, p.m + 1))
+        for e, u in zip(exps.tolist(), unis.tolist()):
+            tot = p.lam + k * p.mu
+            tn = t + e / tot
+            if tn >= horizon:
+                done = True
+                break
+            interval(occ_c, bt_c, t, tn)
+            boundary(tn)
+            t = tn
+            events += 1
+            if u * tot < p.lam:
+                arrivals += 1
+                blocked += k == p.m
+                k += k < p.m
+            else:
+                k -= 1
+        occ_time += occ_c
+        batch_time += bt_c
+    interval(occ_time, batch_time, t, horizon)
+    boundary(horizon)
+
+    se = (batch_time / batch_len).std(axis=0, ddof=1) / math.sqrt(n_batches)
+    return {
+        "occupancy_freq": (occ_time / horizon).tolist(),
+        "occupancy_se": se.tolist(),
+        "transition_counts": {kind.value: n for kind, n in tallies.items()},
+        "window_count": nwin,
+        "arrivals": arrivals,
+        "departures": events - arrivals,
+        "blocked": blocked,
+        "in_system": k,
+        "events": events,
+    }
+
+
+# SHA-256 of ``report_bytes(run_cell_mc(...))``, recorded from the
+# event-by-event kernel: every float in the report must stay bit-identical.
+GOLDEN = {
+    "baseline_umts": (
+        params(lam=0.5, mu=0.05, m=60, k1=18, k2=48), 210000.0, 0.1, 43,
+        "fb242f293cecd5d0a481a2234600ae723121ccb6340428537bff584bdd573a46",
+    ),
+    "baseline_wimax": (
+        params(lam=0.5, mu=0.05, m=20, k1=6, k2=16), 210196.433806786, 0.1, 44,
+        "553cbd4ee11f67ddf2e3f80df35c46b0bb9d8a0f3a9a7621602acdd69cc1b822",
+    ),
+    "baseline_wlan": (
+        params(lam=0.5, mu=0.05, m=80, k1=24, k2=64), 210000.0, 0.1, 45,
+        "57bd882325f54b501c94f04aa297671332a40179bcb0d4b43ba87ba24e23ab3a",
+    ),
+    "no_arrivals": (
+        params(lam=0.0), 10.0, 0.1, 1,
+        "b28e0f3ef99498bf7f96650d0649666cd1b127e594da457bed5b66a5b14965ff",
+    ),
+    "window_longer_than_horizon": (
+        params(), 5.0, 7.0, 2,
+        "e249b1f365d5a14f20c28ccd835c4811283a9f2a56ae4b35ae966199d43f87d3",
+    ),
+    "event_spans_batch_slices": (
+        params(lam=0.2, mu=0.1, m=3, k1=1, k2=2), 3.2, 0.05, 3,
+        "dcf897bcdd517c2bfba4eeaf8279200826e0ed0a4bdc56488c41d05e07d01981",
+    ),
+    "horizon_in_first_block": (
+        params(), 100.0, 0.1, 4,
+        "28208fa2afc1fbb529359c67860e56b618f080bb23b7b9a3e452952229e24510",
+    ),
+    "m1_heavy_blocking": (
+        params(lam=20.0, mu=1.0, m=1, k1=0, k2=1), 2000.0, 0.1, 5,
+        "f3e12ad1f61bc0c8220b3dddb4d714bb36c1d19c50bc1eddfcc69429b81758e5",
+    ),
+    "k1_zero": (
+        params(lam=1.0, mu=1.0, m=4, k1=0, k2=2), 5000.0, 0.3, 6,
+        "d5e8f34d9cbc78a7f8285ca8eebb4e97b3bb796fc5ddab28a61e6242b08670ca",
+    ),
+}
+
+
+class TestCellKernelBitIdentity:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_digest(self, name):
+        p, horizon, window, seed, digest = GOLDEN[name]
+        report = run_cell_mc(p, horizon=horizon, window=window, seed=seed)
+        assert hashlib.sha256(report_bytes(report)).hexdigest() == digest
+        assert report.per_type[UMTS].window_count == int(horizon / window)
+
+    @pytest.mark.parametrize("lam,mu,m", [(0.5, 0.05, 60), (1.0, 1.0, 4), (1e20, 1.0, 3)])
+    def test_arrival_thresholds_exact_at_rounding_edges(self, lam, mu, m):
+        # uniforms within a few ulps of lam/tot[j], where comparing against
+        # lam/u alone can disagree with the defining u*tot[j] < lam
+        tot = np.array([lam + j * mu for j in range(m + 1)])
+        edge = lam / tot
+        u = edge[:, None] + np.arange(-4, 5) * np.spacing(edge)[:, None]
+        u = np.append(np.clip(u.ravel(), 0.0, np.nextafter(1.0, 0.0)), 0.0)
+        want = (u[:, None] * tot < lam).sum(axis=1)
+        assert np.array_equal(_arrival_thresholds(u, tot, lam), want)
+
+    def test_matches_event_by_event_reference(self):
+        rnd = random.Random(2024)
+        for case in range(40):
+            m = rnd.choice([1, 2, 3, 5, 8, 20])
+            k1 = rnd.randrange(m)
+            p = params(
+                lam=rnd.choice([0.0, 1e-3, rnd.uniform(0.05, 5), rnd.uniform(5, 50)]),
+                mu=rnd.choice([1e-4, rnd.uniform(0.05, 3), 10.0]),
+                m=m, k1=k1, k2=rnd.randrange(k1 + 1, m + 1),
+            )
+            horizon = rnd.choice([1e-3, rnd.uniform(0.1, 10), rnd.uniform(10, 60)])
+            window = rnd.choice([rnd.uniform(1e-3, 1), 2 * horizon, 1 / 3])
+            n_batches = rnd.choice([2, 7, 64])
+            chunk_size = rnd.choice([17, 1000, 1 << 16])
+            got = run_cell_mc(p, horizon, window, seed=case, n_batches=n_batches,
+                              chunk_size=chunk_size).per_type[UMTS].to_jsonable()
+            want = reference_cell_mc(p, horizon, window, case, n_batches, chunk_size)
+            assert {key: got[key] for key in want} == want, (case, p, horizon, window)
 
 
 # ---------------------------------------------------------------------------
