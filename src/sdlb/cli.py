@@ -144,18 +144,19 @@ def cmd_figures(cfg: ScenarioConfig) -> int:
 def cmd_validate(cfg: ScenarioConfig, target_events: int | None = None) -> int:
     out = _outdir(cfg)
     target = cfg.sim.target_events if target_events is None else target_events
+    T = cfg.overhead.T
     sections: list[str] = []
     all_pass = True
     for kind in AccessNetworkKind:
         p = cfg.types[kind]
-        header = f"== {kind.name}: lam={p.lam} mu={p.mu} m={p.m} k1={p.k1} k2={p.k2} T={cfg.T}"
+        header = f"== {kind.name}: lam={p.lam} mu={p.mu} m={p.m} k1={p.k1} k2={p.k2} T={T}"
         if p.lam <= 0:
             sections.append(f"{header}\nno traffic: nothing to validate")
             continue
         horizon = horizon_for_events(p, target)
-        report = run_cell_mc(p, horizon, cfg.T, seed=cfg.seed + int(kind), kind=kind)
+        report = run_cell_mc(p, horizon, T, seed=cfg.seed + int(kind), kind=kind)
         try:
-            verdict = validate_against_analytic(report, p, cfg.T)
+            verdict = validate_against_analytic(report, p, T)
         except FirstOrderValidityError as exc:
             sections.append(f"{header}\ncomparison refused: {exc}")
             all_pass = False
@@ -175,7 +176,7 @@ def cmd_validate(cfg: ScenarioConfig, target_events: int | None = None) -> int:
 def cmd_scenario(cfg: ScenarioConfig, trace: bool = False) -> int:
     out = _outdir(cfg)
     topo = cfg.topology.build()
-    scenario = cfg.sim.scenario(window=cfg.T)
+    scenario = cfg.sim.scenario(window=cfg.overhead.T)
     trace_file = None
     if trace:
         trace_file = (out / "trace.csv").open("w")

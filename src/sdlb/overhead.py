@@ -29,10 +29,20 @@ from .queueing import SystemTypeParams, prob_bb_update, prob_state_change
 __all__ = [
     "OverheadBreakdown",
     "OverheadParams",
+    "check_period_and_cost",
     "even_bb_split",
     "nonperiodic_overhead",
     "periodic_overhead",
 ]
+
+
+def check_period_and_cost(T: float, d: float):
+    """The rules every overhead model puts on the report period and the
+    LMM-to-backup copy cost."""
+    if T <= 0:
+        raise ValueError(f"T must be > 0, got {T}")
+    if d < 0:
+        raise ValueError(f"d must be >= 0, got {d}")
 
 
 @dataclass(frozen=True)
@@ -47,10 +57,7 @@ class OverheadParams:
     a_common: float | None = None
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError(f"T must be > 0, got {self.T}")
-        if self.d < 0:
-            raise ValueError(f"d must be >= 0, got {self.d}")
+        check_period_and_cost(self.T, self.d)
         if len(self.types) != 3:
             raise ValueError(f"exactly three type parameter sets required, got {len(self.types)}")
 

@@ -39,6 +39,7 @@ from .topology import max_junction_lines
 __all__ = [
     "ReliabilityParams",
     "ScenarioProbabilities",
+    "check_reliabilities",
     "integrated_reliability",
     "scenario_probabilities",
     "uniform_reliability_params",
@@ -77,6 +78,13 @@ def binomial_pmf(trials: int, failures: int, fail_prob: float) -> float:
     return math.exp(logp)
 
 
+def check_reliabilities(r_lmm: float, r_c: float):
+    """Both reliabilities are probabilities."""
+    for name, v in (("r_lmm", r_lmm), ("r_c", r_c)):
+        if not 0.0 <= v <= 1.0:
+            raise ValueError(f"{name} must be in [0, 1], got {v}")
+
+
 @dataclass(frozen=True)
 class ReliabilityParams:
     """r_lmm / r_c: per-manager and per-junction-line reliabilities;
@@ -97,10 +105,7 @@ class ReliabilityParams:
     redundancy_exponent: int | None = None
 
     def __post_init__(self):
-        for name in ("r_lmm", "r_c"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+        check_reliabilities(self.r_lmm, self.r_c)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         n_lines = max_junction_lines(self.n)

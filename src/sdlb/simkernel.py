@@ -412,14 +412,23 @@ def run_cell_mc(
 
 
 @dataclass(frozen=True)
-class LmmFault:
+class _Scheduled:
+    """An entry of a fault or border schedule, ``time`` seconds into the run."""
+
     time: float
+
+    def __post_init__(self):
+        if self.time < 0:
+            raise ValueError(f"time must be >= 0, got {self.time}")
+
+
+@dataclass(frozen=True)
+class LmmFault(_Scheduled):
     lmm_id: int
 
 
 @dataclass(frozen=True)
-class BorderEvent:
-    time: float
+class BorderEvent(_Scheduled):
     cell_id: int
 
 

@@ -21,6 +21,7 @@ __all__ = [
     "Grid",
     "Topology",
     "build_topology",
+    "check_grid_shape",
     "max_junction_lines",
 ]
 
@@ -97,6 +98,14 @@ def max_junction_lines(n: int) -> int:
     return n // 3 + n % 3 + 1
 
 
+def check_grid_shape(grid_count: int, cells_per_grid: int):
+    """At least one grid, and at least one cell per grid."""
+    if grid_count < 1:
+        raise ValueError(f"grid_count must be >= 1, got {grid_count}")
+    if cells_per_grid < 1:
+        raise ValueError(f"cells_per_grid must be >= 1, got {cells_per_grid}")
+
+
 def build_topology(
     grid_count: int,
     cells_per_grid: int,
@@ -112,10 +121,7 @@ def build_topology(
     Raises ValueError for fewer than 3 grids: the bulletin board needs two
     backups distinct from its primary.
     """
-    if grid_count < 1:
-        raise ValueError(f"grid_count must be >= 1, got {grid_count}")
-    if cells_per_grid < 1:
-        raise ValueError(f"cells_per_grid must be >= 1, got {cells_per_grid}")
+    check_grid_shape(grid_count, cells_per_grid)
     if grid_count < 3:
         raise ValueError(
             f"insufficient LMMs for BB replication (need >= 3 grids, got {grid_count})"

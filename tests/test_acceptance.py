@@ -234,7 +234,7 @@ def test_criterion_8_perfect_hardware_identities():
         )
         from sdlb.overhead import OverheadParams
 
-        silent = OverheadParams(T=cfg.T, d=cfg.d, types=quiet)
+        silent = OverheadParams(T=cfg.overhead.T, d=cfg.overhead.d, types=quiet)
         assert nonperiodic_overhead(silent) == 0.0
 
         dist = state_probabilities(quiet[0])

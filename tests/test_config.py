@@ -1,7 +1,13 @@
+import importlib.util
 import json
+import math
+import re
+import sys
+from pathlib import Path
 
 import pytest
 
+from sdlb.cli import main
 from sdlb.config import ConfigError, ScenarioConfig, default_config, load_config
 from sdlb.topology import AccessNetworkKind
 
@@ -15,7 +21,7 @@ class TestDefaultConfig:
     def test_loads(self):
         cfg = default_config()
         assert cfg.seed == 42
-        assert cfg.T == 0.1
+        assert cfg.overhead.T == 0.1
         assert cfg.types[AccessNetworkKind.WIMAX].ap_count == 900
         assert cfg.reliability.r_lmm == 0.92
         assert cfg.notes["assumptions"]
@@ -52,12 +58,13 @@ class TestRoundTrip:
 class TestValidation:
     def test_path_qualified_type_error(self, doc):
         doc["types"]["umts"]["mu"] = -1.0
-        with pytest.raises(ConfigError, match="types.umts"):
+        with pytest.raises(ConfigError, match=r"^types\.umts\.mu: must be > 0, got -1\.0$"):
             ScenarioConfig.from_dict(doc)
 
     def test_path_qualified_threshold_error(self, doc):
+        # a rule on several fields is filed under their section
         doc["types"]["wlan"]["k1"] = 70
-        with pytest.raises(ConfigError, match="types.wlan"):
+        with pytest.raises(ConfigError, match=r"^types\.wlan: thresholds must satisfy"):
             ScenarioConfig.from_dict(doc)
 
     def test_unknown_key_rejected(self, doc):
@@ -133,3 +140,171 @@ class TestValidation:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="invalid JSON"):
             load_config(path)
+
+
+def _leaves(value, path=""):
+    """(dotted path, value) of every leaf of a document; an empty list or
+    object is a leaf."""
+    if isinstance(value, dict) and value:
+        for key, v in value.items():
+            yield from _leaves(v, f"{path}.{key}" if path else key)
+    elif isinstance(value, list) and value:
+        for i, v in enumerate(value):
+            yield from _leaves(v, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _set(doc, path, value):
+    *parents, last = [int(p) if p.isdigit() else p for p in re.findall(r"[^.\[\]]+", path)]
+    for part in parents:
+        doc = doc[part]
+    doc[last] = value
+
+
+LEAVES = [(path, value) for path, value in _leaves(default_config().to_dict())
+          if path.split(".")[0] not in ("notes", "output_dir")]
+
+
+class TestSchemaWalk:
+    @pytest.mark.parametrize("path,leaf", LEAVES, ids=[p for p, _ in LEAVES])
+    def test_wrong_type_names_the_leaf(self, doc, path, leaf):
+        wrong = ["x", True, math.nan, [1]]
+        if isinstance(leaf, bool):
+            wrong.remove(True)
+        if isinstance(leaf, list):
+            wrong.remove([1])
+        for value in wrong:
+            _set(doc, path, value)
+            with pytest.raises(ConfigError) as err:
+                ScenarioConfig.from_dict(doc)
+            assert str(err.value).startswith(f"{path}: "), (value, str(err.value))
+
+    def test_left_out_keys_take_the_field_defaults(self, doc):
+        del doc["sim"]
+        doc["topology"]["ap_counts"] = {"wimax": 5}
+        cfg = ScenarioConfig.from_dict(doc)
+        assert cfg.sim == default_config().sim
+        assert cfg.topology.ap_counts == {
+            AccessNetworkKind.UMTS: 0, AccessNetworkKind.WIMAX: 5, AccessNetworkKind.WLAN: 0
+        }
+
+    def test_optional_field_round_trips(self, doc):
+        assert doc["overhead"]["a_common"] is None  # written as null
+        for value in (None, 2.0):
+            doc["overhead"]["a_common"] = value
+            cfg = ScenarioConfig.from_dict(doc)
+            assert cfg.overhead.a_common == value
+            assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def _workloads():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestWorkloadRoundTrip:
+    @pytest.mark.parametrize("name", ["validate", "protocol_ticks", "protocol_events", "sweep"])
+    def test_round_trip(self, doc, name):
+        workloads = _workloads()
+        assert name in workloads.NAMES
+        for wl_doc in workloads.build(name, 1, "tiny", doc).docs:
+            cfg = ScenarioConfig.from_dict(wl_doc)
+            assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def _run(tmp_path, command, doc):
+    doc["output_dir"] = str(tmp_path / "out")
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return main([command, "--config", str(path)])
+
+
+class TestIntegerRange:
+    @pytest.mark.parametrize("path,value", [
+        ("seed", 2**63),
+        ("types.umts.m", 2**63),
+        ("topology.grid_count", 10**400),
+        ("sim.target_events", -2**63 - 1),
+        ("sweeps.lmm_counts[1]", 10**400),
+        ("sweeps.reliability_lmm_counts[0]", 2**63),
+    ], ids=["seed", "m", "grid_count", "target_events", "lmm_counts", "reliability_lmm_counts"])
+    def test_beyond_int64_refused(self, doc, path, value):
+        _set(doc, path, value)
+        with pytest.raises(ConfigError, match=rf"^{re.escape(path)}: .*int64"):
+            ScenarioConfig.from_dict(doc)
+
+    def test_int64_bounds_accepted(self, doc):
+        doc["seed"] = 2**63 - 1
+        doc["sweeps"]["lmm_counts"] = [1, 2**63 - 1]
+        assert ScenarioConfig.from_dict(doc).seed == 2**63 - 1
+
+    def test_lmm_count_below_one_refused(self, doc):
+        doc["sweeps"]["lmm_counts"] = [1, -5]
+        with pytest.raises(ConfigError, match=r"^sweeps\.lmm_counts\[1\]: must be >= 1, got -5"):
+            ScenarioConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("counts", [[1, 10**400], [1, -5]], ids=["huge", "negative"])
+    def test_figures_exits_2(self, tmp_path, doc, capsys, counts):
+        doc["sweeps"]["lmm_counts"] = counts
+        assert _run(tmp_path, "figures", doc) == 2
+        assert "sweeps.lmm_counts[1]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+class TestScheduleShape:
+    @pytest.mark.parametrize("key", ["faults", "borders"])
+    @pytest.mark.parametrize("value", [1, {"time": 1.0, "lmm_id": 0}])
+    def test_non_list_refused(self, doc, key, value):
+        doc["sim"][key] = value
+        with pytest.raises(ConfigError, match=rf"^sim\.{key}: expected a list"):
+            ScenarioConfig.from_dict(doc)
+
+    def test_figures_exits_2(self, tmp_path, doc, capsys):
+        doc["sim"]["faults"] = 1
+        assert _run(tmp_path, "figures", doc) == 2
+        assert "sim.faults: expected a list" in capsys.readouterr().err
+
+
+class TestRangeRulesAtParse:
+    @pytest.mark.parametrize("path,value,error", [
+        ("seed", -1, "seed: must be >= 0, got -1"),
+        ("sim.target_events", 0, "sim.target_events: must be >= 1, got 0"),
+        ("sim.faults", [{"time": -1.0, "lmm_id": 0}],
+         "sim.faults[0].time: must be >= 0, got -1.0"),
+        ("sim.borders", [{"time": -0.5, "cell_id": 0}],
+         "sim.borders[0].time: must be >= 0, got -0.5"),
+        ("sim.faults", [{"time": 1.0, "lmm_id": 3}],
+         "sim.faults[0].lmm_id: must be in [0, 3), got 3"),
+        ("sim.faults", [{"time": 1.0, "lmm_id": -1}],
+         "sim.faults[0].lmm_id: must be in [0, 3), got -1"),
+        ("sim.borders", [{"time": 1.0, "cell_id": 21}],
+         "sim.borders[0].cell_id: must be in [0, 21), got 21"),
+    ], ids=["seed", "target_events", "fault_time", "border_time", "fault_id_high",
+            "fault_id_negative", "border_id_high"])
+    def test_refused_at_parse(self, doc, path, value, error):
+        _set(doc, path, value)
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(doc)
+        assert str(err.value) == error
+
+    def test_ids_in_range_accepted(self, doc):
+        doc["sim"]["faults"] = [{"time": 0.0, "lmm_id": 2}]
+        doc["sim"]["borders"] = [{"time": 0.0, "cell_id": 20}]
+        assert ScenarioConfig.from_dict(doc).sim.faults[0].lmm_id == 2
+
+    @pytest.mark.parametrize("command,path,value", [
+        ("scenario", "seed", -1),
+        ("validate", "seed", -5),
+        ("validate", "sim.target_events", -3),
+        ("scenario", "sim.faults", [{"time": 1.0, "lmm_id": 9}]),
+        ("scenario", "sim.faults", [{"time": -1.0, "lmm_id": 0}]),
+    ], ids=["scenario-seed", "validate-seed", "validate-target_events", "scenario-fault_id",
+            "scenario-fault_time"])
+    def test_cli_exits_2_with_path(self, tmp_path, doc, capsys, command, path, value):
+        _set(doc, path, value)
+        assert _run(tmp_path, command, doc) == 2
+        assert f"config error: {path}" in capsys.readouterr().err
