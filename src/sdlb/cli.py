@@ -50,10 +50,26 @@ class MetricSeries:
         path.write_text("\n".join(lines) + "\n")
 
 
+def _override(cfg: ScenarioConfig, flag: str, path: tuple[str, ...], value) -> ScenarioConfig:
+    """``cfg`` with ``value`` put at ``path`` by a flag, parsed like the document."""
+    doc = cfg.to_dict()
+    section = doc
+    for part in path[:-1]:
+        section = section[part]
+    section[path[-1]] = value
+    try:
+        return ScenarioConfig.from_dict(doc)
+    except ConfigError as exc:
+        # the rest of the document parsed before, so the error is the flag's
+        raise ConfigError(f"{flag}: {str(exc).partition(': ')[2]}") from None
+
+
 def _load(args) -> ScenarioConfig:
     cfg = default_config() if args.config is None else load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    if args.seed is not None:
+        cfg = _override(cfg, "--seed", ("seed",), args.seed)
+    if getattr(args, "target_events", None) is not None:
+        cfg = _override(cfg, "--target-events", ("sim", "target_events"), args.target_events)
     if args.out is not None:
         cfg = dataclasses.replace(cfg, output_dir=args.out)
     return cfg
@@ -141,9 +157,8 @@ def cmd_figures(cfg: ScenarioConfig) -> int:
     return 0
 
 
-def cmd_validate(cfg: ScenarioConfig, target_events: int | None = None) -> int:
+def cmd_validate(cfg: ScenarioConfig) -> int:
     out = _outdir(cfg)
-    target = cfg.sim.target_events if target_events is None else target_events
     T = cfg.overhead.T
     sections: list[str] = []
     all_pass = True
@@ -153,7 +168,7 @@ def cmd_validate(cfg: ScenarioConfig, target_events: int | None = None) -> int:
         if p.lam <= 0:
             sections.append(f"{header}\nno traffic: nothing to validate")
             continue
-        horizon = horizon_for_events(p, target)
+        horizon = horizon_for_events(p, cfg.sim.target_events)
         report = run_cell_mc(p, horizon, T, seed=cfg.seed + int(kind), kind=kind)
         try:
             verdict = validate_against_analytic(report, p, T)
@@ -242,7 +257,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "figures":
             return cmd_figures(cfg)
         if args.command == "validate":
-            return cmd_validate(cfg, target_events=args.target_events)
+            return cmd_validate(cfg)
         if args.command == "scenario":
             return cmd_scenario(cfg, trace=args.trace)
         raise ConfigError(f"unknown command {args.command!r}")

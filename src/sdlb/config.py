@@ -47,7 +47,7 @@ class OverheadSpec:
     a_common: float | None = None
 
     def __post_init__(self):
-        check_period_and_cost(self.T, self.d)
+        check_period_and_cost(self.T, self.d, self.a_common)
 
 
 @dataclass(frozen=True)

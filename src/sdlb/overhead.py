@@ -36,13 +36,15 @@ __all__ = [
 ]
 
 
-def check_period_and_cost(T: float, d: float):
-    """The rules every overhead model puts on the report period and the
-    LMM-to-backup copy cost."""
+def check_period_and_cost(T: float, d: float, a_common: float | None):
+    """The rules every overhead model puts on the report period, the
+    LMM-to-backup copy cost and the common report cost."""
     if T <= 0:
         raise ValueError(f"T must be > 0, got {T}")
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
+    if a_common is not None and a_common < 0:
+        raise ValueError(f"a_common must be >= 0, got {a_common}")
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,7 @@ class OverheadParams:
     a_common: float | None = None
 
     def __post_init__(self):
-        check_period_and_cost(self.T, self.d)
+        check_period_and_cost(self.T, self.d, self.a_common)
         if len(self.types) != 3:
             raise ValueError(f"exactly three type parameter sets required, got {len(self.types)}")
 

@@ -23,7 +23,11 @@ request/consult/grant exchange; LMM failures stop that LMM's heartbeats,
 and the first backup takes over once the heartbeat timeout expires,
 inheriting the grid's reporting duties. The optional mobile-agent policy
 migrates one session per cell per tick from the most over-loaded kind to
-the least-occupied under-loaded kind.
+the least-occupied under-loaded kind. The report tick is event-driven: it
+classifies only the cells whose occupancy changed since the previous tick
+and counts the reports of all others in bulk. The zero-delay notices and
+replicas are emitted inline at the end of the tick, in the order their
+same-time ranks would give them on the queue.
 
 Determinism: one RNG stream per (cell, kind) derived from the master seed
 by spawn keys, so adding cells never perturbs existing streams; the event
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import IO
@@ -56,7 +60,6 @@ __all__ = [
     "CellStats",
     "LmmFault",
     "QuantityCheck",
-    "SimEvent",
     "SimEventKind",
     "SimReport",
     "SimScenario",
@@ -74,26 +77,11 @@ class SimEventKind(IntEnum):
     ARRIVAL = 0
     DEPARTURE = 1
     REPORT_TICK = 2
-    STATE_CHANGE_NOTICE = 3
-    BB_REPLICATE = 4
-    HEARTBEAT = 5
-    HEARTBEAT_TIMEOUT = 6
-    TAKEOVER = 7
-    BORDER_REQUEST = 8
-    BORDER_GRANT = 9
-
-
-@dataclass(frozen=True)
-class SimEvent:
-    """One trace record: what was sent when, from whom, to whom."""
-
-    time: float
-    kind: str
-    src: str
-    dst: str
-
-    def csv_line(self) -> str:
-        return f"{self.time!r},{self.kind},{self.src},{self.dst}\n"
+    HEARTBEAT = 3
+    HEARTBEAT_TIMEOUT = 4
+    TAKEOVER = 5
+    BORDER_REQUEST = 6
+    BORDER_GRANT = 7
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +481,9 @@ def run_system_sim(
     cutoff = horizon + window * 1e-9
 
     grid_of_cell = [c.grid_id for c in cells]
+    cells_in_grid = [len(g.cells) for g in topo.grids]
     params = [types[kind] for kind in _KIND_ORDER]
+    names = [kind.name for kind in _KIND_ORDER]
     n_kinds = len(_KIND_ORDER)
 
     rngs = [
@@ -506,12 +496,12 @@ def run_system_sim(
 
     occ = [[0] * n_kinds for _ in range(n_cells)]
     last_t = [[0.0] * n_kinds for _ in range(n_cells)]
-    occ_time = [np.zeros(params[ki].m + 1) for ki in range(n_kinds)]
-    last_reported: list[list[LoadState]] = [
-        [classify_load(0, params[ki].k1, params[ki].k2) for ki in range(n_kinds)]
-        for _ in range(n_cells)
-    ]
+    occ_time = [[0.0] * (p.m + 1) for p in params]
+    empty_states = [classify_load(0, p.k1, p.k2) for p in params]
+    last_reported = [list(empty_states) for _ in range(n_cells)]
     occ_at_tick = [[0] * n_kinds for _ in range(n_cells)]
+    # cells whose occupancy changed since the previous report tick
+    dirty: set[int] = set()
 
     sessions: dict[int, tuple[int, int]] = {}
     session_q: list[list[deque[int]]] = [
@@ -526,24 +516,21 @@ def run_system_sim(
     mig_out = [0] * n_kinds
     # occupancy changes between consecutive ticks, counted per (prev, cur)
     moves: list[dict[tuple[int, int], int]] = [{} for _ in range(n_kinds)]
-    nwin = [0] * n_kinds
-    counters: dict[str, int] = {}
+    ticks = 0
+    counters: Counter[str] = Counter()
     failover: list[float] = []
 
     serving = list(range(n_lmm))
     fail_time = {f.lmm_id: f.time for f in scenario.faults}
     last_hb = [0.0] * n_lmm
     taken_over = [False] * n_lmm
+    bb = f"bb{topo.bb_primary}"
 
     heap: list[tuple[float, int, int, int, int]] = []
     push = heapq.heappush
 
-    def count(name: str):
-        counters[name] = counters.get(name, 0) + 1
-
     def emit(t: float, kind: str, src: str, dst: str):
-        if trace is not None:
-            trace.write(SimEvent(t, kind, src, dst).csv_line())
+        trace.write(f"{t!r},{kind},{src},{dst}\n")
 
     def flush_occ(c: int, ki: int, t: float):
         occ_time[ki][occ[c][ki]] += t - last_t[c][ki]
@@ -572,33 +559,26 @@ def run_system_sim(
 
     def migrate_one(c: int, t: float, states: list[LoadState]):
         nonlocal next_sid
-        over = [
-            (-occ[c][ki], ki)
-            for ki in range(n_kinds)
-            if states[ki] is LoadState.OVER_LOADED and occ[c][ki] > 0
-        ]
-        under = [
-            (occ[c][ki], ki)
-            for ki in range(n_kinds)
-            if states[ki] is LoadState.UNDER_LOADED and occ[c][ki] < params[ki].m
-        ]
+        row = occ[c]
+        over = [(-row[ki], ki) for ki in range(n_kinds)
+                if states[ki] is LoadState.OVER_LOADED and row[ki] > 0]
+        under = [(row[ki], ki) for ki in range(n_kinds)
+                 if states[ki] is LoadState.UNDER_LOADED and row[ki] < params[ki].m]
         if not over or not under:
             return
         src = min(over)[1]
         dst = min(under)[1]
+        # every live session of (c, src) is queued, so with occupancy > 0
+        # one is found; entries that departed or migrated away are dropped
         q = session_q[c][src]
-        sid = None
-        while q:
-            cand = q.popleft()
-            if sessions.get(cand) == (c, src):
-                sid = cand
-                break
-        if sid is None:
-            return
+        sid = q.popleft()
+        while sessions.get(sid) != (c, src):
+            sid = q.popleft()
         flush_occ(c, src, t)
         flush_occ(c, dst, t)
-        occ[c][src] -= 1
-        occ[c][dst] += 1
+        row[src] -= 1
+        row[dst] += 1
+        dirty.add(c)
         # re-admit under a fresh id so the stale departure event can never
         # match again, even if the session later migrates back
         del sessions[sid]
@@ -619,12 +599,14 @@ def run_system_sim(
             c, ki = a, b
             p = params[ki]
             arrivals[ki] += 1
-            emit(t, "Arrival", "mn", f"cell{c}.{_KIND_ORDER[ki].name}")
+            if trace is not None:
+                emit(t, "Arrival", "mn", f"cell{c}.{names[ki]}")
             if occ[c][ki] >= p.m:
                 blocked[ki] += 1
             else:
                 flush_occ(c, ki, t)
                 occ[c][ki] += 1
+                dirty.add(c)
                 sid = next_sid
                 next_sid += 1
                 sessions[sid] = (c, ki)
@@ -643,54 +625,62 @@ def run_system_sim(
             del sessions[sid]
             flush_occ(c, ki, t)
             occ[c][ki] -= 1
+            dirty.add(c)
             departures[ki] += 1
-            emit(t, "Departure", f"cell{c}.{_KIND_ORDER[ki].name}", "mn")
+            if trace is not None:
+                emit(t, "Departure", f"cell{c}.{names[ki]}", "mn")
 
         elif ekind == SimEventKind.REPORT_TICK:
-            for c in range(n_cells):
-                g = grid_of_cell[c]
-                lmm = serving[g]
-                count("LoadReport")
-                emit(t, "LoadReport", f"ri{c}", f"lmm{lmm}")
-                if alive(lmm, t):
-                    count("BalanceInfo")
-                    emit(t, "BalanceInfo", f"lmm{lmm}", f"ri{c}")
-                states = []
-                for ki in range(n_kinds):
-                    p = params[ki]
-                    cur = occ[c][ki]
-                    state = classify_load(cur, p.k1, p.k2)
-                    states.append(state)
-                    if state is not last_reported[c][ki]:
-                        push(heap, (t, SimEventKind.STATE_CHANGE_NOTICE, c, ki, 0))
-                        last_reported[c][ki] = state
-                    prev = occ_at_tick[c][ki]
+            # every cell reports; a grid whose serving LMM is dead is not answered
+            ticks += 1
+            answered = [alive(lmm, t) for lmm in serving]
+            counters["BalanceInfo"] += sum(n for n, ok in zip(cells_in_grid, answered) if ok)
+            if trace is not None:
+                for c in range(n_cells):
+                    lmm = serving[grid_of_cell[c]]
+                    emit(t, "LoadReport", f"ri{c}", f"lmm{lmm}")
+                    if answered[grid_of_cell[c]]:
+                        emit(t, "BalanceInfo", f"lmm{lmm}", f"ri{c}")
+            # A cell with no event since the previous tick is skipped: its
+            # occupancy and load states equal that tick's, which were
+            # reported then, and migrate_one, whose outcome depends on
+            # occupancy alone, failed then (a success made the cell dirty).
+            # Session ids are global, so cells go in order.
+            changed = sorted(dirty)
+            dirty.clear()
+            notices = []
+            for c in changed:
+                row, reported, at_tick = occ[c], last_reported[c], occ_at_tick[c]
+                states = [classify_load(row[ki], p.k1, p.k2) for ki, p in enumerate(params)]
+                for ki, state in enumerate(states):
+                    if state is not reported[ki]:
+                        notices.append(c)
+                        reported[ki] = state
+                    prev, cur = at_tick[ki], row[ki]
                     if cur != prev:
-                        mv = moves[ki]
-                        mv[prev, cur] = mv.get((prev, cur), 0) + 1
-                    occ_at_tick[c][ki] = cur
-                    nwin[ki] += 1
-                if scenario.balancing_enabled:
+                        moves[ki][prev, cur] = moves[ki].get((prev, cur), 0) + 1
+                        at_tick[ki] = cur
+                if scenario.balancing_enabled and LoadState.OVER_LOADED in states:
                     migrate_one(c, t, states)
-
-        elif ekind == SimEventKind.STATE_CHANGE_NOTICE:
-            c, ki = a, b
-            count("StateChangeNotice")
-            emit(t, "StateChangeNotice", f"lmm{serving[grid_of_cell[c]]}", f"bb{topo.bb_primary}")
-            for j in range(len(topo.bb_backups)):
-                push(heap, (t, SimEventKind.BB_REPLICATE, c, ki, j))
-
-        elif ekind == SimEventKind.BB_REPLICATE:
-            backup = topo.bb_backups[extra]
-            count("BBReplicate")
-            emit(t, "BBReplicate", f"bb{topo.bb_primary}", f"bb{backup}")
+            # the zero-delay notices, in (cell, kind) order, then their
+            # replicas, in (cell, kind, backup) order: queued at t they
+            # would come right after the tick, before any other event at t
+            counters["StateChangeNotice"] += len(notices)
+            counters["BBReplicate"] += len(notices) * len(topo.bb_backups)
+            if trace is not None:
+                for c in notices:
+                    emit(t, "StateChangeNotice", f"lmm{serving[grid_of_cell[c]]}", bb)
+                for _ in notices:
+                    for backup in topo.bb_backups:
+                        emit(t, "BBReplicate", bb, f"bb{backup}")
 
         elif ekind == SimEventKind.HEARTBEAT:
             lmm = a
             if not alive(lmm, t):
                 continue  # failed: the heartbeat chain stops here
-            count("Heartbeat")
-            emit(t, "Heartbeat", f"lmm{lmm}", f"lmm{topo.first_backup(lmm)}")
+            counters["Heartbeat"] += 1
+            if trace is not None:
+                emit(t, "Heartbeat", f"lmm{lmm}", f"lmm{topo.first_backup(lmm)}")
             last_hb[lmm] = t
             push(heap, (t + scenario.heartbeat_timeout, SimEventKind.HEARTBEAT_TIMEOUT, lmm, 0, 0))
             tb = t + scenario.heartbeat_period
@@ -710,8 +700,9 @@ def run_system_sim(
                 continue
             taken_over[lmm] = True
             backup = topo.first_backup(lmm)
-            count("Takeover")
-            emit(t, "Takeover", f"lmm{backup}", f"lmm{lmm}")
+            counters["Takeover"] += 1
+            if trace is not None:
+                emit(t, "Takeover", f"lmm{backup}", f"lmm{lmm}")
             failover.append(t - fail_time.get(lmm, 0.0))
             serving[topo.grid_of_lmm(lmm).grid_id] = backup
 
@@ -719,18 +710,19 @@ def run_system_sim(
             c = a
             g = grid_of_cell[c]
             neighbor = (g + 1) % n_lmm
-            count("BorderRequest")
-            emit(t, "BorderRequest", f"ma{c}", f"bb{topo.bb_primary}")
-            count("NeighborConsult")
-            emit(t, "NeighborConsult", f"lmm{serving[g]}", f"lmm{serving[neighbor]}")
+            counters["BorderRequest"] += 1
+            counters["NeighborConsult"] += 1
+            if trace is not None:
+                emit(t, "BorderRequest", f"ma{c}", bb)
+                emit(t, "NeighborConsult", f"lmm{serving[g]}", f"lmm{serving[neighbor]}")
             push(heap, (t, SimEventKind.BORDER_GRANT, c, 0, 0))
 
         elif ekind == SimEventKind.BORDER_GRANT:
             c = a
-            g = grid_of_cell[c]
-            neighbor = (g + 1) % n_lmm
-            count("BorderGrant")
-            emit(t, "BorderGrant", f"lmm{serving[neighbor]}", f"ma{c}")
+            neighbor = (grid_of_cell[c] + 1) % n_lmm
+            counters["BorderGrant"] += 1
+            if trace is not None:
+                emit(t, "BorderGrant", f"lmm{serving[neighbor]}", f"ma{c}")
 
     # close out occupancy accounting at the horizon
     for c in range(n_cells):
@@ -750,10 +742,10 @@ def run_system_sim(
             for kindt, hit in zip(TransitionKind, _crossings(prev, cur, p.k1, p.k2)):
                 tallies[kindt] += n * hit
         per_type[kind] = CellStats(
-            occupancy_freq=occ_time[ki] / total_time,
+            occupancy_freq=np.array(occ_time[ki]) / total_time,
             occupancy_se=None,
             transition_counts=tallies,
-            window_count=nwin[ki],
+            window_count=ticks * n_cells,
             arrivals=arrivals[ki],
             departures=departures[ki],
             blocked=blocked[ki],
@@ -769,9 +761,11 @@ def run_system_sim(
             window=window,
         )
 
+    counters["LoadReport"] = ticks * n_cells
     return SimReport(
         per_type=per_type,
-        message_counts=counters,
+        # a message kind is listed once it has been sent
+        message_counts={name: n for name, n in counters.items() if n},
         failover_latencies=failover,
         horizon=horizon,
         seed=seed,

@@ -242,6 +242,20 @@ class TestExitCodes:
         assert main(["scenario", "--config", str(path)]) == 2
         assert "sim.horizon" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,error", [
+        (["validate", "--target-events", "-3"], "--target-events: must be >= 1, got -3"),
+        (["validate", "--target-events", "0"], "--target-events: must be >= 1, got 0"),
+        (["scenario", "--seed", "-5"], "--seed: must be >= 0, got -5"),
+        (["validate", "--seed", "-1"], "--seed: must be >= 0, got -1"),
+        (["figures", "--seed", str(2**63)],
+         f"--seed: expected an integer in the int64 range, got {2**63}"),
+    ], ids=["target_events-negative", "target_events-zero", "scenario-seed", "validate-seed",
+            "seed-beyond-int64"])
+    def test_bad_override_is_config_error(self, tmp_path, capsys, argv, error):
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"config error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_default_config_used_when_omitted(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["figures", "--out", "figs"]) == 0

@@ -283,8 +283,9 @@ class TestRangeRulesAtParse:
          "sim.faults[0].lmm_id: must be in [0, 3), got -1"),
         ("sim.borders", [{"time": 1.0, "cell_id": 21}],
          "sim.borders[0].cell_id: must be in [0, 21), got 21"),
+        ("overhead.a_common", -5.0, "overhead.a_common: must be >= 0, got -5.0"),
     ], ids=["seed", "target_events", "fault_time", "border_time", "fault_id_high",
-            "fault_id_negative", "border_id_high"])
+            "fault_id_negative", "border_id_high", "a_common"])
     def test_refused_at_parse(self, doc, path, value, error):
         _set(doc, path, value)
         with pytest.raises(ConfigError) as err:
@@ -302,8 +303,9 @@ class TestRangeRulesAtParse:
         ("validate", "sim.target_events", -3),
         ("scenario", "sim.faults", [{"time": 1.0, "lmm_id": 9}]),
         ("scenario", "sim.faults", [{"time": -1.0, "lmm_id": 0}]),
+        ("figures", "overhead.a_common", -5.0),
     ], ids=["scenario-seed", "validate-seed", "validate-target_events", "scenario-fault_id",
-            "scenario-fault_time"])
+            "scenario-fault_time", "figures-a_common"])
     def test_cli_exits_2_with_path(self, tmp_path, doc, capsys, command, path, value):
         _set(doc, path, value)
         assert _run(tmp_path, command, doc) == 2

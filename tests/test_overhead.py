@@ -62,6 +62,8 @@ class TestPeriodicOverhead:
             OverheadParams(T=0.0, d=1.0, types=make_types())
         with pytest.raises(ValueError):
             OverheadParams(T=0.1, d=-1.0, types=make_types())
+        with pytest.raises(ValueError, match="a_common must be >= 0"):
+            OverheadParams(T=0.1, d=1.0, types=make_types(), a_common=-5.0)
 
 
 class TestEvenBbSplit:

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from sdlb import simkernel
 from sdlb.queueing import (
     FirstOrderValidityError,
     SystemTypeParams,
@@ -354,6 +355,106 @@ def small_types(lam=0.5, mu=0.05):
     }
 
 
+def uniform_types(lam, mu, m, k1, k2):
+    return {kind: SystemTypeParams(lam=lam, mu=mu, m=m, k1=k1, k2=k2)
+            for kind in AccessNetworkKind}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+BASELINE_TOPO = build_topology(3, 7, {k: 1 for k in AccessNetworkKind})
+
+# (types, scenario knobs, horizon, seed, SHA-256 of ``report_bytes``, SHA-256
+# of the trace text), recorded from the per-cell report tick: the reports
+# and the order of every traced message must stay bit-identical.
+SYSTEM_GOLDEN = {
+    "baseline_fault_borders": (
+        small_types(),
+        dict(faults=(LmmFault(time=30.0, lmm_id=1),),
+             borders=(BorderEvent(time=12.34, cell_id=3), BorderEvent(time=50.0, cell_id=17))),
+        100.0, 42,
+        "0321c0f054daefcb46df5cbad2e58a02bf3cf04c41322a09d7572a3839acecb1",
+        "9dd3c82fc92219d882b660598638acfd9c359ad73d5ef99be499212c859d2542",
+    ),
+    "heavy_migrations": (
+        uniform_types(8.0, 0.5, 40, 12, 18),
+        dict(faults=(LmmFault(time=7.0, lmm_id=0),)),
+        20.0, 7,
+        "411ba1d574b0cc3d4d557de0836730023305f57493f59e0c5921c96e53876490",
+        "1de900adcd9b4cb1582b86c539f774aa704d71086a5f3d1cf56528524baf2e93",
+    ),
+    "balancing_off": (
+        small_types(), dict(balancing_enabled=False), 100.0, 3,
+        "3f8bc46a480cdd3b46149880addd4efb0864c5856f8c692965f9cd2a4e9b9085",
+        "27507e461ba535a646774656e287e3c9e30ff1ac0acdeb6d446ba9e3e17d5cbd",
+    ),
+    "no_arrivals": (
+        small_types(lam=0.0), dict(faults=(LmmFault(time=4.0, lmm_id=2),)), 20.0, 1,
+        "d1bf67f4ee6b6581a8607ebfdd9cc68bc15a2d66559ec39b36efd676331b0b59",
+        "e8ed56a4566880c6906719f1f97702e13fddf7bc20c37ebeb939838ef4407013",
+    ),
+    # 0.5 and 1.0 are both report-tick and heartbeat times
+    "tick_aligned_border_and_fault": (
+        uniform_types(2.0, 1.0, 4, 1, 3),
+        dict(faults=(LmmFault(time=1.0, lmm_id=2),), borders=(BorderEvent(time=0.5, cell_id=0),)),
+        10.0, 5,
+        "febc489a9977368bfec95094c630a785032c59f63b1559b187b77c4c7a07609a",
+        "48b93512d0eced238512f19d36f0c1104c0a020c2d21dc1628bcda2b073d351f",
+    ),
+    "simultaneous_borders": (
+        uniform_types(2.0, 1.0, 4, 1, 3),
+        dict(borders=(BorderEvent(time=2.0, cell_id=15), BorderEvent(time=2.0, cell_id=1))),
+        10.0, 6,
+        "ec9b26c4f05f46081d4604d31ddac9a5d827e94a3e480b7053f9639b12336aa4",
+        "f29ba035254b6fc43f01d06db3ebe28b3ebd556a86adb636da2d26f4d263f255",
+    ),
+}
+
+
+class TestSystemSimBitIdentity:
+    @pytest.mark.parametrize("name", sorted(SYSTEM_GOLDEN))
+    def test_golden_digest(self, name):
+        types, knobs, horizon, seed, report_digest, trace_digest = SYSTEM_GOLDEN[name]
+        scenario = SimScenario(**knobs)
+        buf = io.StringIO()
+        traced = run_system_sim(BASELINE_TOPO, types, scenario, horizon, seed, trace=buf)
+        plain = run_system_sim(BASELINE_TOPO, types, scenario, horizon, seed)
+        assert report_bytes(traced) == report_bytes(plain)
+        assert sha256(report_bytes(plain)) == report_digest
+        assert sha256(buf.getvalue().encode()) == trace_digest
+
+
+@pytest.fixture
+def classify_calls(monkeypatch):
+    """Counts calls of the load classification inside run_system_sim."""
+    calls = [0]
+    original = simkernel.classify_load
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(simkernel, "classify_load", counting)
+    return calls
+
+
+class TestReportTickScaling:
+    def test_quiet_system_classifies_at_most_once_per_cell(self, classify_calls):
+        topo = build_topology(3, 3, {k: 1 for k in AccessNetworkKind})
+        report = run_system_sim(topo, small_types(lam=0.0), SimScenario(), 200.0, 1)
+        assert report.message_counts["LoadReport"] == 9 * 2000
+        assert classify_calls[0] <= 2 * 9 * 3
+
+    def test_classifications_scale_with_events(self, classify_calls):
+        report = run_system_sim(BASELINE_TOPO, small_types(), SimScenario(), 100.0, 42)
+        changes = sum(s.arrivals - s.blocked + s.departures + s.migrations_out
+                      for s in report.per_type.values())
+        assert changes > 0
+        assert classify_calls[0] <= 3 * (BASELINE_TOPO.cell_count + changes)
+
+
 class TestRunSystemSim:
     topo = build_topology(3, 3, {k: 1 for k in AccessNetworkKind})
 
@@ -468,6 +569,20 @@ class TestRunSystemSim:
         report = self.run(horizon=100.0)
         assert "Takeover" not in report.message_counts
         assert report.failover_latencies == []
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
+    def test_cascading_faults_leave_no_grid_unanswered(self):
+        # takeover hands grid 1 to LMM 2, which is already dead by then
+        scenario = SimScenario(faults=(LmmFault(time=10.0, lmm_id=1),
+                                       LmmFault(time=20.0, lmm_id=2)))
+        report = run_system_sim(BASELINE_TOPO, small_types(), scenario, 40.0, 42)
+        counts = report.message_counts
+        assert counts["LoadReport"] == 21 * 400
+        # each fault may leave its grid's 7 cells unanswered for at most
+        # heartbeat_timeout + heartbeat_period = 2.0 s, i.e. 20 ticks
+        bound = 2 * 7 * round((scenario.heartbeat_timeout + scenario.heartbeat_period)
+                              / scenario.window)
+        assert counts["LoadReport"] - counts["BalanceInfo"] <= bound
 
 
 # ---------------------------------------------------------------------------
