@@ -75,7 +75,6 @@ class OverheadBreakdown:
     o11: float
     o12: float
     op: float
-    onp: float | None = None
 
 
 def periodic_overhead(p: OverheadParams) -> OverheadBreakdown:

@@ -16,18 +16,20 @@ regime the linearised formulas describe.
 
 ``run_system_sim`` executes the signalling protocol on a topology: every
 report tick each cell's inventory sends a LoadReport to its serving LMM
-and gets a BalanceInfo reply; a load-state change since the previous tick
-triggers a StateChangeNotice to the bulletin board, which immediately
-replicates to its two backups; scheduled border events produce the
-request/consult/grant exchange; LMM failures stop that LMM's heartbeats,
-and the first backup takes over once the heartbeat timeout expires,
-inheriting the grid's reporting duties. The optional mobile-agent policy
-migrates one session per cell per tick from the most over-loaded kind to
-the least-occupied under-loaded kind. The report tick is event-driven: it
-classifies only the cells whose occupancy changed since the previous tick
-and counts the reports of all others in bulk. The zero-delay notices and
-replicas are emitted inline at the end of the tick, in the order their
-same-time ranks would give them on the queue.
+and gets a BalanceInfo reply if that LMM is alive; a load-state change
+since the previous tick triggers a StateChangeNotice to the bulletin
+board, which immediately replicates to its two backups; scheduled border
+events produce the request/consult/grant exchange. Every heartbeat period
+each live LMM beats; one heartbeat timeout after a failed LMM's last beat,
+its first live ring backup takes over every grid it served, inherited
+ones included (with both backups dead, those grids go unanswered). The
+optional mobile-agent policy migrates one session per cell per tick from
+the most over-loaded kind to the least-occupied under-loaded kind. The
+report tick is event-driven: it classifies only the cells whose occupancy
+changed since the previous tick and counts the reports of all others in
+bulk. The queue holds only events due at their own time: zero-delay
+follow-ups (a tick's notices and replicas, an instant's border grants)
+are emitted inline, in the order their ranks would give them on it.
 
 Determinism: one RNG stream per (cell, kind) derived from the master seed
 by spawn keys, so adding cells never perturbs existing streams; the event
@@ -78,10 +80,8 @@ class SimEventKind(IntEnum):
     DEPARTURE = 1
     REPORT_TICK = 2
     HEARTBEAT = 3
-    HEARTBEAT_TIMEOUT = 4
-    TAKEOVER = 5
-    BORDER_REQUEST = 6
-    BORDER_GRANT = 7
+    TAKEOVER = 4
+    BORDER = 5
 
 
 # ---------------------------------------------------------------------------
@@ -522,8 +522,13 @@ def run_system_sim(
 
     serving = list(range(n_lmm))
     fail_time = {f.lmm_id: f.time for f in scenario.faults}
-    last_hb = [0.0] * n_lmm
-    taken_over = [False] * n_lmm
+    # faults no heartbeat round has seen yet, the earliest last
+    unseen = sorted(((f, lmm) for lmm, f in fail_time.items()), reverse=True)
+    last_round = 0.0
+    border_cells: dict[float, list[int]] = {}
+    for border in scenario.borders:
+        if border.time <= horizon:
+            border_cells.setdefault(border.time, []).append(border.cell_id)
     bb = f"bb{topo.bb_primary}"
 
     heap: list[tuple[float, int, int, int, int]] = []
@@ -549,13 +554,10 @@ def run_system_sim(
                     push(heap, (ta, SimEventKind.ARRIVAL, c, ki, 0))
     for i in range(1, n_ticks + 1):
         push(heap, (i * window, SimEventKind.REPORT_TICK, i, 0, 0))
-    for lmm in range(n_lmm):
-        if scenario.heartbeat_period <= horizon:
-            push(heap, (scenario.heartbeat_period, SimEventKind.HEARTBEAT, lmm, 0, 0))
-        push(heap, (scenario.heartbeat_timeout, SimEventKind.HEARTBEAT_TIMEOUT, lmm, 0, 0))
-    for border in scenario.borders:
-        if border.time <= horizon:
-            push(heap, (border.time, SimEventKind.BORDER_REQUEST, border.cell_id, 0, 0))
+    if scenario.heartbeat_period <= horizon:
+        push(heap, (scenario.heartbeat_period, SimEventKind.HEARTBEAT, 0, 0, 0))
+    for tr in border_cells:
+        push(heap, (tr, SimEventKind.BORDER, 0, 0, 0))
 
     def migrate_one(c: int, t: float, states: list[LoadState]):
         nonlocal next_sid
@@ -675,54 +677,50 @@ def run_system_sim(
                         emit(t, "BBReplicate", bb, f"bb{backup}")
 
         elif ekind == SimEventKind.HEARTBEAT:
-            lmm = a
-            if not alive(lmm, t):
-                continue  # failed: the heartbeat chain stops here
-            counters["Heartbeat"] += 1
+            # every live LMM beats, in id order: per-LMM chains of
+            # period-spaced beats would all share these times
+            live = [lmm for lmm in range(n_lmm) if alive(lmm, t)]
+            counters["Heartbeat"] += len(live)
             if trace is not None:
-                emit(t, "Heartbeat", f"lmm{lmm}", f"lmm{topo.first_backup(lmm)}")
-            last_hb[lmm] = t
-            push(heap, (t + scenario.heartbeat_timeout, SimEventKind.HEARTBEAT_TIMEOUT, lmm, 0, 0))
+                for lmm in live:
+                    emit(t, "Heartbeat", f"lmm{lmm}", f"lmm{topo.first_backup(lmm)}")
+            # an LMM that failed since the previous round beat last then, and
+            # no later beat resets the timeout that beat started
+            while unseen and unseen[-1][0] <= t:
+                takeover = last_round + scenario.heartbeat_timeout
+                push(heap, (takeover, SimEventKind.TAKEOVER, unseen.pop()[1], 0, 0))
+            last_round = t
             tb = t + scenario.heartbeat_period
             if tb <= horizon:
-                push(heap, (tb, SimEventKind.HEARTBEAT, lmm, 0, 0))
-
-        elif ekind == SimEventKind.HEARTBEAT_TIMEOUT:
-            lmm = a
-            if taken_over[lmm]:
-                continue
-            if t - last_hb[lmm] >= scenario.heartbeat_timeout * (1.0 - 1e-12):
-                push(heap, (t, SimEventKind.TAKEOVER, lmm, 0, 0))
+                push(heap, (tb, SimEventKind.HEARTBEAT, 0, 0, 0))
 
         elif ekind == SimEventKind.TAKEOVER:
+            # the first live backup inherits every grid the dead LMM serves,
+            # inherited ones too; with none alive they stay unanswered
             lmm = a
-            if taken_over[lmm]:
+            backup = next((b for b in topo.backup_map[lmm] if alive(b, t)), None)
+            if backup is None:
                 continue
-            taken_over[lmm] = True
-            backup = topo.first_backup(lmm)
             counters["Takeover"] += 1
             if trace is not None:
                 emit(t, "Takeover", f"lmm{backup}", f"lmm{lmm}")
-            failover.append(t - fail_time.get(lmm, 0.0))
-            serving[topo.grid_of_lmm(lmm).grid_id] = backup
+            failover.append(t - fail_time[lmm])
+            serving = [backup if s == lmm else s for s in serving]
 
-        elif ekind == SimEventKind.BORDER_REQUEST:
-            c = a
-            g = grid_of_cell[c]
-            neighbor = (g + 1) % n_lmm
-            counters["BorderRequest"] += 1
-            counters["NeighborConsult"] += 1
+        elif ekind == SimEventKind.BORDER:
+            # all requests and consults at t, then all grants, each in cell
+            # order: queued, every grant would pop after every request, and
+            # serving cannot change in between, as TAKEOVER ranks before
+            cells_at = sorted(border_cells[t])
+            for name in ("BorderRequest", "NeighborConsult", "BorderGrant"):
+                counters[name] += len(cells_at)
             if trace is not None:
-                emit(t, "BorderRequest", f"ma{c}", bb)
-                emit(t, "NeighborConsult", f"lmm{serving[g]}", f"lmm{serving[neighbor]}")
-            push(heap, (t, SimEventKind.BORDER_GRANT, c, 0, 0))
-
-        elif ekind == SimEventKind.BORDER_GRANT:
-            c = a
-            neighbor = (grid_of_cell[c] + 1) % n_lmm
-            counters["BorderGrant"] += 1
-            if trace is not None:
-                emit(t, "BorderGrant", f"lmm{serving[neighbor]}", f"ma{c}")
+                for c in cells_at:
+                    g = grid_of_cell[c]
+                    emit(t, "BorderRequest", f"ma{c}", bb)
+                    emit(t, "NeighborConsult", f"lmm{serving[g]}", f"lmm{serving[(g + 1) % n_lmm]}")
+                for c in cells_at:
+                    emit(t, "BorderGrant", f"lmm{serving[(grid_of_cell[c] + 1) % n_lmm]}", f"ma{c}")
 
     # close out occupancy accounting at the horizon
     for c in range(n_cells):

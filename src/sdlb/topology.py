@@ -61,7 +61,7 @@ class Topology:
     """The full management structure.
 
     backup_map maps each LMM to its ordered pair of backup LMMs; the
-    first entry is the one that takes over on failure. junction_lines
+    first live entry takes over on failure. junction_lines
     holds exactly ``max_junction_lines(lmm_count)`` undirected LMM-LMM
     links, each stored as an (low, high) id pair.
     """
@@ -80,9 +80,6 @@ class Topology:
     @property
     def cell_count(self) -> int:
         return sum(len(g.cells) for g in self.grids)
-
-    def grid_of_lmm(self, lmm_id: int) -> Grid:
-        return self.grids[lmm_id]
 
     def first_backup(self, lmm_id: int) -> int:
         return self.backup_map[lmm_id][0]

@@ -26,7 +26,6 @@ class TestPeriodicOverhead:
         assert out.o11 == pytest.approx(21000.0, rel=1e-14)
         assert out.o12 == pytest.approx(20.0, rel=1e-14)
         assert out.op == 21020.0
-        assert out.onp is None
 
     def test_no_aps_no_backup_cost(self):
         p = OverheadParams(T=0.5, d=0.0, types=make_types(ap=(0, 0, 0)))

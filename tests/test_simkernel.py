@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdlb import simkernel
 from sdlb.queueing import (
@@ -367,8 +368,9 @@ def sha256(data: bytes) -> str:
 BASELINE_TOPO = build_topology(3, 7, {k: 1 for k in AccessNetworkKind})
 
 # (types, scenario knobs, horizon, seed, SHA-256 of ``report_bytes``, SHA-256
-# of the trace text), recorded from the per-cell report tick: the reports
-# and the order of every traced message must stay bit-identical.
+# of the trace text), recorded from the per-cell report tick (the last three
+# from per-LMM heartbeat and timeout events and per-request grant events):
+# the reports and the order of every traced message must stay bit-identical.
 SYSTEM_GOLDEN = {
     "baseline_fault_borders": (
         small_types(),
@@ -409,6 +411,34 @@ SYSTEM_GOLDEN = {
         10.0, 6,
         "ec9b26c4f05f46081d4604d31ddac9a5d827e94a3e480b7053f9639b12336aa4",
         "f29ba035254b6fc43f01d06db3ebe28b3ebd556a86adb636da2d26f4d263f255",
+    ),
+    # no beat precedes the fault: the takeover comes at heartbeat_timeout
+    "fault_at_zero": (
+        uniform_types(2.0, 1.0, 4, 1, 3),
+        dict(faults=(LmmFault(time=0.0, lmm_id=1),)),
+        10.0, 8,
+        "a859334f0cc5f77fb37668833aa424119d91286902bb1417d08ea4643cfee407",
+        "46dfae0283b2ed51551a07ea6de670d55374e683cb304062504a8ef9d95f1025",
+    ),
+    # 2.5 is a report tick, a heartbeat and the takeover of LMM 1 (last
+    # beat 1.0): the takeover precedes the borders, and cell 9 asks twice
+    "borders_at_takeover_instant": (
+        uniform_types(2.0, 1.0, 4, 1, 3),
+        dict(faults=(LmmFault(time=1.2, lmm_id=1),),
+             borders=(BorderEvent(time=2.5, cell_id=9), BorderEvent(time=2.5, cell_id=4),
+                      BorderEvent(time=2.5, cell_id=9))),
+        10.0, 9,
+        "2b17d81d00e7e3d4903f8fc8e1b520bcab930b127d0d0dde79f15f18398834ff",
+        "8ef79f7f1358274e3288021eff8d040ab777954a90d2b3ac49bbe711c7563044",
+    ),
+    # beat times are chained float sums of 0.3, so none is a multiple of it
+    "non_dyadic_beats": (
+        uniform_types(2.0, 1.0, 4, 1, 3),
+        dict(heartbeat_period=0.3, heartbeat_timeout=0.9,
+             faults=(LmmFault(time=2.5, lmm_id=2),)),
+        10.0, 10,
+        "c29d39103e99d7772c14970e27400b3cfe219aeaae75d1dda1ce45d519e623ac",
+        "af9fb8b97a6f4424b436e309abe96e0d732378077e6af718a349a771c17af9b3",
     ),
 }
 
@@ -488,12 +518,53 @@ class TestRunSystemSim:
         assert 0.0 < latency <= 1.5 + 0.5
 
     def test_two_faults_two_takeovers(self):
+        buf = io.StringIO()
         report = self.run(
-            faults=(LmmFault(time=20.0, lmm_id=0), LmmFault(time=60.0, lmm_id=2))
+            faults=(LmmFault(time=20.0, lmm_id=0), LmmFault(time=60.0, lmm_id=2)),
+            trace=buf,
         )
         assert report.message_counts["Takeover"] == 2
         assert len(report.failover_latencies) == 2
         assert all(0.0 < lat <= 2.0 for lat in report.failover_latencies)
+        # LMM 2's first backup, LMM 0, is dead: grid 2 goes to LMM 1
+        takeovers = [line.split(",")[2:] for line in buf.getvalue().splitlines()
+                     if ",Takeover," in line]
+        assert takeovers == [["lmm1", "lmm0"], ["lmm1", "lmm2"]]
+
+    def test_both_backups_dead_leaves_grid_unanswered(self):
+        faults = (LmmFault(time=10.0, lmm_id=1), LmmFault(time=10.0, lmm_id=2),
+                  LmmFault(time=20.0, lmm_id=0))
+        buf = io.StringIO()
+        report = self.run(horizon=30.0, faults=faults, trace=buf)
+        # LMM 0 inherits grids 1 and 2; at its fault both its backups are dead
+        assert report.message_counts["Takeover"] == 2
+        assert len(report.failover_latencies) == 2
+        lines = [line.split(",") for line in buf.getvalue().splitlines()]
+        assert max(float(t) for t, kind, *_ in lines if kind == "BalanceInfo") < 20.0
+        assert max(float(t) for t, kind, *_ in lines if kind == "LoadReport") == 30.0
+
+    @pytest.mark.parametrize("period,timeout,fault,horizon", [
+        (0.001, 0.0015, 15.9995, 17.0),
+        (0.3, 1.5, 32767.25, 32770.0),
+    ])
+    def test_takeover_after_late_last_beat(self, period, timeout, fault, horizon):
+        # far from 0, (beat + timeout) - beat can round below the timeout
+        topo = build_topology(3, 1, {k: 1 for k in AccessNetworkKind})
+        scenario = SimScenario(window=1.0, heartbeat_period=period, heartbeat_timeout=timeout,
+                               faults=(LmmFault(time=fault, lmm_id=1),))
+        report = run_system_sim(topo, small_types(lam=0.0), scenario, horizon, 1)
+        counts = report.message_counts
+        assert counts["Takeover"] == 1
+        assert 0.0 <= report.failover_latencies[0] <= timeout + period
+        # one cell per grid, so at most one report per tick goes unanswered
+        bound = math.ceil((timeout + period) / scenario.window)
+        assert counts["LoadReport"] - counts["BalanceInfo"] <= bound
+
+    def test_live_lmms_are_not_taken_over_at_the_horizon(self):
+        # the last beat's timeout lands inside the horizon's tick tolerance
+        report = self.run(horizon=10.5 - 1e-11, heartbeat_timeout=0.5 + 1e-11)
+        assert "Takeover" not in report.message_counts
+        assert report.failover_latencies == []
 
     def test_fault_after_horizon_is_silent(self):
         report = self.run(faults=(LmmFault(time=500.0, lmm_id=1),), horizon=100.0)
@@ -570,9 +641,8 @@ class TestRunSystemSim:
         assert "Takeover" not in report.message_counts
         assert report.failover_latencies == []
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 4")
     def test_cascading_faults_leave_no_grid_unanswered(self):
-        # takeover hands grid 1 to LMM 2, which is already dead by then
+        # LMM 2 inherits grid 1, then fails: its backup must take both grids
         scenario = SimScenario(faults=(LmmFault(time=10.0, lmm_id=1),
                                        LmmFault(time=20.0, lmm_id=2)))
         report = run_system_sim(BASELINE_TOPO, small_types(), scenario, 40.0, 42)
@@ -583,6 +653,54 @@ class TestRunSystemSim:
         bound = 2 * 7 * round((scenario.heartbeat_timeout + scenario.heartbeat_period)
                               / scenario.window)
         assert counts["LoadReport"] - counts["BalanceInfo"] <= bound
+
+
+@st.composite
+def fault_schedules(draw):
+    grids = draw(st.integers(3, 6))
+    period = draw(st.sampled_from([0.25, 0.3, 0.5, 1 / 3]))
+    timeout = period * draw(st.floats(1.01, 4.0))
+    horizon = draw(st.floats(2.0, 12.0))
+    beats = [period]
+    while beats[-1] + period <= horizon:
+        beats.append(beats[-1] + period)
+    times = st.one_of(st.floats(0.0, horizon + 1.0), st.sampled_from([0.0, *beats]))
+    faults = draw(st.lists(st.builds(LmmFault, time=times, lmm_id=st.integers(0, grids - 1)),
+                           max_size=5))
+    scenario = SimScenario(heartbeat_period=period, heartbeat_timeout=timeout,
+                           faults=tuple(faults))
+    return grids, draw(st.integers(1, 2)), scenario, horizon, draw(st.integers(0, 99))
+
+
+class TestFailoverProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(fault_schedules())
+    def test_every_grid_is_answered_or_has_no_live_backup(self, case):
+        grids, cells_per_grid, scenario, horizon, seed = case
+        topo = build_topology(grids, cells_per_grid, {k: 1 for k in AccessNetworkKind})
+        buf = io.StringIO()
+        report = run_system_sim(topo, small_types(lam=2.0, mu=1.0), scenario, horizon, seed,
+                                trace=buf)
+        bound = scenario.heartbeat_timeout + scenario.heartbeat_period
+        fail_time = {f.lmm_id: f.time for f in scenario.faults}
+        lines = [line.split(",") for line in buf.getvalue().splitlines()]
+        times = [float(t) for t, *_ in lines]
+        assert all(b >= a for a, b in zip(times, times[1:]))
+        for (t, kind, src, dst), reply in zip(lines, lines[1:] + [None]):
+            if kind != "LoadReport" or reply == [t, "BalanceInfo", dst, src]:
+                continue
+            lmm = int(dst.removeprefix("lmm"))
+            f = fail_time.get(lmm, math.inf)
+            assert f <= float(t), (t, dst)
+            assert float(t) - f <= bound or all(
+                fail_time.get(b, math.inf) <= f + scenario.heartbeat_timeout
+                for b in topo.backup_map[lmm]
+            ), (t, dst)
+        assert all(0.0 <= lat <= bound for lat in report.failover_latencies)
+        for stats in report.per_type.values():
+            assert (stats.arrivals + stats.migrations_in
+                    == stats.blocked + stats.departures + stats.in_system
+                    + stats.migrations_out)
 
 
 # ---------------------------------------------------------------------------
