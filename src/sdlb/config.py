@@ -34,6 +34,15 @@ _KINDS = {kind.name.lower(): kind for kind in AccessNetworkKind}
 _KIND_KEYS = frozenset(_KINDS)
 
 
+# The most work a document may ask of one command, so that every valid
+# document ends. Scenario work counts each cell's arrival and departure
+# events (at most 2*lam per second and kind) and report ticks, and each
+# LMM's heartbeats, over sim.horizon; validate work counts
+# sim.target_events for each kind with traffic. The baseline asks for
+# 2.8e5 and 3e6 units.
+WORK_CAP = 10**9
+
+
 class ConfigError(ValueError):
     """A scenario document failed validation."""
 
@@ -154,6 +163,16 @@ class ScenarioConfig:
                 v = getattr(entry, attr)
                 if not 0 <= v < bound:
                     raise ValueError(f"sim.{key}[{i}].{attr} must be in [0, {bound}), got {v}")
+        sim, kinds = self.sim, self.types.values()
+        cell_rate = sum(2.0 * p.lam for p in kinds) + 1.0 / self.overhead.T
+        scenario_work = sim.horizon * (n_cells * cell_rate + n_lmm / sim.heartbeat_period)
+        validate_work = sim.target_events * sum(p.lam > 0 for p in kinds)
+        for key, what, work in (("horizon", "scenario", scenario_work),
+                                ("target_events", "validate", validate_work)):
+            if work > WORK_CAP:
+                raise ValueError(
+                    f"sim.{key} must keep {what} work <= {WORK_CAP:.0e} units, got {work:.3g}"
+                )
 
     def overhead_params(self) -> OverheadParams:
         ordered = tuple(self.types[kind] for kind in AccessNetworkKind)

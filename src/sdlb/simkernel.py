@@ -274,7 +274,12 @@ class SimReport:
         }
 
 
-def horizon_for_events(p: SystemTypeParams, target_events: int, margin: float = 1.05) -> float:
+# horizon_for_events asks for this many times the target, so that a run
+# falls short of it only by a rare fluctuation
+EVENT_MARGIN = 1.05
+
+
+def horizon_for_events(p: SystemTypeParams, target_events: int) -> float:
     """Simulated time expected to produce at least ``target_events`` jumps.
 
     In steady state events occur at rate lam*(2 - P_m): every arrival
@@ -284,7 +289,7 @@ def horizon_for_events(p: SystemTypeParams, target_events: int, margin: float = 
         raise ValueError("lam must be > 0 to target an event count")
     blocking = state_probabilities(p).blocking
     rate = p.lam * (2.0 - blocking)
-    return target_events * margin / rate
+    return target_events * EVENT_MARGIN / rate
 
 
 def run_cell_mc(
@@ -808,31 +813,41 @@ class ValidationVerdict:
         return "\n".join(lines)
 
 
+# A check is "insufficient samples" when its quantity is expected and seen
+# fewer than MIN_EXPECTED_COUNT times, or its run has fewer than MIN_EVENTS
+# events. A crossing rate passes within CROSSING_TOL relative even where
+# 3 sigma is tighter: the formulas are first-order in lam*T.
+MIN_EVENTS = 1000
+MIN_EXPECTED_COUNT = 10.0
+CROSSING_TOL = 0.10
+
+
+def _judge(
+    name: str, emp: float, ana: float, n: int, observed: float, floor: float, too_few: bool
+) -> QuantityCheck:
+    """One check: ``emp`` against ``ana`` within max(floor, 3 binomial sigma)
+    over ``n`` samples, of which ``observed`` were seen."""
+    band = max(floor, 3.0 * math.sqrt(max(ana * (1.0 - ana), 0.0) / max(n, 1)))
+    if too_few or max(ana * n, observed) < MIN_EXPECTED_COUNT:
+        status = "insufficient samples"
+    else:
+        status = "pass" if abs(emp - ana) <= band else "fail"
+    return QuantityCheck(name=name, status=status, observed=emp, expected=ana, band=band)
+
+
 def validate_against_analytic(
-    report: SimReport,
-    p: SystemTypeParams,
-    T: float,
-    tol: float = 0.10,
-    min_events: int = 1000,
-    min_expected_count: float = 10.0,
+    report: SimReport, p: SystemTypeParams, T: float
 ) -> ValidationVerdict:
     """Compare a simulated series against the closed-form model.
 
-    Occupancy frequencies are checked inside 3-standard-error bands, the
-    standard error being the batch-means estimate floored by the binomial
-    value sqrt(p*(1-p)/events). Per-window transition frequencies are
-    checked within max(tol relative, 3 sigma). Quantities whose expected
-    and observed counts are both below ``min_expected_count`` (or any
-    quantity when the run produced fewer than ``min_events`` events) are
-    marked "insufficient samples" rather than pass/fail. Raises if no
-    simulated series matches the analytic parameters, and propagates the
-    first-order validity error for a too-coarse T.
+    Every quantity is judged by ``_judge`` with its own sample count and
+    band floor: occupancy frequencies over events, floored by 3 batch-means
+    standard errors; blocking over arrivals; the four per-window
+    transition frequencies over windows, floored by CROSSING_TOL relative.
+    Raises if no simulated series matches the analytic parameters, and
+    propagates the first-order validity error for a too-coarse T.
     """
-    stats = None
-    for cand in report.per_type.values():
-        if cand.matches(p, T):
-            stats = cand
-            break
+    stats = next((s for s in report.per_type.values() if s.matches(p, T)), None)
     if stats is None:
         raise ValueError(
             "refusing comparison: no simulated series matches the analytic parameters"
@@ -843,64 +858,22 @@ def validate_against_analytic(
         kind: transition_probability(p, T, kind) for kind in TransitionKind
     }
     dist = state_probabilities(p)
-
-    checks: list[QuantityCheck] = []
     events = stats.events
-    too_few = events < min_events
+    too_few = events < MIN_EVENTS
 
+    checks = []
     for k in range(p.m + 1):
-        ana = float(dist.probs[k])
         emp = float(stats.occupancy_freq[k])
-        binom_se = math.sqrt(max(ana * (1.0 - ana), 0.0) / max(events, 1))
-        batch_se = (
-            float(stats.occupancy_se[k]) if stats.occupancy_se is not None else 0.0
-        )
-        band = 3.0 * max(batch_se, binom_se)
-        expected_count = ana * events
-        observed_count = emp * events
-        if too_few or max(expected_count, observed_count) < min_expected_count:
-            status = "insufficient samples"
-        else:
-            status = "pass" if abs(emp - ana) <= band else "fail"
-        checks.append(
-            QuantityCheck(
-                name=f"occupancy[{k}]", status=status, observed=emp, expected=ana,
-                band=band,
-            )
-        )
-
+        batch_se = float(stats.occupancy_se[k]) if stats.occupancy_se is not None else 0.0
+        checks.append(_judge(f"occupancy[{k}]", emp, float(dist.probs[k]), events,
+                             emp * events, 3.0 * batch_se, too_few))
     if stats.arrivals > 0:
-        ana = dist.blocking
-        emp = stats.blocked / stats.arrivals
-        band = 3.0 * math.sqrt(max(ana * (1.0 - ana), 0.0) / stats.arrivals)
-        expected_count = ana * stats.arrivals
-        if too_few or max(expected_count, stats.blocked) < min_expected_count:
-            status = "insufficient samples"
-        else:
-            status = "pass" if abs(emp - ana) <= band else "fail"
-        checks.append(
-            QuantityCheck(
-                name="blocking", status=status, observed=emp, expected=ana, band=band
-            )
-        )
-
+        checks.append(_judge("blocking", stats.blocked / stats.arrivals, dist.blocking,
+                             stats.arrivals, stats.blocked, 0.0, too_few))
     nwin = stats.window_count
     for kind in TransitionKind:
         ana = analytic_tr[kind]
         count = stats.transition_counts.get(kind, 0)
-        emp = count / nwin if nwin else 0.0
-        sigma = math.sqrt(max(ana * (1.0 - ana), 0.0) / max(nwin, 1))
-        band = max(tol * ana, 3.0 * sigma)
-        expected_count = ana * nwin
-        if too_few or max(expected_count, count) < min_expected_count:
-            status = "insufficient samples"
-        else:
-            status = "pass" if abs(emp - ana) <= band else "fail"
-        checks.append(
-            QuantityCheck(
-                name=f"transition[{kind.value}]", status=status, observed=emp,
-                expected=ana, band=band,
-            )
-        )
-
+        checks.append(_judge(f"transition[{kind.value}]", count / nwin if nwin else 0.0,
+                             ana, nwin, count, CROSSING_TOL * ana, too_few))
     return ValidationVerdict(checks=checks)

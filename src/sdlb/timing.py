@@ -2,9 +2,12 @@
 
 A load report in the semi-distributed architecture is collected by the
 resource inventory (t1), propagated to the LMM (d_rl/s_rl), processed
-through three identical M/M/1 stages (the LMM and its two backups, each
-contributing waiting plus service time (rho+1)/(mu*(1-rho))), with one
-LMM-to-backup propagation hop (d_ll/s_ll):
+through three identical M/M/1 stages (the LMM and its two backups), with
+one LMM-to-backup propagation hop (d_ll/s_ll). Each stage contributes
+(rho+1)/(mu*(1-rho)), as the published model has it. That is the M/M/1
+sojourn W = 1/(mu*(1-rho)), which already holds the wait in queue, plus
+that wait Wq = rho/(mu*(1-rho)) once more (Kleinrock, Queueing Systems
+vol. 1, sec. 3.2); the figures keep it:
 
     T_sda = t1 + d_rl/s_rl + 3*(rho+1)/(mu*(1-rho)) + d_ll/s_ll
 
@@ -104,10 +107,11 @@ class HscaTimingParams:
 
 
 def mm1_delay(rho: float, mu: float) -> tuple[float, float]:
-    """(waiting, service) time of one M/M/1 stage.
+    """(Wq, W) of one M/M/1 stage: the wait in queue rho/(mu*(1-rho)) and
+    the whole sojourn 1/(mu*(1-rho)), wait and service together.
 
-    wait = rho/(mu*(1-rho)), service = 1/(mu*(1-rho)); their sum is
-    (rho+1)/(mu*(1-rho)).
+    Their sum (rho+1)/(mu*(1-rho)) is the per-stage term of the processing
+    time formulas; it counts the wait twice.
     """
     if mu <= 0:
         raise ValueError(f"mu must be > 0, got {mu}")

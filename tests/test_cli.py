@@ -249,8 +249,10 @@ class TestExitCodes:
         (["validate", "--seed", "-1"], "--seed: must be >= 0, got -1"),
         (["figures", "--seed", str(2**63)],
          f"--seed: expected an integer in the int64 range, got {2**63}"),
+        (["validate", "--target-events", str(2**63 - 1)],
+         "--target-events: must keep validate work <= 1e+09 units, got 2.77e+19"),
     ], ids=["target_events-negative", "target_events-zero", "scenario-seed", "validate-seed",
-            "seed-beyond-int64"])
+            "seed-beyond-int64", "target_events-work"])
     def test_bad_override_is_config_error(self, tmp_path, capsys, argv, error):
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"config error: {error}\n"

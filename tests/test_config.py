@@ -284,8 +284,17 @@ class TestRangeRulesAtParse:
         ("sim.borders", [{"time": 1.0, "cell_id": 21}],
          "sim.borders[0].cell_id: must be in [0, 21), got 21"),
         ("overhead.a_common", -5.0, "overhead.a_common: must be >= 0, got -5.0"),
+        ("types.umts.lam", 1e300,
+         "sim.horizon: must keep scenario work <= 1e+09 units, got 4.2e+304"),
+        ("types.umts.lam", 2**63,
+         "sim.horizon: must keep scenario work <= 1e+09 units, got 3.87e+23"),
+        ("sim.heartbeat_period", 1e-12,
+         "sim.horizon: must keep scenario work <= 1e+09 units, got 3e+15"),
+        ("sim.target_events", 2**63 - 1,
+         "sim.target_events: must keep validate work <= 1e+09 units, got 2.77e+19"),
     ], ids=["seed", "target_events", "fault_time", "border_time", "fault_id_high",
-            "fault_id_negative", "border_id_high", "a_common"])
+            "fault_id_negative", "border_id_high", "a_common", "lam_huge", "lam_int64",
+            "heartbeat_period_tiny", "target_events_int64"])
     def test_refused_at_parse(self, doc, path, value, error):
         _set(doc, path, value)
         with pytest.raises(ConfigError) as err:
@@ -304,8 +313,10 @@ class TestRangeRulesAtParse:
         ("scenario", "sim.faults", [{"time": 1.0, "lmm_id": 9}]),
         ("scenario", "sim.faults", [{"time": -1.0, "lmm_id": 0}]),
         ("figures", "overhead.a_common", -5.0),
+        ("validate", "sim.target_events", 2**63 - 1),
+        ("scenario", "sim.horizon", 1e300),
     ], ids=["scenario-seed", "validate-seed", "validate-target_events", "scenario-fault_id",
-            "scenario-fault_time", "figures-a_common"])
+            "scenario-fault_time", "figures-a_common", "validate-work", "scenario-work"])
     def test_cli_exits_2_with_path(self, tmp_path, doc, capsys, command, path, value):
         _set(doc, path, value)
         assert _run(tmp_path, command, doc) == 2

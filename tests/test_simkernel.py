@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -443,6 +444,14 @@ SYSTEM_GOLDEN = {
 }
 
 
+def message_tally(trace: str) -> Counter:
+    """Trace lines per kind, leaving out the Arrival and Departure events:
+    what ``message_counts`` must hold."""
+    kinds = Counter(line.split(",")[1] for line in trace.splitlines())
+    del kinds["Arrival"], kinds["Departure"]
+    return kinds
+
+
 class TestSystemSimBitIdentity:
     @pytest.mark.parametrize("name", sorted(SYSTEM_GOLDEN))
     def test_golden_digest(self, name):
@@ -454,6 +463,7 @@ class TestSystemSimBitIdentity:
         assert report_bytes(traced) == report_bytes(plain)
         assert sha256(report_bytes(plain)) == report_digest
         assert sha256(buf.getvalue().encode()) == trace_digest
+        assert message_tally(buf.getvalue()) == plain.message_counts
 
 
 @pytest.fixture
@@ -697,6 +707,7 @@ class TestFailoverProperties:
                 for b in topo.backup_map[lmm]
             ), (t, dst)
         assert all(0.0 <= lat <= bound for lat in report.failover_latencies)
+        assert message_tally(buf.getvalue()) == report.message_counts
         for stats in report.per_type.values():
             assert (stats.arrivals + stats.migrations_in
                     == stats.blocked + stats.departures + stats.in_system
@@ -706,6 +717,43 @@ class TestFailoverProperties:
 # ---------------------------------------------------------------------------
 # validation harness
 # ---------------------------------------------------------------------------
+
+
+def baseline_wlan_seed_7():
+    # the WLAN series of ``sdlb validate --seed 7``: it fails on
+    # occupancy[25..26] and on transition[U->B] and [B->U]
+    p = params(lam=0.5, mu=0.05, m=80, k1=24, k2=64)
+    horizon = horizon_for_events(p, 1_000_000)
+    return run_cell_mc(p, horizon, 0.1, seed=10, kind=AccessNetworkKind.WLAN), p, 0.1
+
+
+def negative_control():
+    # criterion 6: a mu = 1.5 series claimed as mu = 1.0
+    report = run_cell_mc(params(mu=1.5), horizon=1e5, window=0.02, seed=271828)
+    report.per_type[UMTS].mu = 1.0
+    return report, params(), 0.02
+
+
+# (series builder, SHA-256 of ``ValidationVerdict.format()``): any change to
+# a band, a status rule or a sample count shows here
+VALIDATION_GOLDEN = {
+    "baseline_wlan_seed_7": (
+        baseline_wlan_seed_7,
+        "7fdcdd7a1915d9f2199491f4b5fcbc4bf1887be43c5af8c2a601d65abb5ad0b2",
+    ),
+    "long_report": (
+        lambda: (run_cell_mc(params(), horizon=8e4, window=0.02, seed=42), params(), 0.02),
+        "0b8bd13a7185b229adc1510cbf9fdc922fa99ed721ee73159a7732db6676f128",
+    ),
+    "insufficient": (
+        lambda: (run_cell_mc(params(), horizon=5.0, window=0.02, seed=1), params(), 0.02),
+        "88dc64eebe2ec2bb5ab02c966867d0477f7b064e1a1d4b082d4ef46e14076485",
+    ),
+    "negative_control": (
+        negative_control,
+        "8ed68a0870bd1e1eda864b153eda19f21361f7655406bece8186f32d8b8a399a",
+    ),
+}
 
 
 class TestValidateAgainstAnalytic:
@@ -748,3 +796,10 @@ class TestValidateAgainstAnalytic:
     def test_format_mentions_verdict(self):
         text = validate_against_analytic(self.long_report(), self.p, 0.02).format()
         assert "verdict: PASS" in text
+
+    @pytest.mark.parametrize("name", sorted(VALIDATION_GOLDEN))
+    def test_golden_verdict(self, name):
+        build, digest = VALIDATION_GOLDEN[name]
+        text = validate_against_analytic(*build()).format()
+        assert sha256(text.encode()) == digest
+
