@@ -98,13 +98,17 @@ class LoadState(Enum):
     OVER_LOADED = "over"
 
 
+# module-level: an enum attribute lookup costs several int compares
+_UNDER, _BALANCED, _OVER = LoadState.UNDER_LOADED, LoadState.BALANCED, LoadState.OVER_LOADED
+
+
 def classify_load(occupancy: int, k1: int, k2: int) -> LoadState:
     """Total classification: <=k1 under, >=k2 over, balanced otherwise."""
     if occupancy <= k1:
-        return LoadState.UNDER_LOADED
+        return _UNDER
     if occupancy >= k2:
-        return LoadState.OVER_LOADED
-    return LoadState.BALANCED
+        return _OVER
+    return _BALANCED
 
 
 class TransitionKind(Enum):

@@ -26,10 +26,11 @@ ones included (with both backups dead, those grids go unanswered). The
 optional mobile-agent policy migrates one session per cell per tick from
 the most over-loaded kind to the least-occupied under-loaded kind. The
 report tick is event-driven: it classifies only the cells whose occupancy
-changed since the previous tick and counts the reports of all others in
-bulk. The queue holds only events due at their own time: zero-delay
-follow-ups (a tick's notices and replicas, an instant's border grants)
-are emitted inline, in the order their ranks would give them on it.
+changed since the previous tick, counts the reports of all others in
+bulk and queues the next tick. The queue holds only events due at their
+own time: zero-delay follow-ups (a tick's notices and replicas, an
+instant's border grants) are emitted inline, in the order their ranks
+would give them on it.
 
 Determinism: one RNG stream per (cell, kind) derived from the master seed
 by spawn keys, so adding cells never perturbs existing streams; the event
@@ -43,6 +44,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import IntEnum
+from itertools import chain
 from typing import IO
 
 import numpy as np
@@ -105,15 +107,17 @@ def _crossings(prev, cur, k1, k2):
     )
 
 
-def _arrival_thresholds(unis, tot, lam):
+def _arrival_thresholds(unis, tot, lam, mu):
     """c[i] = #{j : unis[i] * tot[j] < lam}; event i is an arrival iff k < c[i].
 
-    The predicate is monotone in j, so a search on lam/u lands within a step
-    of c; the fix-up re-evaluates the exact expression, so no decision flips.
+    tot[j] = lam + j*mu, so the real-arithmetic guess ceil((lam/u - lam)/mu),
+    clipped to 0..m+1, is off only by rounding; the predicate is monotone in
+    j, so the fix-up steps each guess towards c, re-evaluating the exact
+    expression, and no decision flips.
     """
     m = tot.shape[0] - 1
-    with np.errstate(divide="ignore"):
-        c = np.searchsorted(tot, lam / unis)
+    with np.errstate(divide="ignore", over="ignore"):
+        c = np.ceil(np.clip((lam / unis - lam) / mu, 0, m + 1)).astype(np.int64)
     while True:
         up = (c <= m) & (unis * tot[np.minimum(c, m)] < lam)
         down = (c > 0) & ~(unis * tot[np.maximum(c - 1, 0)] < lam)
@@ -137,18 +141,15 @@ def _window_crossings(crossed, kb, wj, jb, prev_b, k1, k2):
     return int(wj[-1]), prev_b
 
 
-def _walk(k, c, m):
-    """Occupancy before each event, and after the last one."""
-    before = []
-    append = before.append
-    for ci in c.tolist():
-        append(k)
-        if k < ci:
-            if k < m:
-                k += 1
-        else:
-            k -= 1
-    return np.array(before), k
+def _walk(k, c, up):
+    """Occupancy before each event, and after the last one.
+
+    An event is an arrival iff k < c[i]; ``up[k]`` is the occupancy after an
+    arrival at k, which stays at the capacity when blocked.
+    """
+    ks = np.fromiter(chain((k,), [k := (up[k] if k < ci else k - 1) for ci in c.tolist()]),
+                     np.int64, c.size + 1)
+    return ks[:-1], k
 
 
 def _add_interval(occ, bt, k, t, tn, inv_b, batch_len):
@@ -328,6 +329,7 @@ def run_cell_mc(
     batch_len = horizon / n_batches
     inv_b = 1.0 / batch_len
     tot = np.array([lam + j * p.mu for j in range(m + 1)])
+    up = [min(j + 1, m) for j in range(m + 1)]
 
     # Only the integer occupancy walk is sequential; every float is
     # computed by the same expression, in the same order, as an
@@ -340,8 +342,8 @@ def run_cell_mc(
         occ_c = np.zeros(m + 1)
         bt_c = np.zeros((n_batches, m + 1))
         for lo in range(0, chunk_size, _BLOCK):
-            c = _arrival_thresholds(unis[lo:lo + _BLOCK], tot, lam)
-            kb, k_end = _walk(k, c, m)
+            c = _arrival_thresholds(unis[lo:lo + _BLOCK], tot, lam, p.mu)
+            kb, k_end = _walk(k, c, up)
             tn = exps[lo:lo + _BLOCK] / tot[kb]
             tn[0] += t
             np.cumsum(tn, out=tn)
@@ -535,6 +537,9 @@ def run_system_sim(
         if border.time <= horizon:
             border_cells.setdefault(border.time, []).append(border.cell_id)
     bb = f"bb{topo.bb_primary}"
+    # locals: an enum attribute lookup costs several int compares
+    ARRIVAL, DEPARTURE, REPORT_TICK, HEARTBEAT, TAKEOVER, BORDER = map(int, SimEventKind)
+    OVER, UNDER = LoadState.OVER_LOADED, LoadState.UNDER_LOADED
 
     heap: list[tuple[float, int, int, int, int]] = []
     push = heapq.heappush
@@ -556,21 +561,22 @@ def run_system_sim(
             if lam > 0:
                 ta = rngs[c][ki].exponential(1.0 / lam)
                 if ta <= horizon:
-                    push(heap, (ta, SimEventKind.ARRIVAL, c, ki, 0))
-    for i in range(1, n_ticks + 1):
-        push(heap, (i * window, SimEventKind.REPORT_TICK, i, 0, 0))
+                    push(heap, (ta, ARRIVAL, c, ki, 0))
+    # one report tick on the queue at a time: tick i pushes tick i + 1
+    if n_ticks:
+        push(heap, (window, REPORT_TICK, 1, 0, 0))
     if scenario.heartbeat_period <= horizon:
-        push(heap, (scenario.heartbeat_period, SimEventKind.HEARTBEAT, 0, 0, 0))
+        push(heap, (scenario.heartbeat_period, HEARTBEAT, 0, 0, 0))
     for tr in border_cells:
-        push(heap, (tr, SimEventKind.BORDER, 0, 0, 0))
+        push(heap, (tr, BORDER, 0, 0, 0))
 
     def migrate_one(c: int, t: float, states: list[LoadState]):
         nonlocal next_sid
         row = occ[c]
         over = [(-row[ki], ki) for ki in range(n_kinds)
-                if states[ki] is LoadState.OVER_LOADED and row[ki] > 0]
+                if states[ki] is OVER and row[ki] > 0]
         under = [(row[ki], ki) for ki in range(n_kinds)
-                 if states[ki] is LoadState.UNDER_LOADED and row[ki] < params[ki].m]
+                 if states[ki] is UNDER and row[ki] < params[ki].m]
         if not over or not under:
             return
         src = min(over)[1]
@@ -597,12 +603,12 @@ def run_system_sim(
         mig_in[dst] += 1
         svc = rngs[c][dst].exponential(1.0 / params[dst].mu)
         if t + svc <= horizon:
-            push(heap, (t + svc, SimEventKind.DEPARTURE, c, dst, new_sid))
+            push(heap, (t + svc, DEPARTURE, c, dst, new_sid))
 
     while heap and heap[0][0] <= cutoff:
         t, ekind, a, b, extra = heapq.heappop(heap)
 
-        if ekind == SimEventKind.ARRIVAL:
+        if ekind == ARRIVAL:
             c, ki = a, b
             p = params[ki]
             arrivals[ki] += 1
@@ -620,12 +626,12 @@ def run_system_sim(
                 session_q[c][ki].append(sid)
                 svc = rngs[c][ki].exponential(1.0 / p.mu)
                 if t + svc <= horizon:
-                    push(heap, (t + svc, SimEventKind.DEPARTURE, c, ki, sid))
+                    push(heap, (t + svc, DEPARTURE, c, ki, sid))
             ta = t + rngs[c][ki].exponential(1.0 / p.lam)
             if ta <= horizon:
-                push(heap, (ta, SimEventKind.ARRIVAL, c, ki, 0))
+                push(heap, (ta, ARRIVAL, c, ki, 0))
 
-        elif ekind == SimEventKind.DEPARTURE:
+        elif ekind == DEPARTURE:
             c, ki, sid = a, b, extra
             if sessions.get(sid) != (c, ki):
                 continue  # stale: the session migrated kinds
@@ -637,9 +643,11 @@ def run_system_sim(
             if trace is not None:
                 emit(t, "Departure", f"cell{c}.{names[ki]}", "mn")
 
-        elif ekind == SimEventKind.REPORT_TICK:
+        elif ekind == REPORT_TICK:
             # every cell reports; a grid whose serving LMM is dead is not answered
             ticks += 1
+            if a < n_ticks:
+                push(heap, ((a + 1) * window, REPORT_TICK, a + 1, 0, 0))
             answered = [alive(lmm, t) for lmm in serving]
             counters["BalanceInfo"] += sum(n for n, ok in zip(cells_in_grid, answered) if ok)
             if trace is not None:
@@ -667,7 +675,7 @@ def run_system_sim(
                     if cur != prev:
                         moves[ki][prev, cur] = moves[ki].get((prev, cur), 0) + 1
                         at_tick[ki] = cur
-                if scenario.balancing_enabled and LoadState.OVER_LOADED in states:
+                if scenario.balancing_enabled and OVER in states:
                     migrate_one(c, t, states)
             # the zero-delay notices, in (cell, kind) order, then their
             # replicas, in (cell, kind, backup) order: queued at t they
@@ -681,7 +689,7 @@ def run_system_sim(
                     for backup in topo.bb_backups:
                         emit(t, "BBReplicate", bb, f"bb{backup}")
 
-        elif ekind == SimEventKind.HEARTBEAT:
+        elif ekind == HEARTBEAT:
             # every live LMM beats, in id order: per-LMM chains of
             # period-spaced beats would all share these times
             live = [lmm for lmm in range(n_lmm) if alive(lmm, t)]
@@ -693,13 +701,13 @@ def run_system_sim(
             # no later beat resets the timeout that beat started
             while unseen and unseen[-1][0] <= t:
                 takeover = last_round + scenario.heartbeat_timeout
-                push(heap, (takeover, SimEventKind.TAKEOVER, unseen.pop()[1], 0, 0))
+                push(heap, (takeover, TAKEOVER, unseen.pop()[1], 0, 0))
             last_round = t
             tb = t + scenario.heartbeat_period
             if tb <= horizon:
-                push(heap, (tb, SimEventKind.HEARTBEAT, 0, 0, 0))
+                push(heap, (tb, HEARTBEAT, 0, 0, 0))
 
-        elif ekind == SimEventKind.TAKEOVER:
+        elif ekind == TAKEOVER:
             # the first live backup inherits every grid the dead LMM serves,
             # inherited ones too; with none alive they stay unanswered
             lmm = a
@@ -712,7 +720,7 @@ def run_system_sim(
             failover.append(t - fail_time[lmm])
             serving = [backup if s == lmm else s for s in serving]
 
-        elif ekind == SimEventKind.BORDER:
+        elif ekind == BORDER:
             # all requests and consults at t, then all grants, each in cell
             # order: queued, every grant would pop after every request, and
             # serving cannot change in between, as TAKEOVER ranks before

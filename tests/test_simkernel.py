@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -21,6 +22,7 @@ from sdlb.simkernel import (
     LmmFault,
     SimScenario,
     _arrival_thresholds,
+    _walk,
     horizon_for_events,
     run_cell_mc,
     run_system_sim,
@@ -313,7 +315,10 @@ class TestCellKernelBitIdentity:
         assert hashlib.sha256(report_bytes(report)).hexdigest() == digest
         assert report.per_type[UMTS].window_count == int(horizon / window)
 
-    @pytest.mark.parametrize("lam,mu,m", [(0.5, 0.05, 60), (1.0, 1.0, 4), (1e20, 1.0, 3)])
+    @pytest.mark.parametrize("lam,mu,m", [
+        (0.5, 0.05, 60), (1.0, 1.0, 4), (1e20, 1.0, 3),
+        (1e18, 1.0, 80), (5e-324, 1.0, 10), (1.0, 1e-300, 100), (1e300, 1e-10, 20),
+    ])
     def test_arrival_thresholds_exact_at_rounding_edges(self, lam, mu, m):
         # uniforms within a few ulps of lam/tot[j], where comparing against
         # lam/u alone can disagree with the defining u*tot[j] < lam
@@ -322,7 +327,34 @@ class TestCellKernelBitIdentity:
         u = edge[:, None] + np.arange(-4, 5) * np.spacing(edge)[:, None]
         u = np.append(np.clip(u.ravel(), 0.0, np.nextafter(1.0, 0.0)), 0.0)
         want = (u[:, None] * tot < lam).sum(axis=1)
-        assert np.array_equal(_arrival_thresholds(u, tot, lam), want)
+        assert np.array_equal(_arrival_thresholds(u, tot, lam, mu), want)
+
+    @pytest.mark.parametrize("m", [1, 2, 20, 300])
+    def test_walk_matches_plain_loop(self, m):
+        rng = np.random.default_rng(m)
+        up = [min(j + 1, m) for j in range(m + 1)]
+        for k0 in (0, m, m // 2):
+            # c >= 1 always (u * lam < lam); thresholds that mostly admit, so
+            # the walk reaches the cap, where c = m + 1 is a blocked arrival
+            c = rng.integers(1, m + 2, size=2000)
+            c[rng.random(2000) < 0.5] = m + 1
+            before, k = [], k0
+            for ci in c.tolist():
+                before.append(k)
+                if k < ci:
+                    k = min(k + 1, m)
+                else:
+                    k -= 1
+            got, k_end = _walk(k0, c, up)
+            assert got.tolist() == before and k_end == k
+            assert got.dtype == np.int64
+            assert min(before) >= 0 and max(before) == m
+        # the cap: an arrival at k = m leaves k at m
+        got, k_end = _walk(m, np.full(4, m + 1), up)
+        assert got.tolist() == [m] * 4 and k_end == m
+        # an empty block leaves k as it was
+        got, k_end = _walk(m, np.zeros(0, np.int64), up)
+        assert got.size == 0 and k_end == m
 
     def test_matches_event_by_event_reference(self):
         rnd = random.Random(2024)
@@ -493,6 +525,22 @@ class TestReportTickScaling:
                       for s in report.per_type.values())
         assert changes > 0
         assert classify_calls[0] <= 3 * (BASELINE_TOPO.cell_count + changes)
+
+    def test_queue_holds_one_report_tick(self):
+        # a queue holding every tick at once peaks near 0.85 MB here (about
+        # 145 B per tick); with one tick queued, the peak is the run's fixed
+        # 0.12 MB. 5000 ticks, not more: tracemalloc finds each allocation's
+        # line by scanning the line table of the run's long loop, 0.2 ms a tick
+        quiet = small_types(lam=0.0)
+        run_system_sim(BASELINE_TOPO, quiet, SimScenario(), 1.0, 1)  # lazy set-up
+        tracemalloc.start()
+        try:
+            report = run_system_sim(BASELINE_TOPO, quiet, SimScenario(), 500.0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.message_counts["LoadReport"] == BASELINE_TOPO.cell_count * 5000
+        assert peak < 400_000
 
 
 class TestRunSystemSim:
