@@ -15,21 +15,23 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .config import ConfigError, ScenarioConfig, default_config, load_config
 from .overhead import nonperiodic_overhead, periodic_overhead
 from .queueing import FirstOrderValidityError
-from .reliability import integrated_reliability
 from .simkernel import (
     horizon_for_events,
     run_cell_mc,
     run_system_sim,
     validate_against_analytic,
 )
-from .timing import total_processing_time_hsca, total_processing_time_sda
+from .timing import check_swept_rate, swept_processing_times
 from .topology import AccessNetworkKind
 
 
@@ -81,8 +83,21 @@ def _outdir(cfg: ScenarioConfig) -> Path:
     return out
 
 
+def _each(name: str, values, fn) -> list:
+    """``fn`` of each value of ``sweeps.<name>``, in order; the first
+    ValueError becomes a ConfigError naming its value."""
+    results = []
+    for value in values:
+        try:
+            results.append(fn(value))
+        except ValueError as exc:
+            raise ConfigError(f"sweeps.{name} value {value}: {exc}") from exc
+    return results
+
+
 def cmd_figures(cfg: ScenarioConfig) -> int:
-    out = _outdir(cfg)
+    # every series is evaluated before anything is written, so a failing
+    # sweep leaves the output directory as it was
     ov = cfg.overhead_params()
 
     op = periodic_overhead(ov).op
@@ -94,7 +109,6 @@ def cmd_figures(cfg: ScenarioConfig) -> int:
             "O_p = (1/T) * (sum_i a_i*A_i + 2*d); independent of the LMM count",
         ),
     )
-    fig5.write(out / "fig5.csv")
 
     onp = nonperiodic_overhead(ov)
     fig6 = MetricSeries(
@@ -106,22 +120,15 @@ def cmd_figures(cfg: ScenarioConfig) -> int:
             "independent of the LMM count",
         ),
     )
-    fig6.write(out / "fig6.csv")
 
+    rates = cfg.sweeps.arrival_rates
+    _each("arrival_rates", rates,
+          functools.partial(check_swept_rate, cfg.timing, cfg.hsca_timing))
+    sda, hsca = swept_processing_times(cfg.timing, cfg.hsca_timing, np.array(rates))
     rows7: list[tuple[float, str, float]] = []
-    for rate in cfg.sweeps.arrival_rates:
-        try:
-            sda = total_processing_time_sda(
-                dataclasses.replace(cfg.timing, lambda_report=rate)
-            )
-            rho = rate / cfg.hsca_timing.mu
-            hsca = total_processing_time_hsca(
-                dataclasses.replace(cfg.hsca_timing, rho_ra=rho, rho_is=rho)
-            )
-        except ValueError as exc:
-            raise ConfigError(f"sweeps.arrival_rates value {rate}: {exc}") from exc
-        rows7.append((rate, "processing_time_sda_ms", sda * 1e3))
-        rows7.append((rate, "processing_time_hsca_ms", hsca * 1e3))
+    for rate, sda_ms, hsca_ms in zip(rates, (sda * 1e3).tolist(), (hsca * 1e3).tolist()):
+        rows7.append((rate, "processing_time_sda_ms", sda_ms))
+        rows7.append((rate, "processing_time_hsca_ms", hsca_ms))
     fig7 = MetricSeries(
         sweep_name="arrival_rate",
         rows=rows7,
@@ -133,26 +140,23 @@ def cmd_figures(cfg: ScenarioConfig) -> int:
             "rho = arrival_rate / mu_serve on both sides",
         ),
     )
-    fig7.write(out / "fig7.csv")
 
-    rows8 = []
-    for n in cfg.sweeps.reliability_lmm_counts:
-        try:
-            score = integrated_reliability(cfg.reliability.params_for(n))
-        except ValueError as exc:
-            raise ConfigError(f"sweeps.reliability_lmm_counts value {n}: {exc}") from exc
-        rows8.append((n, "integrated_reliability", score))
+    counts = cfg.sweeps.reliability_lmm_counts
+    scores = _each("reliability_lmm_counts", counts, cfg.reliability.integrated_reliability)
     fig8 = MetricSeries(
         sweep_name="lmm_count",
-        rows=rows8,
+        rows=[(n, "integrated_reliability", score) for n, score in zip(counts, scores)],
         provenance=(
             "integrated reliability: R = 1 - (P0*L0 + P1*L1 + P2*L2) / B "
             "with uniform traffic intensities",
         ),
     )
-    fig8.write(out / "fig8.csv")
 
-    for name in ("fig5.csv", "fig6.csv", "fig7.csv", "fig8.csv"):
+    out = _outdir(cfg)
+    figures = {"fig5.csv": fig5, "fig6.csv": fig6, "fig7.csv": fig7, "fig8.csv": fig8}
+    for name, series in figures.items():
+        series.write(out / name)
+    for name in figures:
         print(f"wrote {out / name}")
     return 0
 

@@ -22,7 +22,12 @@ from typing import Any, Callable, get_args, get_origin, get_type_hints
 
 from .overhead import OverheadParams, check_period_and_cost
 from .queueing import SystemTypeParams
-from .reliability import ReliabilityParams, check_reliabilities, uniform_reliability_params
+from .reliability import (
+    ReliabilityParams,
+    check_reliabilities,
+    uniform_integrated_reliability,
+    uniform_reliability_params,
+)
 from .simkernel import BorderEvent, LmmFault, SimScenario
 from .timing import HscaTimingParams, TimingParams
 from .topology import AccessNetworkKind, Topology, build_topology, check_grid_shape
@@ -88,11 +93,15 @@ class ReliabilitySpec:
         check_reliabilities(self.r_lmm, self.r_c)
 
     def params_for(self, n: int) -> ReliabilityParams:
-        return uniform_reliability_params(
-            n, self.r_lmm, self.r_c, k1_lines=self.k1_lines, k2_lmms=self.k2_lmms,
-            c_value=self.c_uniform, b_value=self.b_uniform,
-            redundancy_exponent=self.redundancy_exponent,
-        )
+        return uniform_reliability_params(n, *self._uniform_args())
+
+    def integrated_reliability(self, n: int) -> float:
+        """``integrated_reliability(self.params_for(n))``, without the params."""
+        return uniform_integrated_reliability(n, *self._uniform_args())
+
+    def _uniform_args(self) -> tuple:
+        return (self.r_lmm, self.r_c, self.k1_lines, self.k2_lmms, self.c_uniform,
+                self.b_uniform, self.redundancy_exponent)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .queueing import SystemTypeParams, prob_bb_update, prob_state_change
+from .queueing import SystemTypeParams, bb_update_probability, prob_state_change
 
 __all__ = [
     "OverheadBreakdown",
@@ -114,7 +114,5 @@ def nonperiodic_overhead(
 
     pr = [prob_state_change(t, p.T) for t in p.types]
     report_sum = sum(t.ap_count * pr_i for t, pr_i in zip(p.types, pr))
-    replica_sum = sum(
-        prob_bb_update(list(zip(p.types, counts)), p.T) for counts in bb_ap_counts
-    )
+    replica_sum = sum(bb_update_probability(pr, counts) for counts in bb_ap_counts)
     return (p.report_cost * report_sum + p.d * replica_sum) / p.T

@@ -29,6 +29,7 @@ FirstOrderValidityError instead of silently clamping.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -40,6 +41,7 @@ __all__ = [
     "StateDistribution",
     "SystemTypeParams",
     "TransitionKind",
+    "bb_update_probability",
     "classify_load",
     "prob_bb_update",
     "prob_state_change",
@@ -143,19 +145,30 @@ def state_probabilities(p: SystemTypeParams) -> StateDistribution:
     """Stationary M/M/m/m occupancy probabilities.
 
     Uses the multiplicative recurrence with on-the-fly rescaling, so the
-    result is finite and normalised for m up to 10^4 and beyond.
+    result is finite and normalised for m up to 10^4 and beyond. Each run
+    of the recurrence starts from 1.0 and is one cumulative product of the
+    factors (lam/mu)/k: the same products, in the same order, as a loop
+    over k. A run ends at the first term past the rescale limit.
     """
-    ratio = p.lam / p.mu
+    factors = p.lam / p.mu / np.arange(1, p.m + 1)
     terms = np.empty(p.m + 1)
     terms[0] = 1.0
-    t = 1.0
-    for k in range(1, p.m + 1):
-        t *= ratio / k
-        terms[k] = t
-        if t > _RESCALE_LIMIT:
-            # relative weights are all that matter; shrink everything so far
-            terms[: k + 1] /= t
-            t = 1.0
+    start, width = 1, 64
+    # a block runs on past its first crossing, where it may overflow; the
+    # next run recomputes those terms
+    with np.errstate(over="ignore"):
+        while start <= p.m:
+            run = terms[start : start + width]
+            np.multiply.accumulate(factors[start - 1 : start - 1 + width], out=run)
+            k = start + int(np.argmax(run > _RESCALE_LIMIT))
+            if terms[k] > _RESCALE_LIMIT:
+                # relative weights are all that matter; shrink everything so far
+                terms[: k + 1] /= terms[k]
+                start = k + 1
+            elif start + width > p.m:
+                break
+            else:
+                width *= 2  # no crossing yet: redo the run over a longer block
     total = terms.sum()
     return StateDistribution(probs=terms / total)
 
@@ -218,15 +231,23 @@ def prob_bb_update(
     """Probability that a bulletin-board replica receives an update in T.
 
     per_type lists (params, ap_count_under_this_replica) for the three
-    access-network kinds; the replica is updated unless none of its APs
-    changed load state:  1 - prod_i (1 - Pr_i)^{A_i}.
+    access-network kinds; see ``bb_update_probability``.
     """
-    if len(per_type) != 3:
-        raise ValueError(f"per_type must cover the three kinds, got {len(per_type)}")
+    return bb_update_probability(
+        [prob_state_change(params, T) for params, _ in per_type],
+        [a_count for _, a_count in per_type],
+    )
+
+
+def bb_update_probability(changes: Sequence[float], ap_counts: Sequence[int]) -> float:
+    """A replica over ap_counts[i] APs of kind i, each of which changes load
+    state with probability changes[i], is updated unless none of its APs
+    changed:  1 - prod_i (1 - Pr_i)^{A_i}."""
+    if len(ap_counts) != 3:
+        raise ValueError(f"AP counts must cover the three kinds, got {len(ap_counts)}")
     stay = 1.0
-    for params, a_count in per_type:
+    for pr, a_count in zip(changes, ap_counts):
         if a_count < 0:
             raise ValueError(f"AP count must be >= 0, got {a_count}")
-        pr = prob_state_change(params, T)
         stay *= (1.0 - pr) ** a_count
     return 1.0 - stay

@@ -26,6 +26,11 @@ Binomial factors are evaluated in log space once the population exceeds
 170 (where the intermediate coefficient would overflow a float). The
 score is not clamped: values outside [0, 1] signal abusive parameters,
 not a bug.
+
+The score is one function of the traffic sums B, L1 and L2 as numbers;
+``integrated_reliability`` takes them from the params' arrays and
+``uniform_integrated_reliability`` (a sweep point of fig 8) from uniform
+arrays it sums the same way, without building params.
 """
 from __future__ import annotations
 
@@ -42,6 +47,7 @@ __all__ = [
     "check_reliabilities",
     "integrated_reliability",
     "scenario_probabilities",
+    "uniform_integrated_reliability",
     "uniform_reliability_params",
 ]
 
@@ -85,6 +91,25 @@ def check_reliabilities(r_lmm: float, r_c: float):
             raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
+def _check_failures(n: int, k1_lines: int, k2_lmms: int) -> int:
+    """n' for n managers, once K1 fits n' and K2 fits n."""
+    n_lines = max_junction_lines(n)
+    if not 1 <= k1_lines <= n_lines:
+        raise ValueError(
+            f"k1_lines must be in 1..{n_lines} (junction lines for n={n}), got {k1_lines}"
+        )
+    if not 1 <= k2_lmms <= n:
+        raise ValueError(f"k2_lmms must be in 1..{n}, got {k2_lmms}")
+    return n_lines
+
+
+def _check_weights(negative_traffic: bool, redundancy_exponent: int | None):
+    if negative_traffic:
+        raise ValueError("traffic intensities must be >= 0")
+    if redundancy_exponent is not None and redundancy_exponent < 1:
+        raise ValueError(f"redundancy_exponent must be >= 1, got {redundancy_exponent}")
+
+
 @dataclass(frozen=True)
 class ReliabilityParams:
     """r_lmm / r_c: per-manager and per-junction-line reliabilities;
@@ -108,14 +133,7 @@ class ReliabilityParams:
         check_reliabilities(self.r_lmm, self.r_c)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        n_lines = max_junction_lines(self.n)
-        if not 1 <= self.k1_lines <= n_lines:
-            raise ValueError(
-                f"k1_lines must be in 1..{n_lines} (junction lines for n={self.n}), "
-                f"got {self.k1_lines}"
-            )
-        if not 1 <= self.k2_lmms <= self.n:
-            raise ValueError(f"k2_lmms must be in 1..{self.n}, got {self.k2_lmms}")
+        n_lines = _check_failures(self.n, self.k1_lines, self.k2_lmms)
         c = np.asarray(self.c, dtype=float)
         b = np.asarray(self.b, dtype=float)
         object.__setattr__(self, "c", c)
@@ -124,20 +142,11 @@ class ReliabilityParams:
             raise ValueError(f"c must have shape ({n_lines},), got {c.shape}")
         if b.shape != (3, self.n):
             raise ValueError(f"b must have shape (3, {self.n}), got {b.shape}")
-        if (c < 0).any() or (b < 0).any():
-            raise ValueError("traffic intensities must be >= 0")
-        if self.redundancy_exponent is not None and self.redundancy_exponent < 1:
-            raise ValueError(
-                f"redundancy_exponent must be >= 1, got {self.redundancy_exponent}"
-            )
+        _check_weights(bool((c < 0).any() or (b < 0).any()), self.redundancy_exponent)
 
     @property
     def n_lines(self) -> int:
         return max_junction_lines(self.n)
-
-    @property
-    def total_traffic(self) -> float:
-        return float(self.c.sum() + self.b.sum())
 
 
 @dataclass(frozen=True)
@@ -154,23 +163,48 @@ class ScenarioProbabilities:
     l2: float
 
 
-def scenario_probabilities(p: ReliabilityParams) -> ScenarioProbabilities:
-    """Evaluate the three failure scenarios for one (K1, K2) choice."""
-    exponent = p.n if p.redundancy_exponent is None else p.redundancy_exponent
-    p_lmm = 1.0 - (1.0 - p.r_lmm) ** exponent
-    p_c = 1.0 - (1.0 - p.r_c) ** 2
-    r_pow_n = p.r_lmm**p.n
-
-    p0 = p_lmm * p_c**p.n_lines * r_pow_n
-    p1 = p_lmm * binomial_pmf(p.n_lines, p.k1_lines, 1.0 - p_c) * r_pow_n
-    p2 = (
-        (1.0 - p_lmm)
-        * p_c**p.k2_lmms
-        * binomial_pmf(p.n, p.k2_lmms, 1.0 - p.r_lmm)
+def _traffic_sums(c: np.ndarray, b: np.ndarray, k1_lines: int, k2_lmms: int):
+    """(B, L1, L2): all traffic, the first K1 lines', and all lines' plus
+    the first K2 managers' inventory traffic."""
+    c_sum = c.sum()
+    return (
+        float(c_sum + b.sum()),
+        float(c[:k1_lines].sum()),
+        float(c_sum + b[:, :k2_lmms].sum()),
     )
 
-    l1 = float(p.c[: p.k1_lines].sum())
-    l2 = float(p.c.sum() + p.b[:, : p.k2_lmms].sum())
+
+def _scenarios(
+    r_lmm: float, r_c: float, n: int, n_lines: int, k1_lines: int, k2_lmms: int,
+    redundancy_exponent: int | None,
+) -> tuple[float, float, float, float, float]:
+    """(P_lmm, P_c, P0, P1, P2) of the three failure scenarios."""
+    exponent = n if redundancy_exponent is None else redundancy_exponent
+    p_lmm = 1.0 - (1.0 - r_lmm) ** exponent
+    p_c = 1.0 - (1.0 - r_c) ** 2
+    r_pow_n = r_lmm**n
+
+    p0 = p_lmm * p_c**n_lines * r_pow_n
+    p1 = p_lmm * binomial_pmf(n_lines, k1_lines, 1.0 - p_c) * r_pow_n
+    p2 = (1.0 - p_lmm) * p_c**k2_lmms * binomial_pmf(n, k2_lmms, 1.0 - r_lmm)
+    return p_lmm, p_c, p0, p1, p2
+
+
+def _score(scenarios: tuple[float, ...], total: float, l1: float, l2: float) -> float:
+    """R = 1 - (P0*L0 + P1*L1 + P2*L2) / B with L0 = 0, from the
+    probabilities of ``_scenarios`` and the sums of ``_traffic_sums``."""
+    if total <= 0:
+        raise ValueError("zero traffic: total traffic intensity must be > 0")
+    _, _, p0, p1, p2 = scenarios
+    return 1.0 - (p0 * 0.0 + p1 * l1 + p2 * l2) / total
+
+
+def scenario_probabilities(p: ReliabilityParams) -> ScenarioProbabilities:
+    """Evaluate the three failure scenarios for one (K1, K2) choice."""
+    p_lmm, p_c, p0, p1, p2 = _scenarios(
+        p.r_lmm, p.r_c, p.n, p.n_lines, p.k1_lines, p.k2_lmms, p.redundancy_exponent
+    )
+    _, l1, l2 = _traffic_sums(p.c, p.b, p.k1_lines, p.k2_lmms)
     return ScenarioProbabilities(
         p_lmm=p_lmm, p_c=p_c, p0=p0, p1=p1, p2=p2, l0=0.0, l1=l1, l2=l2
     )
@@ -178,11 +212,34 @@ def scenario_probabilities(p: ReliabilityParams) -> ScenarioProbabilities:
 
 def integrated_reliability(p: ReliabilityParams) -> float:
     """1 minus the traffic-weighted expected loss fraction."""
-    total = p.total_traffic
-    if total <= 0:
-        raise ValueError("zero traffic: total traffic intensity must be > 0")
-    s = scenario_probabilities(p)
-    return 1.0 - (s.p0 * s.l0 + s.p1 * s.l1 + s.p2 * s.l2) / total
+    return _score(
+        _scenarios(p.r_lmm, p.r_c, p.n, p.n_lines, p.k1_lines, p.k2_lmms,
+                   p.redundancy_exponent),
+        *_traffic_sums(p.c, p.b, p.k1_lines, p.k2_lmms),
+    )
+
+
+def uniform_integrated_reliability(
+    n: int,
+    r_lmm: float,
+    r_c: float,
+    k1_lines: int = 1,
+    k2_lmms: int = 1,
+    c_value: float = 1.0,
+    b_value: float = 1.0,
+    redundancy_exponent: int | None = None,
+) -> float:
+    """``integrated_reliability(uniform_reliability_params(...))`` with the
+    same arguments: the same checks, sums and score, without the params."""
+    check_reliabilities(r_lmm, r_c)
+    n_lines = _check_failures(n, k1_lines, k2_lmms)
+    _check_weights(c_value < 0 or b_value < 0, redundancy_exponent)
+    c = np.full(n_lines, float(c_value))
+    b = np.full((3, n), float(b_value))
+    return _score(
+        _scenarios(r_lmm, r_c, n, n_lines, k1_lines, k2_lmms, redundancy_exponent),
+        *_traffic_sums(c, b, k1_lines, k2_lmms),
+    )
 
 
 def uniform_reliability_params(

@@ -20,9 +20,10 @@ and gets a BalanceInfo reply if that LMM is alive; a load-state change
 since the previous tick triggers a StateChangeNotice to the bulletin
 board, which immediately replicates to its two backups; scheduled border
 events produce the request/consult/grant exchange. Every heartbeat period
-each live LMM beats; one heartbeat timeout after a failed LMM's last beat,
-its first live ring backup takes over every grid it served, inherited
-ones included (with both backups dead, those grids go unanswered). The
+each live LMM beats to its first live ring backup (with both backups dead
+it sends no beat); one heartbeat timeout after a failed LMM's last beat,
+that backup takes over every grid it served, inherited ones included
+(with both backups dead, those grids go unanswered). The
 optional mobile-agent policy migrates one session per cell per tick from
 the most over-loaded kind to the least-occupied under-loaded kind. The
 report tick is event-driven: it classifies only the cells whose occupancy
@@ -554,6 +555,13 @@ def run_system_sim(
     def alive(lmm: int, t: float) -> bool:
         return t < fail_time.get(lmm, math.inf)
 
+    def live_backup(lmm: int, t: float) -> int | None:
+        """Where lmm beats and who takes it over: its first live backup."""
+        for backup in topo.backup_map[lmm]:
+            if alive(backup, t):
+                return backup
+        return None
+
     # initial events
     for c in range(n_cells):
         for ki in range(n_kinds):
@@ -690,13 +698,14 @@ def run_system_sim(
                         emit(t, "BBReplicate", bb, f"bb{backup}")
 
         elif ekind == HEARTBEAT:
-            # every live LMM beats, in id order: per-LMM chains of
-            # period-spaced beats would all share these times
-            live = [lmm for lmm in range(n_lmm) if alive(lmm, t)]
-            counters["Heartbeat"] += len(live)
+            # every live LMM with a live backup beats to it, in id order:
+            # per-LMM chains of period-spaced beats would all share these times
+            beats = [(lmm, backup) for lmm in range(n_lmm) if alive(lmm, t)
+                     and (backup := live_backup(lmm, t)) is not None]
+            counters["Heartbeat"] += len(beats)
             if trace is not None:
-                for lmm in live:
-                    emit(t, "Heartbeat", f"lmm{lmm}", f"lmm{topo.first_backup(lmm)}")
+                for lmm, backup in beats:
+                    emit(t, "Heartbeat", f"lmm{lmm}", f"lmm{backup}")
             # an LMM that failed since the previous round beat last then, and
             # no later beat resets the timeout that beat started
             while unseen and unseen[-1][0] <= t:
@@ -711,7 +720,7 @@ def run_system_sim(
             # the first live backup inherits every grid the dead LMM serves,
             # inherited ones too; with none alive they stay unanswered
             lmm = a
-            backup = next((b for b in topo.backup_map[lmm] if alive(b, t)), None)
+            backup = live_backup(lmm, t)
             if backup is None:
                 continue
             counters["Takeover"] += 1

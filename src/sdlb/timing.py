@@ -21,15 +21,23 @@ With matched parameters the two differ by exactly one propagation hop, so
 the gap is d/s at every utilisation. All times are seconds internally;
 d/s is treated as an opaque per-hop transfer delay (the reference scenario
 makes each hop 1 ms).
+
+Both formulas use only + - * /, so applied to an array of utilisations
+(``swept_processing_times``) each element rounds exactly as the scalar
+evaluation does.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "HscaTimingParams",
     "TimingParams",
+    "check_swept_rate",
     "mm1_delay",
+    "swept_processing_times",
     "total_processing_time_hsca",
     "total_processing_time_sda",
 ]
@@ -43,6 +51,16 @@ def _check_speed(name: str, value: float):
 def _check_nonneg(name: str, value: float):
     if value < 0:
         raise ValueError(f"{name} must be >= 0, got {value}")
+
+
+def _check_utilisation(rho: float):
+    if not 0 <= rho < 1:
+        raise ValueError(f"utilisation must satisfy 0 <= rho < 1, got rho={rho:g}")
+
+
+def _check_rho(name: str, rho: float):
+    if not 0 <= rho < 1:
+        raise ValueError(f"{name} must satisfy 0 <= rho < 1, got {rho:g}")
 
 
 @dataclass(frozen=True)
@@ -67,10 +85,7 @@ class TimingParams:
         _check_speed("s_ll", self.s_ll)
         _check_nonneg("lambda_report", self.lambda_report)
         _check_speed("mu_serve", self.mu_serve)
-        if not 0 <= self.rho < 1:
-            raise ValueError(
-                f"utilisation must satisfy 0 <= rho < 1, got rho={self.rho:g}"
-            )
+        _check_utilisation(self.rho)
 
     @property
     def rho(self) -> float:
@@ -101,9 +116,7 @@ class HscaTimingParams:
         for name in ("s_rr", "s_ris", "s_ibi", "mu"):
             _check_speed(name, getattr(self, name))
         for name in ("rho_ra", "rho_is"):
-            rho = getattr(self, name)
-            if not 0 <= rho < 1:
-                raise ValueError(f"{name} must satisfy 0 <= rho < 1, got {rho:g}")
+            _check_rho(name, getattr(self, name))
 
 
 def mm1_delay(rho: float, mu: float) -> tuple[float, float]:
@@ -121,16 +134,40 @@ def mm1_delay(rho: float, mu: float) -> tuple[float, float]:
     return rho / denom, 1.0 / denom
 
 
-def total_processing_time_sda(p: TimingParams) -> float:
-    """End-to-end report processing time (s) for the semi-distributed path."""
-    rho = p.rho
+def _sda(p: TimingParams, rho):
     queue = 3.0 * (rho + 1.0) / (p.mu_serve * (1.0 - rho))
     return p.t1 + p.d_rl / p.s_rl + queue + p.d_ll / p.s_ll
 
 
+def _hsca(p: HscaTimingParams, rho_ra, rho_is):
+    hops = p.d_rr / p.s_rr + p.d_ris / p.s_ris + p.d_ibi / p.s_ibi
+    ra = (rho_ra + 1.0) / (p.mu * (1.0 - rho_ra))
+    is_ = 2.0 * (rho_is + 1.0) / (p.mu * (1.0 - rho_is))
+    return p.t1 + hops + ra + is_
+
+
+def total_processing_time_sda(p: TimingParams) -> float:
+    """End-to-end report processing time (s) for the semi-distributed path."""
+    return _sda(p, p.rho)
+
+
 def total_processing_time_hsca(p: HscaTimingParams) -> float:
     """End-to-end report processing time (s) for the hierarchical baseline."""
-    hops = p.d_rr / p.s_rr + p.d_ris / p.s_ris + p.d_ibi / p.s_ibi
-    ra = (p.rho_ra + 1.0) / (p.mu * (1.0 - p.rho_ra))
-    is_ = 2.0 * (p.rho_is + 1.0) / (p.mu * (1.0 - p.rho_is))
-    return p.t1 + hops + ra + is_
+    return _hsca(p, p.rho_ra, p.rho_is)
+
+
+def check_swept_rate(p: TimingParams, h: HscaTimingParams, rate: float):
+    """What the two parameter sets check when a report rate sets
+    lambda_report and rho_ra = rho_is = rate / h.mu."""
+    _check_nonneg("lambda_report", rate)
+    _check_utilisation(rate / p.mu_serve)
+    _check_rho("rho_ra", rate / h.mu)
+
+
+def swept_processing_times(
+    p: TimingParams, h: HscaTimingParams, rates: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both processing times (s) at each report rate, with rho = rate / mu
+    on each side; every rate must pass ``check_swept_rate``."""
+    rho = rates / h.mu
+    return _sda(p, rates / p.mu_serve), _hsca(h, rho, rho)

@@ -81,9 +81,6 @@ class Topology:
     def cell_count(self) -> int:
         return sum(len(g.cells) for g in self.grids)
 
-    def first_backup(self, lmm_id: int) -> int:
-        return self.backup_map[lmm_id][0]
-
 
 def max_junction_lines(n: int) -> int:
     """Maximum number of inter-LMM junction lines for n LMMs.

@@ -1,5 +1,7 @@
 import csv
+import hashlib
 import json
+import math
 
 import pytest
 
@@ -108,6 +110,67 @@ class TestFigures:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert main(["figures", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+def _unstable_rate(doc):
+    doc["sweeps"]["arrival_rates"] = [100.0, 1000.0]
+
+
+def _too_many_lost_lines(doc):
+    doc["reliability"]["k1_lines"] = 3
+    doc["sweeps"]["reliability_lmm_counts"] = [3, 1]
+
+
+def _coarse_umts(doc):
+    doc["types"]["umts"]["lam"] = 20.0  # lam*T = 2
+
+
+class TestFailedFiguresWriteNothing:
+    """A document that fails in any of the four series exits 2 before a
+    single CSV is written, into a new or into a reused directory."""
+
+    CASES = {
+        "fig7_unstable_rate": (
+            _unstable_rate,
+            "config error: sweeps.arrival_rates value 1000.0: "
+            "utilisation must satisfy 0 <= rho < 1, got rho=1\n",
+        ),
+        "fig8_lost_lines": (
+            _too_many_lost_lines,
+            "config error: sweeps.reliability_lmm_counts value 3: "
+            "k1_lines must be in 1..2 (junction lines for n=3), got 3\n",
+        ),
+        "fig6_coarse_period": (
+            _coarse_umts,
+            "error: T too coarse for first-order model: lam*T = 2 >= 1\n",
+        ),
+    }
+
+    def run(self, tmp_path, capsys, name, out):
+        edit, error = self.CASES[name]
+        doc = default_config().to_dict()
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["figures", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", error)
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_new_directory_is_not_created(self, tmp_path, capsys, name):
+        out = tmp_path / "figs"
+        self.run(tmp_path, capsys, name, out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_earlier_csvs_stay_untouched(self, tmp_path, capsys, name):
+        out = tmp_path / "figs"
+        out.mkdir()
+        for fig in ("fig5.csv", "fig7.csv"):
+            (out / fig).write_text(f"stale {fig}\n")
+        self.run(tmp_path, capsys, name, out)
+        assert sorted(p.name for p in out.iterdir()) == ["fig5.csv", "fig7.csv"]
+        for fig in ("fig5.csv", "fig7.csv"):
+            assert (out / fig).read_text() == f"stale {fig}\n"
 
 
 class TestValidate:
@@ -262,3 +325,107 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         assert main(["figures", "--out", "figs"]) == 0
         assert (tmp_path / "figs" / "fig5.csv").exists()
+
+
+def sweep_doc(top):
+    """A dense figure sweep with the largest capacity ``top``; the kinds
+    split it 75/25/100 % as in the benchmark documents, and lam/mu is
+    about 0.44 m, so m = 10^4 takes the rescaling path of
+    ``state_probabilities``."""
+    doc = default_config().to_dict()
+    T = 0.0937
+    doc["overhead"] = {"T": T, "d": 1.31, "a_common": None}
+    for kind, share, aps in (("umts", 0.75, 613), ("wimax", 0.25, 287), ("wlan", 1.0, 941)):
+        m = int(top * share)
+        k1, k2 = math.ceil(0.2913 * m), math.ceil(0.8117 * m)
+        mu = 0.6173 / ((k2 + 1) * T)
+        doc["types"][kind] = {"lam": 0.4421 * m * mu, "mu": mu, "m": m, "k1": k1, "k2": k2,
+                              "ap_count": aps, "report_cost": 1.0}
+    mu_serve = 1043.7
+    doc["timing"].update(t1=7.3e-6, d_rl=431.9, d_ll=431.9, lambda_report=0.5 * mu_serve,
+                         mu_serve=mu_serve)
+    doc["hsca_timing"].update(t1=7.3e-6, d_rr=431.9, d_ris=431.9, d_ibi=431.9, mu=mu_serve)
+    doc["reliability"].update(r_lmm=0.9137, r_c=0.9561)
+    doc["sweeps"] = {
+        "lmm_counts": list(range(1, 301)),
+        "reliability_lmm_counts": list(range(3, 301)),
+        "arrival_rates": [mu_serve * (0.01 + 0.94 * j / 299) for j in range(300)],
+    }
+    return doc
+
+
+def weighted_traffic_doc():
+    """Non-unit traffic weights, an explicit redundancy exponent, two lost
+    lines and managers, and LMM counts on both sides of the log-space
+    binomial limit (170)."""
+    doc = default_config().to_dict()
+    doc["reliability"].update(c_uniform=0.3, b_uniform=1 / 3, redundancy_exponent=2,
+                              k1_lines=2, k2_lmms=2)
+    doc["sweeps"]["reliability_lmm_counts"] = [2, 3, 4, 5, 7, 10, 99, 168, 169, 170, 171,
+                                               172, 173, 250, 500, 1000, 4321]
+    return doc
+
+
+FIGURE_NAMES = ("fig5.csv", "fig6.csv", "fig7.csv", "fig8.csv")
+
+# SHA-256 of each figure CSV, recorded from the per-point evaluation of
+# every sweep: whole-sweep evaluation must write the same bytes
+FIGURES_GOLDEN = {
+    "baseline": (
+        default_config().to_dict,
+        dict(zip(FIGURE_NAMES, (
+            "9822708b913bca51e159a0ed825ecbe110a986778429ea4b522b44b9709e4996",
+            "90fdc2f8f9c3a5a0139b1b84bd62bba95bc0df07babc310f2677aafd36255ad5",
+            "9081385712c5c537999c2684ceab057f7abbc47491053ae05b4550096c517e25",
+            "b0b24087f5e667378fd12f92ccc374e3b7433fb32486d0c9d3fc6b3e4c3f40e4",
+        ))),
+    ),
+    "sweep_m100": (
+        lambda: sweep_doc(100),
+        dict(zip(FIGURE_NAMES, (
+            "8a88d9f308456d691f79cedc3250beec7a9c9164ce133151e25692aaafd23b9c",
+            "d626ffecc5124c74b74f2a174987cb38f05e358b5e9117b5328bbaa7474410ef",
+            "bd679edcd59015639e0c72f59026c8c6b900291b4cabdeb79f12ce88d502d846",
+            "18a57ecc6490376be91faefaa7235c16fd73f77e66ad9a27e9f71f82e53c0854",
+        ))),
+    ),
+    "sweep_m1000": (
+        lambda: sweep_doc(1000),
+        dict(zip(FIGURE_NAMES, (
+            "8a88d9f308456d691f79cedc3250beec7a9c9164ce133151e25692aaafd23b9c",
+            "01a4ccc5cc7086c17bb3a5fc2ff026c31e4ff293c9df7e6b0d2a79df17225665",
+            "bd679edcd59015639e0c72f59026c8c6b900291b4cabdeb79f12ce88d502d846",
+            "18a57ecc6490376be91faefaa7235c16fd73f77e66ad9a27e9f71f82e53c0854",
+        ))),
+    ),
+    "sweep_m10000": (
+        lambda: sweep_doc(10_000),
+        dict(zip(FIGURE_NAMES, (
+            "8a88d9f308456d691f79cedc3250beec7a9c9164ce133151e25692aaafd23b9c",
+            "1e373eb8ef8aa7efd6378f8f4f7e7bebbc2c7f54ef32bb92d41236d82a13ecab",
+            "bd679edcd59015639e0c72f59026c8c6b900291b4cabdeb79f12ce88d502d846",
+            "18a57ecc6490376be91faefaa7235c16fd73f77e66ad9a27e9f71f82e53c0854",
+        ))),
+    ),
+    "weighted_traffic": (
+        weighted_traffic_doc,
+        dict(zip(FIGURE_NAMES, (
+            "9822708b913bca51e159a0ed825ecbe110a986778429ea4b522b44b9709e4996",
+            "90fdc2f8f9c3a5a0139b1b84bd62bba95bc0df07babc310f2677aafd36255ad5",
+            "9081385712c5c537999c2684ceab057f7abbc47491053ae05b4550096c517e25",
+            "8024abca0d753aea93b84cda1bcf2bdcfcd23b7368a688cf962618108bc35bd8",
+        ))),
+    ),
+}
+
+
+class TestFiguresGolden:
+    @pytest.mark.parametrize("name", sorted(FIGURES_GOLDEN))
+    def test_figure_digests(self, tmp_path, name):
+        build, digests = FIGURES_GOLDEN[name]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(build()))
+        out = tmp_path / "figs"
+        assert main(["figures", "--config", str(path), "--out", str(out)]) == 0
+        got = {fig: hashlib.sha256((out / fig).read_bytes()).hexdigest() for fig in FIGURE_NAMES}
+        assert got == digests

@@ -1,4 +1,6 @@
 import math
+import random
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +25,59 @@ def naive_state_probs(lam, mu, m):
     terms = [ratio**k / math.factorial(k) for k in range(m + 1)]
     total = sum(terms)
     return [t / total for t in terms]
+
+
+def loop_state_probs(lam, mu, m, limit=1e280):
+    """Reference: the multiplicative recurrence as a plain loop over k,
+    rescaling everything so far by the first term past ``limit`` and
+    starting again from 1.0."""
+    ratio = lam / mu
+    terms = np.empty(m + 1)
+    terms[0] = 1.0
+    t = 1.0
+    for k in range(1, m + 1):
+        t *= ratio / k
+        terms[k] = t
+        if t > limit:
+            terms[: k + 1] /= t
+            t = 1.0
+    return terms / terms.sum()
+
+
+def first_rescale(ratio, limit=1e280):
+    """The k at which the recurrence first passes ``limit``."""
+    t, k = 1.0, 0
+    while t <= limit:
+        k += 1
+        t *= ratio / k
+    return k
+
+
+def loop_cases():
+    """(lam, mu, m) from 1 to 10^4 servers: ratios below 1, near m, far
+    beyond m, and 1e150-1e300, which pass the rescale limit within one or
+    two factors; plus fixed edge cases."""
+    rng = random.Random(2012)
+    cases = []
+    for _ in range(240):
+        m = int(10 ** rng.uniform(0, 4))
+        ratio = rng.choice([
+            rng.uniform(0.0, 1.0),
+            m * rng.uniform(0.1, 1.5),
+            m * 10 ** rng.uniform(1, 4),
+            10 ** rng.uniform(150, 300),
+        ])
+        mu = 10 ** rng.uniform(-3, 3)
+        cases.append((ratio * mu, mu, m))
+    k = first_rescale(2000.0)  # the first rescale at the last k, and around it
+    cases += [(2000.0, 1.0, m) for m in (k - 1, k, k + 1)]
+    cases += [
+        (0.0, 1.0, 10_000),
+        (1e300, 1.0, 10_000),  # every k rescales; the early terms underflow
+        (1e200, 1.0, 50),  # the product overflows to inf at k = 2
+        (1e300, 1e-10, 20),  # lam/mu itself is inf
+    ]
+    return cases
 
 
 def params(lam=1.0, mu=1.0, m=4, k1=1, k2=3, **kw):
@@ -113,6 +168,27 @@ class TestStateProbabilities:
         # occupancy concentrates near the offered load (the distribution has
         # a two-point mode: term_5000 = term_4999 exactly)
         assert dist.probs.argmax() in (4999, 5000)
+
+    def test_bit_identical_to_plain_loop(self):
+        mismatched = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf/inf in the edge cases
+            for lam, mu, m in loop_cases():
+                got = state_probabilities(params(lam=lam, mu=mu, m=m, k1=0, k2=1)).probs
+                if got.tobytes() != loop_state_probs(lam, mu, m).tobytes():
+                    mismatched.append((lam, mu, m))
+        assert mismatched == []
+
+    def test_loop_cases_reach_every_path(self):
+        cases = loop_cases()
+        sizes = [m for *_, m in cases]
+        ratios = [lam / mu for lam, mu, _ in cases]
+        assert len(cases) >= 200
+        assert min(sizes) == 1 and max(sizes) == 10_000
+        assert any(r < 1 for r in ratios)
+        assert any(r > 10 * m for r, m in zip(ratios, sizes))
+        assert math.inf in ratios
+        assert first_rescale(2000.0) in sizes
 
     def test_huge_m_matches_arbitrary_precision_oracle(self):
         mpmath = pytest.importorskip("mpmath")

@@ -9,6 +9,7 @@ from sdlb.reliability import (
     binomial_pmf,
     integrated_reliability,
     scenario_probabilities,
+    uniform_integrated_reliability,
     uniform_reliability_params,
 )
 from sdlb.topology import max_junction_lines
@@ -216,3 +217,37 @@ class TestIntegratedReliability:
     def test_large_n_stays_finite(self):
         score = integrated_reliability(uniform_reliability_params(1000, 0.92, 0.97))
         assert 0.0 <= score <= 1.0
+
+
+class TestUniformIntegratedReliability:
+    """The fig 8 sweep point: the same score and the same errors as the
+    params path, without building params."""
+
+    @pytest.mark.parametrize("kw", [
+        dict(),
+        dict(c_value=0.3, b_value=1 / 3, redundancy_exponent=2, k1_lines=2, k2_lmms=2),
+        dict(c_value=0.0, b_value=2.5),
+        dict(c_value=7.1, b_value=0.0, k2_lmms=3),
+    ])
+    def test_bit_identical_to_params_path(self, kw):
+        for n in (3, 4, 5, 7, 11, 169, 170, 171, 172, 301, 1000):
+            for r_lmm, r_c in ((0.92, 0.97), (0.5, 0.61), (1.0, 0.0)):
+                got = uniform_integrated_reliability(n, r_lmm, r_c, **kw)
+                want = integrated_reliability(uniform_reliability_params(n, r_lmm, r_c, **kw))
+                assert got == want or (math.isnan(got) and math.isnan(want)), (n, r_lmm, r_c)
+
+    @pytest.mark.parametrize("n,kw", [
+        (0, {}),
+        (3, dict(k1_lines=3)),
+        (3, dict(k2_lmms=4)),
+        (3, dict(c_value=-1.0)),
+        (3, dict(b_value=-1.0)),
+        (3, dict(redundancy_exponent=0)),
+        (3, dict(c_value=0.0, b_value=0.0)),
+    ])
+    def test_same_errors_as_params_path(self, n, kw):
+        with pytest.raises(ValueError) as params_error:
+            integrated_reliability(uniform_reliability_params(n, 0.9, 0.9, **kw))
+        with pytest.raises(ValueError) as sweep_error:
+            uniform_integrated_reliability(n, 0.9, 0.9, **kw)
+        assert str(sweep_error.value) == str(params_error.value)

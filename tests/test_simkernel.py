@@ -4,7 +4,7 @@ import json
 import math
 import random
 import tracemalloc
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
@@ -404,6 +404,8 @@ BASELINE_TOPO = build_topology(3, 7, {k: 1 for k in AccessNetworkKind})
 # of the trace text), recorded from the per-cell report tick (the last three
 # from per-LMM heartbeat and timeout events and per-request grant events):
 # the reports and the order of every traced message must stay bit-identical.
+# The traces marked re-recorded changed only in the destination of the
+# Heartbeat lines sent after the first backup's failure; the reports did not.
 SYSTEM_GOLDEN = {
     "baseline_fault_borders": (
         small_types(),
@@ -411,14 +413,16 @@ SYSTEM_GOLDEN = {
              borders=(BorderEvent(time=12.34, cell_id=3), BorderEvent(time=50.0, cell_id=17))),
         100.0, 42,
         "0321c0f054daefcb46df5cbad2e58a02bf3cf04c41322a09d7572a3839acecb1",
-        "9dd3c82fc92219d882b660598638acfd9c359ad73d5ef99be499212c859d2542",
+        # trace re-recorded: lmm0's 141 beats from 30.0 s go to lmm2, not the dead lmm1
+        "f625054bc7d419cd1dc0425fccbddec9493805bc0a30e904e56d0793c628b4df",
     ),
     "heavy_migrations": (
         uniform_types(8.0, 0.5, 40, 12, 18),
         dict(faults=(LmmFault(time=7.0, lmm_id=0),)),
         20.0, 7,
         "411ba1d574b0cc3d4d557de0836730023305f57493f59e0c5921c96e53876490",
-        "1de900adcd9b4cb1582b86c539f774aa704d71086a5f3d1cf56528524baf2e93",
+        # trace re-recorded: lmm2's 27 beats from 7.0 s go to lmm1, not the dead lmm0
+        "c0111be27d922cee44ac91d70d790fe8f68a6cdbd2800bb8091d07021c49712e",
     ),
     "balancing_off": (
         small_types(), dict(balancing_enabled=False), 100.0, 3,
@@ -428,7 +432,8 @@ SYSTEM_GOLDEN = {
     "no_arrivals": (
         small_types(lam=0.0), dict(faults=(LmmFault(time=4.0, lmm_id=2),)), 20.0, 1,
         "d1bf67f4ee6b6581a8607ebfdd9cc68bc15a2d66559ec39b36efd676331b0b59",
-        "e8ed56a4566880c6906719f1f97702e13fddf7bc20c37ebeb939838ef4407013",
+        # trace re-recorded: lmm1's 33 beats from 4.0 s go to lmm0, not the dead lmm2
+        "a62eb9e4054aead0a1da0cdf7d81868a89ef6df996eb73bd7756e785e2b43536",
     ),
     # 0.5 and 1.0 are both report-tick and heartbeat times
     "tick_aligned_border_and_fault": (
@@ -436,7 +441,8 @@ SYSTEM_GOLDEN = {
         dict(faults=(LmmFault(time=1.0, lmm_id=2),), borders=(BorderEvent(time=0.5, cell_id=0),)),
         10.0, 5,
         "febc489a9977368bfec95094c630a785032c59f63b1559b187b77c4c7a07609a",
-        "48b93512d0eced238512f19d36f0c1104c0a020c2d21dc1628bcda2b073d351f",
+        # trace re-recorded: lmm1's 19 beats from 1.0 s go to lmm0, not the dead lmm2
+        "a94c6c39c4d5a9f4133ba72d06b038669cce43b9f8e5ba6336c5a36a2d48838b",
     ),
     "simultaneous_borders": (
         uniform_types(2.0, 1.0, 4, 1, 3),
@@ -451,7 +457,8 @@ SYSTEM_GOLDEN = {
         dict(faults=(LmmFault(time=0.0, lmm_id=1),)),
         10.0, 8,
         "a859334f0cc5f77fb37668833aa424119d91286902bb1417d08ea4643cfee407",
-        "46dfae0283b2ed51551a07ea6de670d55374e683cb304062504a8ef9d95f1025",
+        # trace re-recorded: lmm0's 20 beats go to lmm2, not the dead lmm1
+        "efc9ea4132b683c92d2e2f97e9b53eebf2577d0b771b12f09ae4678320a505f3",
     ),
     # 2.5 is a report tick, a heartbeat and the takeover of LMM 1 (last
     # beat 1.0): the takeover precedes the borders, and cell 9 asks twice
@@ -462,7 +469,8 @@ SYSTEM_GOLDEN = {
                       BorderEvent(time=2.5, cell_id=9))),
         10.0, 9,
         "2b17d81d00e7e3d4903f8fc8e1b520bcab930b127d0d0dde79f15f18398834ff",
-        "8ef79f7f1358274e3288021eff8d040ab777954a90d2b3ac49bbe711c7563044",
+        # trace re-recorded: lmm0's 18 beats from 1.5 s go to lmm2, not the dead lmm1
+        "dc0ac94138a0255b5751e35b684804d4c5a958bc9402f9b7001c1d449fdf0f04",
     ),
     # beat times are chained float sums of 0.3, so none is a multiple of it
     "non_dyadic_beats": (
@@ -471,7 +479,8 @@ SYSTEM_GOLDEN = {
              faults=(LmmFault(time=2.5, lmm_id=2),)),
         10.0, 10,
         "c29d39103e99d7772c14970e27400b3cfe219aeaae75d1dda1ce45d519e623ac",
-        "af9fb8b97a6f4424b436e309abe96e0d732378077e6af718a349a771c17af9b3",
+        # trace re-recorded: lmm1's 25 beats from 2.7 s go to lmm0, not the dead lmm2
+        "a99386fd9645eb02d6498f8b5f80134cd3635b469ab89c77b2d7080c612239e5",
     ),
 }
 
@@ -588,6 +597,23 @@ class TestRunSystemSim:
         takeovers = [line.split(",")[2:] for line in buf.getvalue().splitlines()
                      if ",Takeover," in line]
         assert takeovers == [["lmm1", "lmm0"], ["lmm1", "lmm2"]]
+
+    def test_beats_go_to_the_first_live_backup(self):
+        # LMM 1 dies at 10 s: LMM 0 beats to its second backup, LMM 2; once
+        # LMM 2 dies too, LMM 0 has no live backup and sends no beat
+        buf = io.StringIO()
+        report = self.run(horizon=30.0, trace=buf, faults=(LmmFault(time=10.0, lmm_id=1),
+                                                           LmmFault(time=20.0, lmm_id=2)))
+        beats = Counter((float(t) < 10.0, float(t) < 20.0, src, dst)
+                        for t, kind, src, dst in (line.split(",")
+                                                  for line in buf.getvalue().splitlines())
+                        if kind == "Heartbeat")
+        assert beats == {
+            (True, True, "lmm0", "lmm1"): 19, (True, True, "lmm1", "lmm2"): 19,
+            (True, True, "lmm2", "lmm0"): 19,
+            (False, True, "lmm0", "lmm2"): 20, (False, True, "lmm2", "lmm0"): 20,
+        }
+        assert report.message_counts["Heartbeat"] == sum(beats.values())
 
     def test_both_backups_dead_leaves_grid_unanswered(self):
         faults = (LmmFault(time=10.0, lmm_id=1), LmmFault(time=10.0, lmm_id=2),
@@ -755,6 +781,19 @@ class TestFailoverProperties:
                 for b in topo.backup_map[lmm]
             ), (t, dst)
         assert all(0.0 <= lat <= bound for lat in report.failover_latencies)
+        # a beat goes from a live LMM to its first live backup, or is not sent
+        beats_at = defaultdict(set)
+        for t, kind, src, dst in lines:
+            if kind == "Heartbeat":
+                beats_at[t].add(src)
+                live = [b for b in topo.backup_map[int(src[3:])]
+                        if float(t) < fail_time.get(b, math.inf)]
+                assert float(t) < fail_time.get(int(src[3:]), math.inf), (t, src)
+                assert live and dst == f"lmm{live[0]}", (t, src, dst)
+        for t, senders in beats_at.items():
+            alive = {lmm for lmm in range(grids) if float(t) < fail_time.get(lmm, math.inf)}
+            assert senders == {f"lmm{lmm}" for lmm in alive
+                               if any(b in alive for b in topo.backup_map[lmm])}, t
         assert message_tally(buf.getvalue()) == report.message_counts
         for stats in report.per_type.values():
             assert (stats.arrivals + stats.migrations_in

@@ -1,11 +1,14 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from sdlb.timing import (
     HscaTimingParams,
     TimingParams,
+    check_swept_rate,
     mm1_delay,
+    swept_processing_times,
     total_processing_time_hsca,
     total_processing_time_sda,
 )
@@ -149,3 +152,41 @@ class TestMatchedComparison:
         p = sda_params()
         with pytest.raises(ValueError):
             dataclasses.replace(p, lambda_report=1500.0)
+
+
+def per_point(p, h, rate):
+    """Both times at one rate through the parameter sets: what the sweep replaces."""
+    rho = rate / h.mu
+    return (total_processing_time_sda(dataclasses.replace(p, lambda_report=rate)),
+            total_processing_time_hsca(dataclasses.replace(h, rho_ra=rho, rho_is=rho)))
+
+
+class TestSweptProcessingTimes:
+    def test_bit_identical_to_per_point(self):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            p = sda_params(t1=rng.uniform(0, 1e-5), d_rl=rng.uniform(1, 900),
+                           d_ll=rng.uniform(1, 900), s_ll=rng.uniform(1e4, 1e6),
+                           lambda_report=0.0, mu_serve=rng.uniform(10, 2000))
+            h = hsca_params(t1=p.t1, d_ibi=rng.uniform(1, 900), mu=rng.uniform(10, 2000))
+            rates = rng.uniform(0, min(p.mu_serve, h.mu), 50)
+            sda, hsca = swept_processing_times(p, h, rates)
+            expected = [per_point(p, h, rate) for rate in rates.tolist()]
+            assert list(zip(sda.tolist(), hsca.tolist())) == expected
+
+    @pytest.mark.parametrize("rate,mu,error", [
+        (-1.0, 1000.0, "lambda_report must be >= 0, got -1.0"),
+        (1000.0, 1000.0, "utilisation must satisfy 0 <= rho < 1, got rho=1"),
+        (950.0, 900.0, "rho_ra must satisfy 0 <= rho < 1, got 1.05556"),
+    ])
+    def test_check_matches_the_parameter_sets(self, rate, mu, error):
+        p, h = sda_params(), hsca_params(mu=mu)
+        with pytest.raises(ValueError) as per_point_error:
+            per_point(p, h, rate)
+        with pytest.raises(ValueError) as swept_error:
+            check_swept_rate(p, h, rate)
+        assert str(swept_error.value) == str(per_point_error.value) == error
+
+    def test_check_passes_stable_rates(self):
+        check_swept_rate(sda_params(), hsca_params(), 0.0)
+        check_swept_rate(sda_params(), hsca_params(), 999.0)
