@@ -12,6 +12,7 @@ from .overhead import (
 from .queueing import (
     FirstOrderValidityError,
     LoadState,
+    OccupancyOverflowError,
     StateDistribution,
     SystemTypeParams,
     TransitionKind,

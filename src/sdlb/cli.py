@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import ConfigError, ScenarioConfig, default_config, load_config
 from .overhead import nonperiodic_overhead, periodic_overhead
-from .queueing import FirstOrderValidityError
+from .queueing import FirstOrderValidityError, OccupancyOverflowError
 from .simkernel import (
     horizon_for_events,
     run_cell_mc,
@@ -267,6 +267,11 @@ def main(argv: list[str] | None = None) -> int:
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OccupancyOverflowError as exc:
+        # raised for one kind's params: name that kind's section
+        kind = next(k for k, p in cfg.types.items() if p is exc.params)
+        print(f"config error: types.{kind.name.lower()}: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

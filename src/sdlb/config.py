@@ -25,6 +25,7 @@ from .queueing import SystemTypeParams
 from .reliability import (
     ReliabilityParams,
     check_reliabilities,
+    check_weights,
     uniform_integrated_reliability,
     uniform_reliability_params,
 )
@@ -91,6 +92,7 @@ class ReliabilitySpec:
 
     def __post_init__(self):
         check_reliabilities(self.r_lmm, self.r_c)
+        check_weights(self.redundancy_exponent, c_uniform=self.c_uniform, b_uniform=self.b_uniform)
 
     def params_for(self, n: int) -> ReliabilityParams:
         return uniform_reliability_params(n, *self._uniform_args())

@@ -29,6 +29,7 @@ FirstOrderValidityError instead of silently clamping.
 """
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -38,11 +39,13 @@ import numpy as np
 __all__ = [
     "FirstOrderValidityError",
     "LoadState",
+    "OccupancyOverflowError",
     "StateDistribution",
     "SystemTypeParams",
     "TransitionKind",
     "bb_update_probability",
     "classify_load",
+    "finite_state_probabilities",
     "prob_bb_update",
     "prob_state_change",
     "state_probabilities",
@@ -56,6 +59,18 @@ _RESCALE_LIMIT = 1e280
 
 class FirstOrderValidityError(ValueError):
     """The reporting window T is too coarse for the first-order model."""
+
+
+class OccupancyOverflowError(ValueError):
+    """The occupancy distribution of ``params`` is not finite: one step of
+    the recurrence passes the float range even from a rescaled term."""
+
+    def __init__(self, params: SystemTypeParams):
+        super().__init__(
+            f"occupancy distribution is not finite: lam/mu = {params.lam / params.mu:g} "
+            f"overflows float at m = {params.m}"
+        )
+        self.params = params
 
 
 @dataclass(frozen=True)
@@ -148,7 +163,10 @@ def state_probabilities(p: SystemTypeParams) -> StateDistribution:
     result is finite and normalised for m up to 10^4 and beyond. Each run
     of the recurrence starts from 1.0 and is one cumulative product of the
     factors (lam/mu)/k: the same products, in the same order, as a loop
-    over k. A run ends at the first term past the rescale limit.
+    over k. A run ends at the first term past the rescale limit. Where
+    that term is inf, the rescaling divides inf by inf, as the loop does,
+    and every probability is nan; ``finite_state_probabilities`` refuses
+    that case.
     """
     factors = p.lam / p.mu / np.arange(1, p.m + 1)
     terms = np.empty(p.m + 1)
@@ -156,7 +174,7 @@ def state_probabilities(p: SystemTypeParams) -> StateDistribution:
     start, width = 1, 64
     # a block runs on past its first crossing, where it may overflow; the
     # next run recomputes those terms
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         while start <= p.m:
             run = terms[start : start + width]
             np.multiply.accumulate(factors[start - 1 : start - 1 + width], out=run)
@@ -171,6 +189,14 @@ def state_probabilities(p: SystemTypeParams) -> StateDistribution:
                 width *= 2  # no crossing yet: redo the run over a longer block
     total = terms.sum()
     return StateDistribution(probs=terms / total)
+
+
+def finite_state_probabilities(p: SystemTypeParams) -> StateDistribution:
+    """``state_probabilities(p)``; OccupancyOverflowError where it is nan."""
+    dist = state_probabilities(p)
+    if math.isnan(dist.blocking):
+        raise OccupancyOverflowError(p)
+    return dist
 
 
 def _check_first_order(p: SystemTypeParams, T: float):
@@ -208,7 +234,7 @@ def transition_probability(
 ) -> float:
     """First-order probability of one directed load-state transition in T."""
     _check_first_order(p, T)
-    return _transition(p, T, kind, state_probabilities(p))
+    return _transition(p, T, kind, finite_state_probabilities(p))
 
 
 def prob_state_change(p: SystemTypeParams, T: float) -> float:
@@ -218,7 +244,7 @@ def prob_state_change(p: SystemTypeParams, T: float) -> float:
     preconditions the sum is a probability.
     """
     _check_first_order(p, T)
-    dist = state_probabilities(p)
+    dist = finite_state_probabilities(p)
     total = sum(_transition(p, T, kind, dist) for kind in TransitionKind)
     if total > 1.0 + 1e-12:
         raise AssertionError(f"state-change probability {total} > 1")

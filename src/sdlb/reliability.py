@@ -45,6 +45,7 @@ __all__ = [
     "ReliabilityParams",
     "ScenarioProbabilities",
     "check_reliabilities",
+    "check_weights",
     "integrated_reliability",
     "scenario_probabilities",
     "uniform_integrated_reliability",
@@ -103,9 +104,12 @@ def _check_failures(n: int, k1_lines: int, k2_lmms: int) -> int:
     return n_lines
 
 
-def _check_weights(negative_traffic: bool, redundancy_exponent: int | None):
-    if negative_traffic:
-        raise ValueError("traffic intensities must be >= 0")
+def check_weights(redundancy_exponent: int | None, **lowest: float):
+    """Each traffic intensity, named with its lowest value, must be >= 0;
+    an explicit redundancy exponent must be >= 1."""
+    for name, low in lowest.items():
+        if low < 0:
+            raise ValueError(f"{name} must be >= 0, got {low}")
     if redundancy_exponent is not None and redundancy_exponent < 1:
         raise ValueError(f"redundancy_exponent must be >= 1, got {redundancy_exponent}")
 
@@ -142,7 +146,7 @@ class ReliabilityParams:
             raise ValueError(f"c must have shape ({n_lines},), got {c.shape}")
         if b.shape != (3, self.n):
             raise ValueError(f"b must have shape (3, {self.n}), got {b.shape}")
-        _check_weights(bool((c < 0).any() or (b < 0).any()), self.redundancy_exponent)
+        check_weights(self.redundancy_exponent, c=float(c.min()), b=float(b.min()))
 
     @property
     def n_lines(self) -> int:
@@ -233,7 +237,7 @@ def uniform_integrated_reliability(
     same arguments: the same checks, sums and score, without the params."""
     check_reliabilities(r_lmm, r_c)
     n_lines = _check_failures(n, k1_lines, k2_lmms)
-    _check_weights(c_value < 0 or b_value < 0, redundancy_exponent)
+    check_weights(redundancy_exponent, c=float(c_value), b=float(b_value))
     c = np.full(n_lines, float(c_value))
     b = np.full((3, n), float(b_value))
     return _score(

@@ -33,16 +33,21 @@ own time: zero-delay follow-ups (a tick's notices and replicas, an
 instant's border grants) are emitted inline, in the order their ranks
 would give them on it.
 
+Each (cell, kind) pair is one stream: its occupancy, live sessions and
+draws sit at one index of flat per-stream lists, and a session is
+tracked only while it is live.
+
 Determinism: one RNG stream per (cell, kind) derived from the master seed
-by spawn keys, so adding cells never perturbs existing streams; the event
-queue breaks time ties by event-kind rank, then ids. Identical inputs
-give byte-identical reports.
+by spawn keys, so adding cells never perturbs existing streams; draws
+come in buffered blocks that equal the scalar draws bit for bit. The
+event queue breaks time ties by event-kind rank, then ids. Identical
+inputs give byte-identical reports.
 """
 from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import IntEnum
 from itertools import chain
@@ -55,7 +60,7 @@ from .queueing import (
     SystemTypeParams,
     TransitionKind,
     classify_load,
-    state_probabilities,
+    finite_state_probabilities,
     transition_probability,
 )
 from .topology import AccessNetworkKind, Topology
@@ -289,7 +294,7 @@ def horizon_for_events(p: SystemTypeParams, target_events: int) -> float:
     """
     if p.lam <= 0:
         raise ValueError("lam must be > 0 to target an event count")
-    blocking = state_probabilities(p).blocking
+    blocking = finite_state_probabilities(p).blocking
     rate = p.lam * (2.0 - blocking)
     return target_events * EVENT_MARGIN / rate
 
@@ -454,6 +459,35 @@ class SimScenario:
 _KIND_ORDER = tuple(AccessNetworkKind)
 
 
+class _Draws:
+    """Buffered standard exponential draws, one buffer per RNG stream.
+
+    ``exponential(scale)`` is ``scale * standard_exponential()``, and a
+    block of n standard draws is the next n scalar ones, so ``scale *
+    draw(s)`` is bit for bit what ``rngs[s].exponential(scale)`` would
+    return. Buffers are reversed for ``pop()``. Blocks start at 4 draws
+    and double up to 64, so a stream that draws little holds little.
+    Hot loops inline ``draw``: ``buf.pop() if buf else refill(s)``.
+    """
+
+    def __init__(self, rngs: list[np.random.Generator]):
+        self.rngs = rngs
+        self.bufs: list[list[float]] = [[] for _ in rngs]
+        self.block = [4] * len(rngs)
+
+    def refill(self, s: int) -> float:
+        """Refill stream s's empty buffer and take its first draw."""
+        n = self.block[s]
+        self.block[s] = min(2 * n, 64)
+        buf = self.bufs[s]
+        buf += self.rngs[s].standard_exponential(n)[::-1].tolist()
+        return buf.pop()
+
+    def draw(self, s: int) -> float:
+        buf = self.bufs[s]
+        return buf.pop() if buf else self.refill(s)
+
+
 def run_system_sim(
     topo: Topology,
     types: dict[AccessNetworkKind, SystemTypeParams],
@@ -494,32 +528,38 @@ def run_system_sim(
     names = [kind.name for kind in _KIND_ORDER]
     n_kinds = len(_KIND_ORDER)
 
+    # Per-event state lives in flat lists indexed by stream s = c * n_kinds
+    # + ki, which orders the (cell, kind) pairs as the tuples would.
+    n_streams = n_cells * n_kinds
     rngs = [
-        [
-            np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c, ki)))
-            for ki in range(n_kinds)
-        ]
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c, ki)))
         for c in range(n_cells)
+        for ki in range(n_kinds)
     ]
+    draws = _Draws(rngs)
+    bufs, refill = draws.bufs, draws.refill
+    arr_scale = [1.0 / p.lam if p.lam > 0 else None for p in params] * n_cells
+    svc_scale = [1.0 / p.mu for p in params] * n_cells
+    cap = [p.m for p in params] * n_cells
+    cell_of = [s // n_kinds for s in range(n_streams)]
 
-    occ = [[0] * n_kinds for _ in range(n_cells)]
-    last_t = [[0.0] * n_kinds for _ in range(n_cells)]
+    occ = [0] * n_streams
+    last_t = [0.0] * n_streams
     occ_time = [[0.0] * (p.m + 1) for p in params]
+    occ_row = occ_time * n_cells
     empty_states = [classify_load(0, p.k1, p.k2) for p in params]
-    last_reported = [list(empty_states) for _ in range(n_cells)]
-    occ_at_tick = [[0] * n_kinds for _ in range(n_cells)]
+    last_reported = empty_states * n_cells
+    occ_at_tick = [0] * n_streams
     # cells whose occupancy changed since the previous report tick
     dirty: set[int] = set()
 
-    sessions: dict[int, tuple[int, int]] = {}
-    session_q: list[list[deque[int]]] = [
-        [deque() for _ in range(n_kinds)] for _ in range(n_cells)
-    ]
+    # live session ids of each stream, oldest first; ids are global
+    live: list[dict[int, None]] = [{} for _ in range(n_streams)]
     next_sid = 0
 
-    arrivals = [0] * n_kinds
-    departures = [0] * n_kinds
-    blocked = [0] * n_kinds
+    arrivals = [0] * n_streams
+    departures = [0] * n_streams
+    blocked = [0] * n_streams
     mig_in = [0] * n_kinds
     mig_out = [0] * n_kinds
     # occupancy changes between consecutive ticks, counted per (prev, cur)
@@ -533,6 +573,11 @@ def run_system_sim(
     # faults no heartbeat round has seen yet, the earliest last
     unseen = sorted(((f, lmm) for lmm, f in fail_time.items()), reverse=True)
     last_round = 0.0
+    # which grids get a BalanceInfo changes only when a fault time passes or
+    # a takeover moves a grid, so the tick recounts them only then
+    answered: list[bool] = []
+    n_answered = 0
+    recount_at = -math.inf
     border_cells: dict[float, list[int]] = {}
     for border in scenario.borders:
         if border.time <= horizon:
@@ -542,15 +587,12 @@ def run_system_sim(
     ARRIVAL, DEPARTURE, REPORT_TICK, HEARTBEAT, TAKEOVER, BORDER = map(int, SimEventKind)
     OVER, UNDER = LoadState.OVER_LOADED, LoadState.UNDER_LOADED
 
-    heap: list[tuple[float, int, int, int, int]] = []
+    heap: list[tuple[float, int, int, int]] = []
     push = heapq.heappush
+    pop = heapq.heappop
 
     def emit(t: float, kind: str, src: str, dst: str):
         trace.write(f"{t!r},{kind},{src},{dst}\n")
-
-    def flush_occ(c: int, ki: int, t: float):
-        occ_time[ki][occ[c][ki]] += t - last_t[c][ki]
-        last_t[c][ki] = t
 
     def alive(lmm: int, t: float) -> bool:
         return t < fail_time.get(lmm, math.inf)
@@ -563,24 +605,23 @@ def run_system_sim(
         return None
 
     # initial events
-    for c in range(n_cells):
-        for ki in range(n_kinds):
-            lam = params[ki].lam
-            if lam > 0:
-                ta = rngs[c][ki].exponential(1.0 / lam)
-                if ta <= horizon:
-                    push(heap, (ta, ARRIVAL, c, ki, 0))
+    for s in range(n_streams):
+        if arr_scale[s] is not None:
+            ta = arr_scale[s] * draws.draw(s)
+            if ta <= horizon:
+                push(heap, (ta, ARRIVAL, s, 0))
     # one report tick on the queue at a time: tick i pushes tick i + 1
     if n_ticks:
-        push(heap, (window, REPORT_TICK, 1, 0, 0))
+        push(heap, (window, REPORT_TICK, 1, 0))
     if scenario.heartbeat_period <= horizon:
-        push(heap, (scenario.heartbeat_period, HEARTBEAT, 0, 0, 0))
+        push(heap, (scenario.heartbeat_period, HEARTBEAT, 0, 0))
     for tr in border_cells:
-        push(heap, (tr, BORDER, 0, 0, 0))
+        push(heap, (tr, BORDER, 0, 0))
 
     def migrate_one(c: int, t: float, states: list[LoadState]):
         nonlocal next_sid
-        row = occ[c]
+        base = c * n_kinds
+        row = occ[base:base + n_kinds]
         over = [(-row[ki], ki) for ki in range(n_kinds)
                 if states[ki] is OVER and row[ki] > 0]
         under = [(row[ki], ki) for ki in range(n_kinds)
@@ -589,75 +630,81 @@ def run_system_sim(
             return
         src = min(over)[1]
         dst = min(under)[1]
-        # every live session of (c, src) is queued, so with occupancy > 0
-        # one is found; entries that departed or migrated away are dropped
-        q = session_q[c][src]
-        sid = q.popleft()
-        while sessions.get(sid) != (c, src):
-            sid = q.popleft()
-        flush_occ(c, src, t)
-        flush_occ(c, dst, t)
-        row[src] -= 1
-        row[dst] += 1
+        s, d = base + src, base + dst
+        # with occupancy > 0 the source has a live session: move its oldest
+        sessions = live[s]
+        del sessions[next(iter(sessions))]
+        occ_row[s][occ[s]] += t - last_t[s]
+        last_t[s] = t
+        occ[s] -= 1
+        occ_row[d][occ[d]] += t - last_t[d]
+        last_t[d] = t
+        occ[d] += 1
         dirty.add(c)
         # re-admit under a fresh id so the stale departure event can never
         # match again, even if the session later migrates back
-        del sessions[sid]
         new_sid = next_sid
         next_sid += 1
-        sessions[new_sid] = (c, dst)
-        session_q[c][dst].append(new_sid)
+        live[d][new_sid] = None
         mig_out[src] += 1
         mig_in[dst] += 1
-        svc = rngs[c][dst].exponential(1.0 / params[dst].mu)
+        buf = bufs[d]
+        svc = svc_scale[d] * (buf.pop() if buf else refill(d))
         if t + svc <= horizon:
-            push(heap, (t + svc, DEPARTURE, c, dst, new_sid))
+            push(heap, (t + svc, DEPARTURE, d, new_sid))
 
     while heap and heap[0][0] <= cutoff:
-        t, ekind, a, b, extra = heapq.heappop(heap)
+        t, ekind, s, sid = pop(heap)
 
         if ekind == ARRIVAL:
-            c, ki = a, b
-            p = params[ki]
-            arrivals[ki] += 1
+            arrivals[s] += 1
             if trace is not None:
+                c, ki = divmod(s, n_kinds)
                 emit(t, "Arrival", "mn", f"cell{c}.{names[ki]}")
-            if occ[c][ki] >= p.m:
-                blocked[ki] += 1
+            k = occ[s]
+            if k >= cap[s]:
+                blocked[s] += 1
             else:
-                flush_occ(c, ki, t)
-                occ[c][ki] += 1
-                dirty.add(c)
-                sid = next_sid
-                next_sid += 1
-                sessions[sid] = (c, ki)
-                session_q[c][ki].append(sid)
-                svc = rngs[c][ki].exponential(1.0 / p.mu)
+                occ_row[s][k] += t - last_t[s]
+                last_t[s] = t
+                occ[s] = k + 1
+                dirty.add(cell_of[s])
+                live[s][next_sid] = None
+                buf = bufs[s]
+                svc = svc_scale[s] * (buf.pop() if buf else refill(s))
                 if t + svc <= horizon:
-                    push(heap, (t + svc, DEPARTURE, c, ki, sid))
-            ta = t + rngs[c][ki].exponential(1.0 / p.lam)
+                    push(heap, (t + svc, DEPARTURE, s, next_sid))
+                next_sid += 1
+            buf = bufs[s]
+            ta = t + arr_scale[s] * (buf.pop() if buf else refill(s))
             if ta <= horizon:
-                push(heap, (ta, ARRIVAL, c, ki, 0))
+                push(heap, (ta, ARRIVAL, s, 0))
 
         elif ekind == DEPARTURE:
-            c, ki, sid = a, b, extra
-            if sessions.get(sid) != (c, ki):
+            sessions = live[s]
+            if sid not in sessions:
                 continue  # stale: the session migrated kinds
             del sessions[sid]
-            flush_occ(c, ki, t)
-            occ[c][ki] -= 1
-            dirty.add(c)
-            departures[ki] += 1
+            k = occ[s]
+            occ_row[s][k] += t - last_t[s]
+            last_t[s] = t
+            occ[s] = k - 1
+            dirty.add(cell_of[s])
+            departures[s] += 1
             if trace is not None:
+                c, ki = divmod(s, n_kinds)
                 emit(t, "Departure", f"cell{c}.{names[ki]}", "mn")
 
         elif ekind == REPORT_TICK:
             # every cell reports; a grid whose serving LMM is dead is not answered
             ticks += 1
-            if a < n_ticks:
-                push(heap, ((a + 1) * window, REPORT_TICK, a + 1, 0, 0))
-            answered = [alive(lmm, t) for lmm in serving]
-            counters["BalanceInfo"] += sum(n for n, ok in zip(cells_in_grid, answered) if ok)
+            if s < n_ticks:
+                push(heap, ((s + 1) * window, REPORT_TICK, s + 1, 0))
+            if t >= recount_at:
+                answered = [alive(lmm, t) for lmm in serving]
+                n_answered = sum(n for n, ok in zip(cells_in_grid, answered) if ok)
+                recount_at = min((f for f in fail_time.values() if f > t), default=math.inf)
+            counters["BalanceInfo"] += n_answered
             if trace is not None:
                 for c in range(n_cells):
                     lmm = serving[grid_of_cell[c]]
@@ -673,16 +720,18 @@ def run_system_sim(
             dirty.clear()
             notices = []
             for c in changed:
-                row, reported, at_tick = occ[c], last_reported[c], occ_at_tick[c]
-                states = [classify_load(row[ki], p.k1, p.k2) for ki, p in enumerate(params)]
+                base = c * n_kinds
+                states = [classify_load(occ[base + ki], p.k1, p.k2)
+                          for ki, p in enumerate(params)]
                 for ki, state in enumerate(states):
-                    if state is not reported[ki]:
+                    s = base + ki
+                    if state is not last_reported[s]:
                         notices.append(c)
-                        reported[ki] = state
-                    prev, cur = at_tick[ki], row[ki]
+                        last_reported[s] = state
+                    prev, cur = occ_at_tick[s], occ[s]
                     if cur != prev:
                         moves[ki][prev, cur] = moves[ki].get((prev, cur), 0) + 1
-                        at_tick[ki] = cur
+                        occ_at_tick[s] = cur
                 if scenario.balancing_enabled and OVER in states:
                     migrate_one(c, t, states)
             # the zero-delay notices, in (cell, kind) order, then their
@@ -710,16 +759,16 @@ def run_system_sim(
             # no later beat resets the timeout that beat started
             while unseen and unseen[-1][0] <= t:
                 takeover = last_round + scenario.heartbeat_timeout
-                push(heap, (takeover, TAKEOVER, unseen.pop()[1], 0, 0))
+                push(heap, (takeover, TAKEOVER, unseen.pop()[1], 0))
             last_round = t
             tb = t + scenario.heartbeat_period
             if tb <= horizon:
-                push(heap, (tb, HEARTBEAT, 0, 0, 0))
+                push(heap, (tb, HEARTBEAT, 0, 0))
 
         elif ekind == TAKEOVER:
             # the first live backup inherits every grid the dead LMM serves,
             # inherited ones too; with none alive they stay unanswered
-            lmm = a
+            lmm = s
             backup = live_backup(lmm, t)
             if backup is None:
                 continue
@@ -727,7 +776,8 @@ def run_system_sim(
             if trace is not None:
                 emit(t, "Takeover", f"lmm{backup}", f"lmm{lmm}")
             failover.append(t - fail_time[lmm])
-            serving = [backup if s == lmm else s for s in serving]
+            serving = [backup if g == lmm else g for g in serving]
+            recount_at = -math.inf
 
         elif ekind == BORDER:
             # all requests and consults at t, then all grants, each in cell
@@ -745,18 +795,14 @@ def run_system_sim(
                     emit(t, "BorderGrant", f"lmm{serving[(grid_of_cell[c] + 1) % n_lmm]}", f"ma{c}")
 
     # close out occupancy accounting at the horizon
-    for c in range(n_cells):
-        for ki in range(n_kinds):
-            flush_occ(c, ki, horizon)
-
-    in_system = [0] * n_kinds
-    for c, ki in sessions.values():
-        in_system[ki] += 1
+    for s in range(n_streams):
+        occ_row[s][occ[s]] += horizon - last_t[s]
 
     per_type: dict[AccessNetworkKind, CellStats] = {}
     total_time = n_cells * horizon
     for ki, kind in enumerate(_KIND_ORDER):
         p = params[ki]
+        n_arr, n_dep = sum(arrivals[ki::n_kinds]), sum(departures[ki::n_kinds])
         tallies = dict.fromkeys(TransitionKind, 0)
         for (prev, cur), n in moves[ki].items():
             for kindt, hit in zip(TransitionKind, _crossings(prev, cur, p.k1, p.k2)):
@@ -766,11 +812,11 @@ def run_system_sim(
             occupancy_se=None,
             transition_counts=tallies,
             window_count=ticks * n_cells,
-            arrivals=arrivals[ki],
-            departures=departures[ki],
-            blocked=blocked[ki],
-            in_system=in_system[ki],
-            events=arrivals[ki] + departures[ki],
+            arrivals=n_arr,
+            departures=n_dep,
+            blocked=sum(blocked[ki::n_kinds]),
+            in_system=sum(map(len, live[ki::n_kinds])),
+            events=n_arr + n_dep,
             migrations_in=mig_in[ki],
             migrations_out=mig_out[ki],
             lam=p.lam,
@@ -874,7 +920,7 @@ def validate_against_analytic(
     analytic_tr = {
         kind: transition_probability(p, T, kind) for kind in TransitionKind
     }
-    dist = state_probabilities(p)
+    dist = finite_state_probabilities(p)
     events = stats.events
     too_few = events < MIN_EVENTS
 

@@ -125,6 +125,12 @@ def _coarse_umts(doc):
     doc["types"]["umts"]["lam"] = 20.0  # lam*T = 2
 
 
+def _tiny_umts_mu(doc):
+    # lam*T and (k2+1)*mu*T are valid, but lam/mu = 5e199 overflows the
+    # occupancy recurrence at k = 2
+    doc["types"]["umts"]["mu"] = 1e-200
+
+
 class TestFailedFiguresWriteNothing:
     """A document that fails in any of the four series exits 2 before a
     single CSV is written, into a new or into a reused directory."""
@@ -143,6 +149,11 @@ class TestFailedFiguresWriteNothing:
         "fig6_coarse_period": (
             _coarse_umts,
             "error: T too coarse for first-order model: lam*T = 2 >= 1\n",
+        ),
+        "fig6_overflowing_distribution": (
+            _tiny_umts_mu,
+            "config error: types.umts: occupancy distribution is not finite: "
+            "lam/mu = 5e+199 overflows float at m = 60\n",
         ),
     }
 
@@ -196,6 +207,18 @@ class TestValidate:
         assert code == 1
         text = (out / "validation_report.txt").read_text()
         assert "T too coarse" in text
+
+    def test_overflowing_distribution_is_config_error(self, tmp_path, capsys):
+        doc = default_config().to_dict()
+        _tiny_umts_mu(doc)
+        path = tmp_path / "tiny_mu.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "val"
+        code = main(["validate", "--config", str(path), "--out", str(out),
+                     "--target-events", "1000"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: types.umts: ")
+        assert not (out / "validation_report.txt").exists()
 
     def test_tiny_run_reports_insufficient_samples(self, tmp_path):
         doc = default_config().to_dict()

@@ -292,9 +292,14 @@ class TestRangeRulesAtParse:
          "sim.horizon: must keep scenario work <= 1e+09 units, got 3e+15"),
         ("sim.target_events", 2**63 - 1,
          "sim.target_events: must keep validate work <= 1e+09 units, got 2.77e+19"),
+        ("reliability.c_uniform", -1.0, "reliability.c_uniform: must be >= 0, got -1.0"),
+        ("reliability.b_uniform", -0.5, "reliability.b_uniform: must be >= 0, got -0.5"),
+        ("reliability.redundancy_exponent", 0,
+         "reliability.redundancy_exponent: must be >= 1, got 0"),
     ], ids=["seed", "target_events", "fault_time", "border_time", "fault_id_high",
             "fault_id_negative", "border_id_high", "a_common", "lam_huge", "lam_int64",
-            "heartbeat_period_tiny", "target_events_int64"])
+            "heartbeat_period_tiny", "target_events_int64", "c_uniform", "b_uniform",
+            "redundancy_exponent"])
     def test_refused_at_parse(self, doc, path, value, error):
         _set(doc, path, value)
         with pytest.raises(ConfigError) as err:
@@ -315,8 +320,11 @@ class TestRangeRulesAtParse:
         ("figures", "overhead.a_common", -5.0),
         ("validate", "sim.target_events", 2**63 - 1),
         ("scenario", "sim.horizon", 1e300),
+        ("figures", "reliability.c_uniform", -1.0),
+        ("figures", "reliability.redundancy_exponent", 0),
     ], ids=["scenario-seed", "validate-seed", "validate-target_events", "scenario-fault_id",
-            "scenario-fault_time", "figures-a_common", "validate-work", "scenario-work"])
+            "scenario-fault_time", "figures-a_common", "validate-work", "scenario-work",
+            "figures-c_uniform", "figures-redundancy_exponent"])
     def test_cli_exits_2_with_path(self, tmp_path, doc, capsys, command, path, value):
         _set(doc, path, value)
         assert _run(tmp_path, command, doc) == 2

@@ -9,9 +9,11 @@ from hypothesis import given, settings, strategies as st
 from sdlb.queueing import (
     FirstOrderValidityError,
     LoadState,
+    OccupancyOverflowError,
     SystemTypeParams,
     TransitionKind,
     classify_load,
+    finite_state_probabilities,
     prob_bb_update,
     prob_state_change,
     state_probabilities,
@@ -178,6 +180,21 @@ class TestStateProbabilities:
                 if got.tobytes() != loop_state_probs(lam, mu, m).tobytes():
                     mismatched.append((lam, mu, m))
         assert mismatched == []
+
+    def test_finite_refuses_exactly_the_overflowing_cases(self):
+        refused = 0
+        for lam, mu, m in loop_cases():
+            p = params(lam=lam, mu=mu, m=m, k1=0, k2=1)
+            raw = state_probabilities(p).probs
+            if np.isnan(raw).any():
+                assert np.isnan(raw).all()
+                with pytest.raises(OccupancyOverflowError) as err:
+                    finite_state_probabilities(p)
+                assert err.value.params is p
+                refused += 1
+            else:
+                assert finite_state_probabilities(p).probs.tobytes() == raw.tobytes()
+        assert refused >= 2  # the inf-at-k = 2 and lam/mu = inf edge cases
 
     def test_loop_cases_reach_every_path(self):
         cases = loop_cases()

@@ -552,6 +552,44 @@ class TestReportTickScaling:
         assert peak < 400_000
 
 
+class TestPerStreamState:
+    @pytest.mark.parametrize("seed", [0, 7, 2012])
+    def test_buffered_draws_equal_scalar_draws(self, seed):
+        # one stream alternates scales, as its arrivals and services do;
+        # refills come at draws 0, 4, 12, 28, 60, 124, 188 and 252, so the
+        # blocks of 4, 8, 16, 32 and 64 and two refills at 64 are all crossed
+        scales = [2.0, 1 / 3, 1e-3, 0.05, 7.5, 1e12]
+        draws = simkernel._Draws([np.random.default_rng(np.random.SeedSequence(seed))])
+        scalar = np.random.default_rng(np.random.SeedSequence(seed))
+        got, want = [], []
+        for i in range(300):
+            scale = scales[i % len(scales)]
+            got.append(scale * draws.draw(0))
+            want.append(scalar.exponential(scale))
+        assert draws.block == [64]
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_memory_does_not_grow_with_the_horizon(self):
+        # about 90 live sessions at any time and no over-loaded cell, so no
+        # migration. A per-stream queue of every admitted id grows by some
+        # 36 B per admission: 0.55 MB between these two runs
+        topo = build_topology(3, 1, {k: 1 for k in AccessNetworkKind})
+        types = uniform_types(20.0, 2.0, 60, 1, 60)
+        scenario = SimScenario(window=10.0, heartbeat_period=5.0, heartbeat_timeout=15.0)
+        run_system_sim(topo, types, scenario, 10.0, 1)  # lazy set-up
+        peaks = []
+        for horizon in (25.0, 100.0):
+            tracemalloc.start()
+            try:
+                report = run_system_sim(topo, types, scenario, horizon, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert sum(s.migrations_in for s in report.per_type.values()) == 0
+        assert sum(s.arrivals for s in report.per_type.values()) > 15_000
+        assert peaks[1] < peaks[0] + 50_000
+
+
 class TestRunSystemSim:
     topo = build_topology(3, 3, {k: 1 for k in AccessNetworkKind})
 
