@@ -9,7 +9,8 @@ Subcommands:
 Every CSV starts with '#'-prefixed provenance lines naming the formula
 evaluated, then a fixed ``sweep_value,metric,value`` header. Output is
 byte-stable: rerunning a command on the same config reproduces identical
-files. Exit codes: 0 success, 1 validation failure, 2 config error.
+files. Exit codes: 0 success, 1 validation failure, 2 config error,
+3 internal error (a crash, with its traceback on stderr).
 """
 from __future__ import annotations
 
@@ -276,6 +277,13 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        # a crash must not exit 1, the code of a failed validation; the
+        # module is imported here so that no run that works pays for it
+        import traceback
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -37,11 +37,13 @@ Each (cell, kind) pair is one stream: its occupancy, live sessions and
 draws sit at one index of flat per-stream lists, and a session is
 tracked only while it is live.
 
-Determinism: one RNG stream per (cell, kind) derived from the master seed
-by spawn keys, so adding cells never perturbs existing streams; draws
-come in buffered blocks that equal the scalar draws bit for bit. The
-event queue breaks time ties by event-kind rank, then ids. Identical
-inputs give byte-identical reports.
+Determinism: one RNG stream per (cell, kind), the PCG64 stream of
+``SeedSequence(seed, spawn_key=(cell, kind))``, so adding cells never
+perturbs existing streams; the seed states of all streams are hashed in
+one vectorised pass (``sdlb.streams``). Draws come in buffered blocks
+that equal the scalar draws bit for bit. The event queue breaks time
+ties by event-kind rank, then ids. Identical inputs give byte-identical
+reports.
 """
 from __future__ import annotations
 
@@ -531,12 +533,10 @@ def run_system_sim(
     # Per-event state lives in flat lists indexed by stream s = c * n_kinds
     # + ki, which orders the (cell, kind) pairs as the tuples would.
     n_streams = n_cells * n_kinds
-    rngs = [
-        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(c, ki)))
-        for c in range(n_cells)
-        for ki in range(n_kinds)
-    ]
-    draws = _Draws(rngs)
+    # imported here: it loads numpy.random, which the other commands never need
+    from .streams import stream_rngs
+
+    draws = _Draws(stream_rngs(seed, n_cells, n_kinds))
     bufs, refill = draws.bufs, draws.refill
     arr_scale = [1.0 / p.lam if p.lam > 0 else None for p in params] * n_cells
     svc_scale = [1.0 / p.mu for p in params] * n_cells

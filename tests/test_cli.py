@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from sdlb import cli
 from sdlb.cli import main
 from sdlb.config import default_config
 
@@ -343,6 +344,16 @@ class TestExitCodes:
         assert main(argv + ["--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == f"config error: {error}\n"
         assert not (tmp_path / "out").exists()
+
+    def test_crash_exits_3_with_traceback(self, tmp_path, capsys, monkeypatch):
+        def crash(cfg):
+            raise RuntimeError("figure sweep exploded")
+
+        monkeypatch.setattr(cli, "cmd_figures", crash)
+        assert main(["figures", "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback")
+        assert err.endswith("RuntimeError: figure sweep exploded\n")
 
     def test_default_config_used_when_omitted(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sdlb import simkernel
+from sdlb import simkernel, streams
 from sdlb.queueing import (
     FirstOrderValidityError,
     SystemTypeParams,
@@ -588,6 +588,46 @@ class TestPerStreamState:
             assert sum(s.migrations_in for s in report.per_type.values()) == 0
         assert sum(s.arrivals for s in report.per_type.values()) > 15_000
         assert peaks[1] < peaks[0] + 50_000
+
+
+def spawned(seed, c, ki):
+    return np.random.SeedSequence(seed, spawn_key=(c, ki))
+
+
+@pytest.mark.filterwarnings("error")  # no uint32 wrap-around may warn
+class TestBulkStreamSeeding:
+    def assert_states_match(self, seed, n_cells, n_kinds=3):
+        states = streams.stream_states(seed, n_cells, n_kinds)
+        want = [spawned(seed, c, ki).generate_state(4, np.uint64)
+                for c in range(n_cells) for ki in range(n_kinds)]
+        assert states.dtype == np.uint64
+        assert states.shape == (n_cells * n_kinds, 4)
+        assert states.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 1])
+    def test_states_equal_seed_sequence(self, seed):
+        self.assert_states_match(seed, 40)
+
+    @pytest.mark.parametrize("seed", [2**64, 2**130 + 5])
+    def test_seeds_longer_than_the_pool(self, seed):
+        # 3 words are zero-padded to 4; 5 words mix their last into the pool
+        self.assert_states_match(seed, 5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**63 - 1), st.integers(1, 60), st.integers(1, 4))
+    def test_states_equal_seed_sequence_property(self, seed, n_cells, n_kinds):
+        self.assert_states_match(seed, n_cells, n_kinds)
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**63 - 1])
+    def test_generators_draw_as_default_rng(self, seed):
+        for s, built in enumerate(streams.stream_rngs(seed, 7, 3)):
+            want = np.random.default_rng(spawned(seed, *divmod(s, 3)))
+            assert (built.standard_exponential(100).tobytes()
+                    == want.standard_exponential(100).tobytes())
+
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            streams.stream_states(-1, 1, 3)
 
 
 class TestRunSystemSim:
