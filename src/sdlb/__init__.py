@@ -35,11 +35,9 @@ from .simkernel import (
     LmmFault,
     SimReport,
     SimScenario,
-    ValidationVerdict,
     horizon_for_events,
     run_cell_mc,
     run_system_sim,
-    validate_against_analytic,
 )
 from .timing import (
     HscaTimingParams,
@@ -56,5 +54,6 @@ from .topology import (
     build_topology,
     max_junction_lines,
 )
+from .validation import ValidationVerdict, validate_against_analytic
 
 __version__ = "0.1.0"

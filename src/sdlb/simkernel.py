@@ -50,7 +50,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from itertools import chain
 from typing import IO
@@ -63,23 +63,23 @@ from .queueing import (
     TransitionKind,
     classify_load,
     finite_state_probabilities,
-    transition_probability,
 )
 from .topology import AccessNetworkKind, Topology
+# the judge is sdlb.validation's; its public names stay importable here
+# because perfbench/tracing.py times validate_against_analytic as part of
+# the simkernel layer and looks it up in this module
+from .validation import QuantityCheck, ValidationVerdict, validate_against_analytic  # noqa: F401
 
 __all__ = [
     "BorderEvent",
     "CellStats",
     "LmmFault",
-    "QuantityCheck",
     "SimEventKind",
     "SimReport",
     "SimScenario",
-    "ValidationVerdict",
     "horizon_for_events",
     "run_cell_mc",
     "run_system_sim",
-    "validate_against_analytic",
 ]
 
 
@@ -218,16 +218,6 @@ class CellStats:
     k1: int = 0
     k2: int = 1
     window: float = 0.1
-
-    def matches(self, p: SystemTypeParams, window: float) -> bool:
-        return (
-            self.lam == p.lam
-            and self.mu == p.mu
-            and self.m == p.m
-            and self.k1 == p.k1
-            and self.k2 == p.k2
-            and self.window == window
-        )
 
     def to_jsonable(self) -> dict:
         return {
@@ -836,107 +826,3 @@ def run_system_sim(
         horizon=horizon,
         seed=seed,
     )
-
-
-# ---------------------------------------------------------------------------
-# validation against the closed forms
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuantityCheck:
-    name: str
-    status: str  # "pass" | "fail" | "insufficient samples"
-    observed: float
-    expected: float
-    band: float
-
-
-@dataclass
-class ValidationVerdict:
-    checks: list[QuantityCheck] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
-
-    @property
-    def failures(self) -> list[QuantityCheck]:
-        return [c for c in self.checks if c.status == "fail"]
-
-    def format(self) -> str:
-        lines = []
-        for c in self.checks:
-            lines.append(
-                f"{c.status.upper():>20}  {c.name:<24} observed={c.observed:.6g} "
-                f"expected={c.expected:.6g} band={c.band:.3g}"
-            )
-        verdict = "PASS" if self.passed else "FAIL"
-        lines.append(f"verdict: {verdict} ({len(self.failures)} failing)")
-        return "\n".join(lines)
-
-
-# A check is "insufficient samples" when its quantity is expected and seen
-# fewer than MIN_EXPECTED_COUNT times, or its run has fewer than MIN_EVENTS
-# events. A crossing rate passes within CROSSING_TOL relative even where
-# 3 sigma is tighter: the formulas are first-order in lam*T.
-MIN_EVENTS = 1000
-MIN_EXPECTED_COUNT = 10.0
-CROSSING_TOL = 0.10
-
-
-def _judge(
-    name: str, emp: float, ana: float, n: int, observed: float, floor: float, too_few: bool
-) -> QuantityCheck:
-    """One check: ``emp`` against ``ana`` within max(floor, 3 binomial sigma)
-    over ``n`` samples, of which ``observed`` were seen."""
-    band = max(floor, 3.0 * math.sqrt(max(ana * (1.0 - ana), 0.0) / max(n, 1)))
-    if too_few or max(ana * n, observed) < MIN_EXPECTED_COUNT:
-        status = "insufficient samples"
-    else:
-        status = "pass" if abs(emp - ana) <= band else "fail"
-    return QuantityCheck(name=name, status=status, observed=emp, expected=ana, band=band)
-
-
-def validate_against_analytic(
-    report: SimReport, p: SystemTypeParams, T: float
-) -> ValidationVerdict:
-    """Compare a simulated series against the closed-form model.
-
-    Every quantity is judged by ``_judge`` with its own sample count and
-    band floor: occupancy frequencies over events, floored by 3 batch-means
-    standard errors; blocking over arrivals; the four per-window
-    transition frequencies over windows, floored by CROSSING_TOL relative.
-    Raises if no simulated series matches the analytic parameters, and
-    propagates the first-order validity error for a too-coarse T.
-    """
-    stats = next((s for s in report.per_type.values() if s.matches(p, T)), None)
-    if stats is None:
-        raise ValueError(
-            "refusing comparison: no simulated series matches the analytic parameters"
-        )
-
-    # raises FirstOrderValidityError before any comparison if T is too coarse
-    analytic_tr = {
-        kind: transition_probability(p, T, kind) for kind in TransitionKind
-    }
-    dist = finite_state_probabilities(p)
-    events = stats.events
-    too_few = events < MIN_EVENTS
-
-    checks = []
-    for k in range(p.m + 1):
-        emp = float(stats.occupancy_freq[k])
-        batch_se = float(stats.occupancy_se[k]) if stats.occupancy_se is not None else 0.0
-        checks.append(_judge(f"occupancy[{k}]", emp, float(dist.probs[k]), events,
-                             emp * events, 3.0 * batch_se, too_few))
-    if stats.arrivals > 0:
-        checks.append(_judge("blocking", stats.blocked / stats.arrivals, dist.blocking,
-                             stats.arrivals, stats.blocked, 0.0, too_few))
-    nwin = stats.window_count
-    for kind in TransitionKind:
-        ana = analytic_tr[kind]
-        count = stats.transition_counts.get(kind, 0)
-        checks.append(_judge(f"transition[{kind.value}]", count / nwin if nwin else 0.0,
-                             ana, nwin, count, CROSSING_TOL * ana, too_few))
-    return ValidationVerdict(checks=checks)

@@ -26,10 +26,10 @@ from sdlb.simkernel import (
     horizon_for_events,
     run_cell_mc,
     run_system_sim,
-    validate_against_analytic,
 )
 from sdlb.timing import total_processing_time_hsca, total_processing_time_sda
 from sdlb.topology import AccessNetworkKind, build_topology, max_junction_lines
+from sdlb.validation import validate_against_analytic
 
 UMTS = AccessNetworkKind.UMTS
 

@@ -1,13 +1,18 @@
 import csv
 import hashlib
+import importlib
 import json
 import math
+import time
+import types
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from sdlb import cli
 from sdlb.cli import main
-from sdlb.config import default_config
+from sdlb.config import ScenarioConfig, default_config
 
 
 def read_series(path):
@@ -234,6 +239,52 @@ class TestValidate:
         assert "FAIL" not in text.replace("verdict: PASS", "")
 
 
+def _no_wimax_traffic(doc):
+    doc["types"]["wimax"]["lam"] = 0.0
+
+
+def _coarse_period(doc):
+    doc["overhead"]["T"] = 0.9  # refuses UMTS and WLAN, judges WiMax
+
+
+# (edit of the baseline, SHA-256 of validation_report.txt, exit code) at
+# --seed 1 --target-events 20000: pins every line of the file, the section
+# headers and the no-traffic and refusal lines included
+VALIDATION_REPORT_GOLDEN = {
+    "baseline": (
+        lambda doc: None,
+        "07f58b9ae7edf8b2cf98bf75e31964e302550c7560c57b0712efa20868332479",
+        1,
+    ),
+    "no_traffic": (
+        _no_wimax_traffic,
+        "8bda17696b8d842ea7785a1583165924ba30a1090161e9174498d9b57bf32357",
+        1,
+    ),
+    "comparison_refused": (
+        _coarse_period,
+        "d1d034a783eb230e5240bd646396a4b6c4480cf8a20b1a2ed88b8bd5563f137d",
+        1,
+    ),
+}
+
+
+class TestValidationReportGolden:
+    @pytest.mark.parametrize("name", sorted(VALIDATION_REPORT_GOLDEN))
+    def test_report_digest(self, tmp_path, name):
+        edit, digest, exit_code = VALIDATION_REPORT_GOLDEN[name]
+        doc = default_config().to_dict()
+        edit(doc)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "val"
+        code = main(["validate", "--config", str(path), "--out", str(out),
+                     "--seed", "1", "--target-events", "20000"])
+        assert code == exit_code
+        report = (out / "validation_report.txt").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == digest
+
+
 class TestScenario:
     def test_no_fault_run(self, tmp_path, config_path):
         out = tmp_path / "scen"
@@ -355,6 +406,18 @@ class TestExitCodes:
         assert err.startswith("Traceback")
         assert err.endswith("RuntimeError: figure sweep exploded\n")
 
+    @pytest.mark.parametrize("command", ["figures", "validate", "scenario"])
+    @pytest.mark.parametrize("target", ["taken", "taken/sub"], ids=["file", "below-file"])
+    def test_output_dir_that_is_a_file_is_config_error(self, tmp_path, capsys, command,
+                                                        target):
+        (tmp_path / "taken").write_text("not a directory\n")
+        out = tmp_path / target
+        assert main([command, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: output_dir: cannot use {str(out)!r} ")
+        assert "Traceback" not in err
+        assert (tmp_path / "taken").read_text() == "not a directory\n"
+
     def test_default_config_used_when_omitted(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         assert main(["figures", "--out", "figs"]) == 0
@@ -463,3 +526,66 @@ class TestFiguresGolden:
         assert main(["figures", "--config", str(path), "--out", str(out)]) == 0
         got = {fig: hashlib.sha256((out / fig).read_bytes()).hexdigest() for fig in FIGURE_NAMES}
         assert got == digests
+
+
+def _load_tracing():
+    """perfbench/tracing.py as a module, executed from its source text so
+    that nothing is written next to it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    module = types.ModuleType("perfbench_tracing")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+class TestBenchmarkHooks:
+    """The benchmark finds sdlb's functions by name and swaps them out;
+    moving or renaming one must not silently empty its metrics."""
+
+    def test_traced_names_resolve(self):
+        tracing = _load_tracing()
+        for table in (tracing.TRACED, tracing.COUNTED):
+            for layer, names in table.items():
+                module = importlib.import_module(f"sdlb.{layer}")
+                for name in names:
+                    if "." in name:
+                        cls_name, meth = name.split(".")
+                        assert meth in vars(getattr(module, cls_name)), f"{layer}.{name}"
+                    else:
+                        assert callable(getattr(module, name, None)), f"{layer}.{name}"
+
+    def test_traced_validate_records_each_kind(self, tmp_path):
+        tracing = _load_tracing()
+        tracer = tracing.Tracer(time.perf_counter)
+        tracer.install(keep_results={"simkernel.validate_against_analytic"})
+        try:
+            main(["validate", "--out", str(tmp_path), "--target-events", "2000"])
+        finally:
+            tracer.uninstall()
+        spans = Counter(span[0] for span in tracer.spans)
+        assert spans["simkernel.run_cell_mc"] == 3
+        assert spans["simkernel.validate_against_analytic"] == 3
+        assert len(tracer.results) == 3
+
+    def test_kernels_are_called_through_cli(self, tmp_path, monkeypatch):
+        calls = Counter()
+
+        def counting(name):
+            original = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("run_cell_mc", "run_system_sim"):
+            monkeypatch.setattr(cli, name, counting(name))
+        doc = default_config().to_dict()
+        _no_wimax_traffic(doc)
+        doc["output_dir"] = str(tmp_path)
+        doc["sim"].update(target_events=2000, horizon=20.0)
+        cfg = ScenarioConfig.from_dict(doc)
+        cli.cmd_validate(cfg)
+        assert calls == {"run_cell_mc": 2}
+        cli.cmd_scenario(cfg)
+        assert calls == {"run_cell_mc": 2, "run_system_sim": 1}

@@ -26,9 +26,9 @@ from sdlb.simkernel import (
     horizon_for_events,
     run_cell_mc,
     run_system_sim,
-    validate_against_analytic,
 )
 from sdlb.topology import AccessNetworkKind, build_topology
+from sdlb.validation import validate_against_analytic
 
 UMTS = AccessNetworkKind.UMTS
 
