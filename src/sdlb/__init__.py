@@ -48,8 +48,6 @@ from .timing import (
 )
 from .topology import (
     AccessNetworkKind,
-    Cell,
-    Grid,
     Topology,
     build_topology,
     max_junction_lines,

@@ -31,7 +31,7 @@ from .reliability import (
 )
 from .simkernel import BorderEvent, LmmFault, SimScenario
 from .timing import HscaTimingParams, TimingParams
-from .topology import AccessNetworkKind, Topology, build_topology, check_grid_shape
+from .topology import AccessNetworkKind, Topology, build_topology, check_topology
 
 __all__ = ["ConfigError", "OverheadSpec", "ReliabilitySpec", "ScenarioConfig", "SimSpec",
            "SweepSpec", "TopologySpec", "default_config", "load_config"]
@@ -74,7 +74,7 @@ class TopologySpec:
     )
 
     def __post_init__(self):
-        check_grid_shape(self.grid_count, self.cells_per_grid)
+        check_topology(self.grid_count, self.cells_per_grid, self.ap_counts)
 
     def build(self) -> Topology:
         return build_topology(self.grid_count, self.cells_per_grid, self.ap_counts)

@@ -504,8 +504,7 @@ def run_system_sim(
     for fault in scenario.faults:
         if not 0 <= fault.lmm_id < n_lmm:
             raise ValueError(f"fault schedule references unknown LMM id {fault.lmm_id}")
-    cells = topo.cells
-    n_cells = len(cells)
+    n_cells = topo.cell_count
     for border in scenario.borders:
         if not 0 <= border.cell_id < n_cells:
             raise ValueError(f"border schedule references unknown cell id {border.cell_id}")
@@ -514,8 +513,8 @@ def run_system_sim(
     n_ticks = int(horizon / window + 1e-9)
     cutoff = horizon + window * 1e-9
 
-    grid_of_cell = [c.grid_id for c in cells]
-    cells_in_grid = [len(g.cells) for g in topo.grids]
+    cells_per_grid = topo.cells_per_grid
+    grid_of_cell = [c // cells_per_grid for c in range(n_cells)]
     params = [types[kind] for kind in _KIND_ORDER]
     names = [kind.name for kind in _KIND_ORDER]
     n_kinds = len(_KIND_ORDER)
@@ -589,7 +588,7 @@ def run_system_sim(
 
     def live_backup(lmm: int, t: float) -> int | None:
         """Where lmm beats and who takes it over: its first live backup."""
-        for backup in topo.backup_map[lmm]:
+        for backup in topo.backups(lmm):
             if alive(backup, t):
                 return backup
         return None
@@ -692,7 +691,7 @@ def run_system_sim(
                 push(heap, ((s + 1) * window, REPORT_TICK, s + 1, 0))
             if t >= recount_at:
                 answered = [alive(lmm, t) for lmm in serving]
-                n_answered = sum(n for n, ok in zip(cells_in_grid, answered) if ok)
+                n_answered = cells_per_grid * sum(answered)
                 recount_at = min((f for f in fail_time.values() if f > t), default=math.inf)
             counters["BalanceInfo"] += n_answered
             if trace is not None:

@@ -14,14 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import ClassVar
 
 __all__ = [
     "AccessNetworkKind",
-    "Cell",
-    "Grid",
     "Topology",
     "build_topology",
-    "check_grid_shape",
+    "check_topology",
     "max_junction_lines",
 ]
 
@@ -35,51 +34,30 @@ class AccessNetworkKind(IntEnum):
 
 
 @dataclass(frozen=True)
-class Cell:
-    """One hexagonal cell: member of exactly one basic grid.
-
-    ``ap_counts`` always carries an entry for every access-network kind
-    (zero is allowed).
-    """
-
-    cell_id: int
-    grid_id: int
-    ap_counts: dict[AccessNetworkKind, int]
-
-
-@dataclass(frozen=True)
-class Grid:
-    """A basic grid: a cluster of cells managed by one LMM."""
-
-    grid_id: int
-    lmm_id: int
-    cells: tuple[Cell, ...]
-
-
-@dataclass(frozen=True)
 class Topology:
-    """The full management structure.
+    """The full management structure, derived from three numbers.
 
-    backup_map maps each LMM to its ordered pair of backup LMMs; the
-    first live entry takes over on failure. junction_lines
-    holds exactly ``max_junction_lines(lmm_count)`` undirected LMM-LMM
-    links, each stored as an (low, high) id pair.
+    Cell c belongs to basic grid ``c // cells_per_grid``, and grid g is run
+    by LMM g, so there are ``lmm_count`` grids. Every cell has the same
+    ``ap_counts``, which carries an entry for every access-network kind
+    (zero is allowed). LMM i is backed by its ring neighbours (``backups``);
+    the bulletin board lives on LMM 0 with replicas on LMMs 1 and 2.
     """
 
-    grids: tuple[Grid, ...]
     lmm_count: int
-    backup_map: dict[int, tuple[int, int]]
-    junction_lines: tuple[tuple[int, int], ...]
-    bb_primary: int
-    bb_backups: tuple[int, int]
-
-    @property
-    def cells(self) -> tuple[Cell, ...]:
-        return tuple(c for g in self.grids for c in g.cells)
+    cells_per_grid: int
+    ap_counts: dict[AccessNetworkKind, int]
+    bb_primary: ClassVar[int] = 0
+    bb_backups: ClassVar[tuple[int, int]] = (1, 2)
 
     @property
     def cell_count(self) -> int:
-        return sum(len(g.cells) for g in self.grids)
+        return self.lmm_count * self.cells_per_grid
+
+    def backups(self, lmm: int) -> tuple[int, int]:
+        """lmm's ordered backups, successor first: the first live one takes over."""
+        n = self.lmm_count
+        return (lmm + 1) % n, (lmm - 1) % n
 
 
 def max_junction_lines(n: int) -> int:
@@ -92,12 +70,18 @@ def max_junction_lines(n: int) -> int:
     return n // 3 + n % 3 + 1
 
 
-def check_grid_shape(grid_count: int, cells_per_grid: int):
-    """At least one grid, and at least one cell per grid."""
-    if grid_count < 1:
-        raise ValueError(f"grid_count must be >= 1, got {grid_count}")
+def check_topology(grid_count: int, cells_per_grid: int, ap_counts: dict[AccessNetworkKind, int]):
+    """At least 3 grids (the bulletin board needs two backups distinct from
+    its primary), at least one cell per grid, and no negative AP count."""
+    if grid_count < 3:
+        raise ValueError(
+            f"grid_count must be >= 3 (the bulletin board needs two backups), got {grid_count}"
+        )
     if cells_per_grid < 1:
         raise ValueError(f"cells_per_grid must be >= 1, got {cells_per_grid}")
+    for kind, count in ap_counts.items():
+        if count < 0:
+            raise ValueError(f"ap_counts.{kind.name.lower()} must be >= 0, got {count}")
 
 
 def build_topology(
@@ -105,48 +89,8 @@ def build_topology(
     cells_per_grid: int,
     ap_counts: dict[AccessNetworkKind, int],
 ) -> Topology:
-    """Build a deterministic topology with one LMM per basic grid.
-
-    Backups are the two ring-adjacent LMMs (successor first, wrap-around),
-    the bulletin board is hosted on LMM 0 with replicas on LMMs 1 and 2,
-    and the junction lines are the first ``max_junction_lines(n)`` edges
-    of the LMM ring. Every cell gets the same ``ap_counts``.
-
-    Raises ValueError for fewer than 3 grids: the bulletin board needs two
-    backups distinct from its primary.
-    """
-    check_grid_shape(grid_count, cells_per_grid)
-    if grid_count < 3:
-        raise ValueError(
-            f"insufficient LMMs for BB replication (need >= 3 grids, got {grid_count})"
-        )
+    """Build the topology with one LMM per basic grid; a kind left out of
+    ``ap_counts`` gets 0 APs. Raises ValueError where ``check_topology`` does."""
+    check_topology(grid_count, cells_per_grid, ap_counts)
     counts = {kind: int(ap_counts.get(kind, 0)) for kind in AccessNetworkKind}
-    for kind, cnt in counts.items():
-        if cnt < 0:
-            raise ValueError(f"ap_counts[{kind.name}] must be >= 0, got {cnt}")
-
-    n = grid_count
-    grids = []
-    cell_id = 0
-    for g in range(n):
-        cells = []
-        for _ in range(cells_per_grid):
-            cells.append(Cell(cell_id=cell_id, grid_id=g, ap_counts=dict(counts)))
-            cell_id += 1
-        grids.append(Grid(grid_id=g, lmm_id=g, cells=tuple(cells)))
-
-    backup_map = {i: ((i + 1) % n, (i - 1) % n) for i in range(n)}
-
-    n_lines = max_junction_lines(n)
-    ring = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-    # n_lines <= n holds for every n >= 3, so the ring always suffices
-    junction_lines = tuple(ring[:n_lines])
-
-    return Topology(
-        grids=tuple(grids),
-        lmm_count=n,
-        backup_map=backup_map,
-        junction_lines=junction_lines,
-        bb_primary=0,
-        bb_backups=(1, 2),
-    )
+    return Topology(lmm_count=grid_count, cells_per_grid=cells_per_grid, ap_counts=counts)

@@ -255,6 +255,20 @@ class TestIntegerRange:
         assert not (tmp_path / "out").exists()
 
 
+class TestTopologyRules:
+    @pytest.mark.parametrize("command", ["figures", "validate", "scenario"])
+    @pytest.mark.parametrize("path,value,error", [
+        ("topology.ap_counts.umts", -1, "topology.ap_counts.umts: must be >= 0, got -1"),
+        ("topology.grid_count", 2,
+         "topology.grid_count: must be >= 3 (the bulletin board needs two backups), got 2"),
+    ], ids=["negative_ap_count", "two_grids"])
+    def test_every_command_exits_2(self, tmp_path, doc, capsys, command, path, value, error):
+        _set(doc, path, value)
+        assert _run(tmp_path, command, doc) == 2
+        assert capsys.readouterr().err == f"config error: {error}\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestScheduleShape:
     @pytest.mark.parametrize("key", ["faults", "borders"])
     @pytest.mark.parametrize("value", [1, {"time": 1.0, "lmm_id": 0}])

@@ -400,14 +400,15 @@ def sha256(data: bytes) -> str:
 
 BASELINE_TOPO = build_topology(3, 7, {k: 1 for k in AccessNetworkKind})
 
-# (types, scenario knobs, horizon, seed, SHA-256 of ``report_bytes``, SHA-256
-# of the trace text), recorded from the per-cell report tick (the last three
+# (topology, types, scenario knobs, horizon, seed, SHA-256 of ``report_bytes``,
+# SHA-256 of the trace text), recorded from the per-cell report tick (the last three
 # from per-LMM heartbeat and timeout events and per-request grant events):
 # the reports and the order of every traced message must stay bit-identical.
 # The traces marked re-recorded changed only in the destination of the
 # Heartbeat lines sent after the first backup's failure; the reports did not.
 SYSTEM_GOLDEN = {
     "baseline_fault_borders": (
+        BASELINE_TOPO,
         small_types(),
         dict(faults=(LmmFault(time=30.0, lmm_id=1),),
              borders=(BorderEvent(time=12.34, cell_id=3), BorderEvent(time=50.0, cell_id=17))),
@@ -417,6 +418,7 @@ SYSTEM_GOLDEN = {
         "f625054bc7d419cd1dc0425fccbddec9493805bc0a30e904e56d0793c628b4df",
     ),
     "heavy_migrations": (
+        BASELINE_TOPO,
         uniform_types(8.0, 0.5, 40, 12, 18),
         dict(faults=(LmmFault(time=7.0, lmm_id=0),)),
         20.0, 7,
@@ -425,11 +427,13 @@ SYSTEM_GOLDEN = {
         "c0111be27d922cee44ac91d70d790fe8f68a6cdbd2800bb8091d07021c49712e",
     ),
     "balancing_off": (
+        BASELINE_TOPO,
         small_types(), dict(balancing_enabled=False), 100.0, 3,
         "3f8bc46a480cdd3b46149880addd4efb0864c5856f8c692965f9cd2a4e9b9085",
         "27507e461ba535a646774656e287e3c9e30ff1ac0acdeb6d446ba9e3e17d5cbd",
     ),
     "no_arrivals": (
+        BASELINE_TOPO,
         small_types(lam=0.0), dict(faults=(LmmFault(time=4.0, lmm_id=2),)), 20.0, 1,
         "d1bf67f4ee6b6581a8607ebfdd9cc68bc15a2d66559ec39b36efd676331b0b59",
         # trace re-recorded: lmm1's 33 beats from 4.0 s go to lmm0, not the dead lmm2
@@ -437,6 +441,7 @@ SYSTEM_GOLDEN = {
     ),
     # 0.5 and 1.0 are both report-tick and heartbeat times
     "tick_aligned_border_and_fault": (
+        BASELINE_TOPO,
         uniform_types(2.0, 1.0, 4, 1, 3),
         dict(faults=(LmmFault(time=1.0, lmm_id=2),), borders=(BorderEvent(time=0.5, cell_id=0),)),
         10.0, 5,
@@ -445,6 +450,7 @@ SYSTEM_GOLDEN = {
         "a94c6c39c4d5a9f4133ba72d06b038669cce43b9f8e5ba6336c5a36a2d48838b",
     ),
     "simultaneous_borders": (
+        BASELINE_TOPO,
         uniform_types(2.0, 1.0, 4, 1, 3),
         dict(borders=(BorderEvent(time=2.0, cell_id=15), BorderEvent(time=2.0, cell_id=1))),
         10.0, 6,
@@ -453,6 +459,7 @@ SYSTEM_GOLDEN = {
     ),
     # no beat precedes the fault: the takeover comes at heartbeat_timeout
     "fault_at_zero": (
+        BASELINE_TOPO,
         uniform_types(2.0, 1.0, 4, 1, 3),
         dict(faults=(LmmFault(time=0.0, lmm_id=1),)),
         10.0, 8,
@@ -463,6 +470,7 @@ SYSTEM_GOLDEN = {
     # 2.5 is a report tick, a heartbeat and the takeover of LMM 1 (last
     # beat 1.0): the takeover precedes the borders, and cell 9 asks twice
     "borders_at_takeover_instant": (
+        BASELINE_TOPO,
         uniform_types(2.0, 1.0, 4, 1, 3),
         dict(faults=(LmmFault(time=1.2, lmm_id=1),),
              borders=(BorderEvent(time=2.5, cell_id=9), BorderEvent(time=2.5, cell_id=4),
@@ -474,6 +482,7 @@ SYSTEM_GOLDEN = {
     ),
     # beat times are chained float sums of 0.3, so none is a multiple of it
     "non_dyadic_beats": (
+        BASELINE_TOPO,
         uniform_types(2.0, 1.0, 4, 1, 3),
         dict(heartbeat_period=0.3, heartbeat_timeout=0.9,
              faults=(LmmFault(time=2.5, lmm_id=2),)),
@@ -481,6 +490,21 @@ SYSTEM_GOLDEN = {
         "c29d39103e99d7772c14970e27400b3cfe219aeaae75d1dda1ce45d519e623ac",
         # trace re-recorded: lmm1's 25 beats from 2.7 s go to lmm0, not the dead lmm2
         "a99386fd9645eb02d6498f8b5f80134cd3635b469ab89c77b2d7080c612239e5",
+    ),
+    # the only entry beyond 3 grids, so the only bit-level pin of the cell ->
+    # grid mapping and the ring of backups: LMM 6 inherits grid 5, then
+    # fails and LMM 7 inherits both; LMM 11's backup wraps to LMM 0; the
+    # borders sit on grid edges, cell 47's neighbour grid wrapping to 0
+    "ring_cascade_12x4": (
+        build_topology(12, 4, {k: 1 for k in AccessNetworkKind}),
+        uniform_types(2.0, 1.0, 4, 1, 3),
+        dict(faults=(LmmFault(time=2.0, lmm_id=5), LmmFault(time=4.0, lmm_id=11),
+                     LmmFault(time=5.0, lmm_id=6)),
+             borders=(BorderEvent(time=1.5, cell_id=3), BorderEvent(time=4.0, cell_id=20),
+                      BorderEvent(time=7.0, cell_id=47), BorderEvent(time=7.0, cell_id=24))),
+        10.0, 11,
+        "5277107a9b1e475f157ab6752c4aa1a470403609dea0f646b1c318cbfa6f568e",
+        "c9c5f0ffbc6c923ecf8950dd0ca5e2c2e60f2970c14966f21ced70f3063baeab",
     ),
 }
 
@@ -496,11 +520,11 @@ def message_tally(trace: str) -> Counter:
 class TestSystemSimBitIdentity:
     @pytest.mark.parametrize("name", sorted(SYSTEM_GOLDEN))
     def test_golden_digest(self, name):
-        types, knobs, horizon, seed, report_digest, trace_digest = SYSTEM_GOLDEN[name]
+        topo, types, knobs, horizon, seed, report_digest, trace_digest = SYSTEM_GOLDEN[name]
         scenario = SimScenario(**knobs)
         buf = io.StringIO()
-        traced = run_system_sim(BASELINE_TOPO, types, scenario, horizon, seed, trace=buf)
-        plain = run_system_sim(BASELINE_TOPO, types, scenario, horizon, seed)
+        traced = run_system_sim(topo, types, scenario, horizon, seed, trace=buf)
+        plain = run_system_sim(topo, types, scenario, horizon, seed)
         assert report_bytes(traced) == report_bytes(plain)
         assert sha256(report_bytes(plain)) == report_digest
         assert sha256(buf.getvalue().encode()) == trace_digest
@@ -856,7 +880,7 @@ class TestFailoverProperties:
             assert f <= float(t), (t, dst)
             assert float(t) - f <= bound or all(
                 fail_time.get(b, math.inf) <= f + scenario.heartbeat_timeout
-                for b in topo.backup_map[lmm]
+                for b in topo.backups(lmm)
             ), (t, dst)
         assert all(0.0 <= lat <= bound for lat in report.failover_latencies)
         # a beat goes from a live LMM to its first live backup, or is not sent
@@ -864,14 +888,14 @@ class TestFailoverProperties:
         for t, kind, src, dst in lines:
             if kind == "Heartbeat":
                 beats_at[t].add(src)
-                live = [b for b in topo.backup_map[int(src[3:])]
+                live = [b for b in topo.backups(int(src[3:]))
                         if float(t) < fail_time.get(b, math.inf)]
                 assert float(t) < fail_time.get(int(src[3:]), math.inf), (t, src)
                 assert live and dst == f"lmm{live[0]}", (t, src, dst)
         for t, senders in beats_at.items():
             alive = {lmm for lmm in range(grids) if float(t) < fail_time.get(lmm, math.inf)}
             assert senders == {f"lmm{lmm}" for lmm in alive
-                               if any(b in alive for b in topo.backup_map[lmm])}, t
+                               if any(b in alive for b in topo.backups(lmm))}, t
         assert message_tally(buf.getvalue()) == report.message_counts
         for stats in report.per_type.values():
             assert (stats.arrivals + stats.migrations_in
