@@ -23,15 +23,15 @@ events produce the request/consult/grant exchange. Every heartbeat period
 each live LMM beats to its first live ring backup (with both backups dead
 it sends no beat); one heartbeat timeout after a failed LMM's last beat,
 that backup takes over every grid it served, inherited ones included
-(with both backups dead, those grids go unanswered). The
-optional mobile-agent policy migrates one session per cell per tick from
-the most over-loaded kind to the least-occupied under-loaded kind. The
-report tick is event-driven: it classifies only the cells whose occupancy
-changed since the previous tick, counts the reports of all others in
-bulk and queues the next tick. The queue holds only events due at their
-own time: zero-delay follow-ups (a tick's notices and replicas, an
-instant's border grants) are emitted inline, in the order their ranks
-would give them on it.
+(with both backups dead, those grids go unanswered). The optional
+mobile-agent policy migrates one session per cell per tick from the most
+over-loaded kind to the least-occupied under-loaded kind. The report tick
+is event-driven: it visits only the streams whose occupancy changed since
+the previous tick, reads their load states off a per-kind zone table,
+counts the reports of all others in bulk and queues the next tick. The
+queue holds only events due at their own time: zero-delay follow-ups (a
+tick's notices and replicas, an instant's border grants) are emitted
+inline, in the order their ranks would give them on it.
 
 Each (cell, kind) pair is one stream: its occupancy, live sessions and
 draws sit at one index of flat per-stream lists, and a session is
@@ -113,6 +113,12 @@ def _crossings(prev, cur, k1, k2):
         (prev > k2) & (k2 >= cur),
         (prev > k1) & (k1 >= cur),
     )
+
+
+def _zone(k, k1, k2):
+    """0 below k1, 1 at k1, 2 between, 3 at k2, 4 above k2: ``classify_load``
+    and ``_crossings`` on zones with k1 = 1, k2 = 3 equal those on occupancies."""
+    return (k >= k1) + (k > k1) + (k >= k2) + (k > k2)
 
 
 def _arrival_thresholds(unis, tot, lam, mu):
@@ -530,16 +536,18 @@ def run_system_sim(
     arr_scale = [1.0 / p.lam if p.lam > 0 else None for p in params] * n_cells
     svc_scale = [1.0 / p.mu for p in params] * n_cells
     cap = [p.m for p in params] * n_cells
-    cell_of = [s // n_kinds for s in range(n_streams)]
 
     occ = [0] * n_streams
     last_t = [0.0] * n_streams
     occ_time = [[0.0] * (p.m + 1) for p in params]
     occ_row = occ_time * n_cells
-    empty_states = [classify_load(0, p.k1, p.k2) for p in params]
-    last_reported = empty_states * n_cells
-    occ_at_tick = [0] * n_streams
-    # cells whose occupancy changed since the previous report tick
+    zones = [[_zone(k, p.k1, p.k2) for k in range(p.m + 1)] for p in params]
+    zone_row = zones * n_cells
+    zone_state = [classify_load(z, 1, 3) for z in range(5)]
+    # a move from zone a to zone b is entry 5 * a + b of these and of moves
+    fires = [zone_state[a] is not zone_state[b] for a in range(5) for b in range(5)]
+    zone_at_tick = [z[0] for z in zones] * n_cells
+    # streams whose occupancy changed since the previous report tick
     dirty: set[int] = set()
 
     # live session ids of each stream, oldest first; ids are global
@@ -551,8 +559,9 @@ def run_system_sim(
     blocked = [0] * n_streams
     mig_in = [0] * n_kinds
     mig_out = [0] * n_kinds
-    # occupancy changes between consecutive ticks, counted per (prev, cur)
-    moves: list[dict[tuple[int, int], int]] = [{} for _ in range(n_kinds)]
+    # zone changes between consecutive ticks
+    moves = [[0] * 25 for _ in range(n_kinds)]
+    moves_row = moves * n_cells
     ticks = 0
     counters: Counter[str] = Counter()
     failover: list[float] = []
@@ -607,10 +616,11 @@ def run_system_sim(
     for tr in border_cells:
         push(heap, (tr, BORDER, 0, 0))
 
-    def migrate_one(c: int, t: float, states: list[LoadState]):
+    def migrate_one(c: int, t: float):
         nonlocal next_sid
         base = c * n_kinds
         row = occ[base:base + n_kinds]
+        states = [zone_state[z] for z in zone_at_tick[base:base + n_kinds]]
         over = [(-row[ki], ki) for ki in range(n_kinds)
                 if states[ki] is OVER and row[ki] > 0]
         under = [(row[ki], ki) for ki in range(n_kinds)
@@ -629,7 +639,8 @@ def run_system_sim(
         occ_row[d][occ[d]] += t - last_t[d]
         last_t[d] = t
         occ[d] += 1
-        dirty.add(c)
+        dirty.add(s)
+        dirty.add(d)
         # re-admit under a fresh id so the stale departure event can never
         # match again, even if the session later migrates back
         new_sid = next_sid
@@ -657,7 +668,7 @@ def run_system_sim(
                 occ_row[s][k] += t - last_t[s]
                 last_t[s] = t
                 occ[s] = k + 1
-                dirty.add(cell_of[s])
+                dirty.add(s)
                 live[s][next_sid] = None
                 buf = bufs[s]
                 svc = svc_scale[s] * (buf.pop() if buf else refill(s))
@@ -678,7 +689,7 @@ def run_system_sim(
             occ_row[s][k] += t - last_t[s]
             last_t[s] = t
             occ[s] = k - 1
-            dirty.add(cell_of[s])
+            dirty.add(s)
             departures[s] += 1
             if trace is not None:
                 c, ki = divmod(s, n_kinds)
@@ -700,37 +711,36 @@ def run_system_sim(
                     emit(t, "LoadReport", f"ri{c}", f"lmm{lmm}")
                     if answered[grid_of_cell[c]]:
                         emit(t, "BalanceInfo", f"lmm{lmm}", f"ri{c}")
-            # A cell with no event since the previous tick is skipped: its
-            # occupancy and load states equal that tick's, which were
-            # reported then, and migrate_one, whose outcome depends on
-            # occupancy alone, failed then (a success made the cell dirty).
-            # Session ids are global, so cells go in order.
+            # A stream with no event since the previous tick is skipped: its
+            # zone was reported then. (cell, kind) order is the notice order
             changed = sorted(dirty)
             dirty.clear()
             notices = []
-            for c in changed:
-                base = c * n_kinds
-                states = [classify_load(occ[base + ki], p.k1, p.k2)
-                          for ki, p in enumerate(params)]
-                for ki, state in enumerate(states):
-                    s = base + ki
-                    if state is not last_reported[s]:
-                        notices.append(c)
-                        last_reported[s] = state
-                    prev, cur = occ_at_tick[s], occ[s]
-                    if cur != prev:
-                        moves[ki][prev, cur] = moves[ki].get((prev, cur), 0) + 1
-                        occ_at_tick[s] = cur
-                if scenario.balancing_enabled and OVER in states:
-                    migrate_one(c, t, states)
+            for s in changed:
+                prev, cur = zone_at_tick[s], zone_row[s][occ[s]]
+                if cur != prev:
+                    zone_at_tick[s] = cur
+                    move = 5 * prev + cur
+                    moves_row[s][move] += 1
+                    if fires[move]:
+                        notices.append(s)
+            # A cell with no changed stream failed migrate_one then (a success
+            # changes two streams). Any other may, from any over-loaded kind,
+            # which zones rising with occupancy put on top. Session ids are
+            # global, so cells go in order
+            if scenario.balancing_enabled:
+                for c in dict.fromkeys([s // n_kinds for s in changed]):
+                    base = c * n_kinds
+                    if zone_state[max(zone_at_tick[base:base + n_kinds])] is OVER:
+                        migrate_one(c, t)
             # the zero-delay notices, in (cell, kind) order, then their
             # replicas, in (cell, kind, backup) order: queued at t they
             # would come right after the tick, before any other event at t
             counters["StateChangeNotice"] += len(notices)
             counters["BBReplicate"] += len(notices) * len(topo.bb_backups)
             if trace is not None:
-                for c in notices:
-                    emit(t, "StateChangeNotice", f"lmm{serving[grid_of_cell[c]]}", bb)
+                for s in notices:
+                    emit(t, "StateChangeNotice", f"lmm{serving[grid_of_cell[s // n_kinds]]}", bb)
                 for _ in notices:
                     for backup in topo.bb_backups:
                         emit(t, "BBReplicate", bb, f"bb{backup}")
@@ -793,8 +803,8 @@ def run_system_sim(
         p = params[ki]
         n_arr, n_dep = sum(arrivals[ki::n_kinds]), sum(departures[ki::n_kinds])
         tallies = dict.fromkeys(TransitionKind, 0)
-        for (prev, cur), n in moves[ki].items():
-            for kindt, hit in zip(TransitionKind, _crossings(prev, cur, p.k1, p.k2)):
+        for move, n in enumerate(moves[ki]):
+            for kindt, hit in zip(TransitionKind, _crossings(*divmod(move, 5), 1, 3)):
                 tallies[kindt] += n * hit
         per_type[kind] = CellStats(
             occupancy_freq=np.array(occ_time[ki]) / total_time,

@@ -528,6 +528,47 @@ class TestFiguresGolden:
         assert got == digests
 
 
+def heavy_scenario_doc():
+    """The baseline with every kind near its upper threshold, one LMM
+    fault and one border request, over 20 s: migrations and notices every
+    tick."""
+    doc = default_config().to_dict()
+    for spec in doc["types"].values():
+        spec.update(lam=8.0, mu=0.5, m=40, k1=12, k2=18)
+    doc["sim"].update(horizon=20.0, faults=[{"time": 7.0, "lmm_id": 0}],
+                      borders=[{"time": 2.5, "cell_id": 9}])
+    return doc
+
+
+# SHA-256 of ``sdlb scenario``'s output files, recorded from the report tick
+# that classified every changed cell: the CLI must keep writing these bytes
+SCENARIO_GOLDEN = {
+    "baseline": (
+        default_config().to_dict, [],
+        {"scenario_report.csv":
+         "8698ad85abd6a4b9fb1e3505fcd30df5ad37315529ade734fd7c112a68a64dd4"},
+    ),
+    "heavy_traced": (
+        heavy_scenario_doc, ["--trace"],
+        {"scenario_report.csv":
+         "63ef47e6bd4db40dca14b66f955de4db7395c3455742d1061e82ab72ab9c8c89",
+         "trace.csv": "b606b2d599f37af13bddd276824deba1ccd5ec2661d96722c60c18ca39694c19"},
+    ),
+}
+
+
+class TestScenarioGolden:
+    @pytest.mark.parametrize("name", sorted(SCENARIO_GOLDEN))
+    def test_output_digests(self, tmp_path, name):
+        build, flags, digests = SCENARIO_GOLDEN[name]
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(build()))
+        out = tmp_path / "scen"
+        assert main(["scenario", "--config", str(path), "--out", str(out), *flags]) == 0
+        got = {f: hashlib.sha256((out / f).read_bytes()).hexdigest() for f in digests}
+        assert got == digests
+
+
 def _load_tracing():
     """perfbench/tracing.py as a module, executed from its source text so
     that nothing is written next to it."""
