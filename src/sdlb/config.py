@@ -69,15 +69,12 @@ class OverheadSpec:
 class TopologySpec:
     grid_count: int
     cells_per_grid: int
-    ap_counts: dict[AccessNetworkKind, int] = field(
-        default_factory=lambda: dict.fromkeys(AccessNetworkKind, 0)
-    )
 
     def __post_init__(self):
-        check_topology(self.grid_count, self.cells_per_grid, self.ap_counts)
+        check_topology(self.grid_count, self.cells_per_grid)
 
     def build(self) -> Topology:
-        return build_topology(self.grid_count, self.cells_per_grid, self.ap_counts)
+        return build_topology(self.grid_count, self.cells_per_grid)
 
 
 @dataclass(frozen=True)
@@ -281,17 +278,16 @@ def _list_of(item: Callable) -> Callable[[Any], tuple]:
     return decode
 
 
-def _decoder(tp, default=MISSING) -> Callable[[Any], Any]:
+def _decoder(tp) -> Callable[[Any], Any]:
     if is_dataclass(tp):
         return _dataclass_decoder(tp)
     args, origin = get_args(tp), get_origin(tp)
     if origin is tuple:
         return _list_of(_decoder(args[0]))
     if origin is dict:
-        # keyed by kind name; a kind left out takes the field default's value
-        plan = [(key, _decoder(args[1]), default is MISSING) for key in _KINDS]
-        fill = {} if default is MISSING else default
-        return lambda v: fill | {_KINDS[k]: x for k, x in _entries(v, plan, _KIND_KEYS).items()}
+        # keyed by kind name; every kind is required
+        plan = [(key, _decoder(args[1]), True) for key in _KINDS]
+        return lambda v: {_KINDS[k]: x for k, x in _entries(v, plan, _KIND_KEYS).items()}
     if type(None) in args:
         present = _decoder(args[0])
         return lambda v: None if v is None else present(v)
@@ -301,10 +297,9 @@ def _decoder(tp, default=MISSING) -> Callable[[Any], Any]:
 @functools.cache
 def _dataclass_decoder(cls: type) -> Callable[[Any], Any]:
     hints = get_type_hints(cls)
-    plan = []
-    for f in fields(cls):
-        default = f.default if f.default_factory is MISSING else f.default_factory()
-        plan.append((f.name, _decoder(hints[f.name], default), default is MISSING))
+    # a field is required where it has neither a default nor a default factory
+    plan = [(f.name, _decoder(hints[f.name]), f.default is f.default_factory is MISSING)
+            for f in fields(cls)]
     names = frozenset(name for name, _, _ in plan)
 
     def decode(v):

@@ -96,23 +96,14 @@ def even_bb_split(
     return first, second  # type: ignore[return-value]
 
 
-def nonperiodic_overhead(
-    p: OverheadParams,
-    bb_ap_counts: tuple[tuple[int, int, int], tuple[int, int, int]] | None = None,
-) -> float:
+def nonperiodic_overhead(p: OverheadParams) -> float:
     """State-change-triggered bulletin-board overhead, units per second.
 
-    bb_ap_counts[j][i] is the number of type-i APs whose updates flow
-    through backup replica j; by default each type's APs are split evenly
-    over the two replicas. Like the periodic part, the result does not
+    Each type's APs are split evenly over the two backup replicas
+    (``even_bb_split``). Like the periodic part, the result does not
     depend on the LMM count.
     """
-    if bb_ap_counts is None:
-        bb_ap_counts = even_bb_split(p.types)
-    if len(bb_ap_counts) != 2:
-        raise ValueError(f"exactly two BB replica groups required, got {len(bb_ap_counts)}")
-
     pr = [prob_state_change(t, p.T) for t in p.types]
     report_sum = sum(t.ap_count * pr_i for t, pr_i in zip(p.types, pr))
-    replica_sum = sum(bb_update_probability(pr, counts) for counts in bb_ap_counts)
+    replica_sum = sum(bb_update_probability(pr, counts) for counts in even_bb_split(p.types))
     return (p.report_cost * report_sum + p.d * replica_sum) / p.T

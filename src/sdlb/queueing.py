@@ -45,7 +45,6 @@ __all__ = [
     "TransitionKind",
     "bb_update_probability",
     "classify_load",
-    "finite_state_probabilities",
     "prob_bb_update",
     "prob_state_change",
     "state_probabilities",
@@ -165,8 +164,8 @@ def state_probabilities(p: SystemTypeParams) -> StateDistribution:
     factors (lam/mu)/k: the same products, in the same order, as a loop
     over k. A run ends at the first term past the rescale limit. Where
     that term is inf, the rescaling divides inf by inf, as the loop does,
-    and every probability is nan; ``finite_state_probabilities`` refuses
-    that case.
+    and every probability would be nan; that case raises
+    OccupancyOverflowError.
     """
     factors = p.lam / p.mu / np.arange(1, p.m + 1)
     terms = np.empty(p.m + 1)
@@ -188,15 +187,9 @@ def state_probabilities(p: SystemTypeParams) -> StateDistribution:
             else:
                 width *= 2  # no crossing yet: redo the run over a longer block
     total = terms.sum()
-    return StateDistribution(probs=terms / total)
-
-
-def finite_state_probabilities(p: SystemTypeParams) -> StateDistribution:
-    """``state_probabilities(p)``; OccupancyOverflowError where it is nan."""
-    dist = state_probabilities(p)
-    if math.isnan(dist.blocking):
+    if math.isnan(total):
         raise OccupancyOverflowError(p)
-    return dist
+    return StateDistribution(probs=terms / total)
 
 
 def _check_first_order(p: SystemTypeParams, T: float):
@@ -234,7 +227,7 @@ def transition_probability(
 ) -> float:
     """First-order probability of one directed load-state transition in T."""
     _check_first_order(p, T)
-    return _transition(p, T, kind, finite_state_probabilities(p))
+    return _transition(p, T, kind, state_probabilities(p))
 
 
 def prob_state_change(p: SystemTypeParams, T: float) -> float:
@@ -244,7 +237,7 @@ def prob_state_change(p: SystemTypeParams, T: float) -> float:
     preconditions the sum is a probability.
     """
     _check_first_order(p, T)
-    dist = finite_state_probabilities(p)
+    dist = state_probabilities(p)
     total = sum(_transition(p, T, kind, dist) for kind in TransitionKind)
     if total > 1.0 + 1e-12:
         raise AssertionError(f"state-change probability {total} > 1")

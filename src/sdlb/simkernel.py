@@ -62,7 +62,7 @@ from .queueing import (
     SystemTypeParams,
     TransitionKind,
     classify_load,
-    finite_state_probabilities,
+    state_probabilities,
 )
 from .topology import AccessNetworkKind, Topology
 # the judge is sdlb.validation's; its public names stay importable here
@@ -292,7 +292,7 @@ def horizon_for_events(p: SystemTypeParams, target_events: int) -> float:
     """
     if p.lam <= 0:
         raise ValueError("lam must be > 0 to target an event count")
-    blocking = finite_state_probabilities(p).blocking
+    blocking = state_probabilities(p).blocking
     rate = p.lam * (2.0 - blocking)
     return target_events * EVENT_MARGIN / rate
 

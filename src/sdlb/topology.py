@@ -35,18 +35,16 @@ class AccessNetworkKind(IntEnum):
 
 @dataclass(frozen=True)
 class Topology:
-    """The full management structure, derived from three numbers.
+    """The full management structure, derived from two numbers.
 
     Cell c belongs to basic grid ``c // cells_per_grid``, and grid g is run
-    by LMM g, so there are ``lmm_count`` grids. Every cell has the same
-    ``ap_counts``, which carries an entry for every access-network kind
-    (zero is allowed). LMM i is backed by its ring neighbours (``backups``);
-    the bulletin board lives on LMM 0 with replicas on LMMs 1 and 2.
+    by LMM g, so there are ``lmm_count`` grids. LMM i is backed by its ring
+    neighbours (``backups``); the bulletin board lives on LMM 0 with
+    replicas on LMMs 1 and 2.
     """
 
     lmm_count: int
     cells_per_grid: int
-    ap_counts: dict[AccessNetworkKind, int]
     bb_primary: ClassVar[int] = 0
     bb_backups: ClassVar[tuple[int, int]] = (1, 2)
 
@@ -70,27 +68,19 @@ def max_junction_lines(n: int) -> int:
     return n // 3 + n % 3 + 1
 
 
-def check_topology(grid_count: int, cells_per_grid: int, ap_counts: dict[AccessNetworkKind, int]):
+def check_topology(grid_count: int, cells_per_grid: int):
     """At least 3 grids (the bulletin board needs two backups distinct from
-    its primary), at least one cell per grid, and no negative AP count."""
+    its primary) and at least one cell per grid."""
     if grid_count < 3:
         raise ValueError(
             f"grid_count must be >= 3 (the bulletin board needs two backups), got {grid_count}"
         )
     if cells_per_grid < 1:
         raise ValueError(f"cells_per_grid must be >= 1, got {cells_per_grid}")
-    for kind, count in ap_counts.items():
-        if count < 0:
-            raise ValueError(f"ap_counts.{kind.name.lower()} must be >= 0, got {count}")
 
 
-def build_topology(
-    grid_count: int,
-    cells_per_grid: int,
-    ap_counts: dict[AccessNetworkKind, int],
-) -> Topology:
-    """Build the topology with one LMM per basic grid; a kind left out of
-    ``ap_counts`` gets 0 APs. Raises ValueError where ``check_topology`` does."""
-    check_topology(grid_count, cells_per_grid, ap_counts)
-    counts = {kind: int(ap_counts.get(kind, 0)) for kind in AccessNetworkKind}
-    return Topology(lmm_count=grid_count, cells_per_grid=cells_per_grid, ap_counts=counts)
+def build_topology(grid_count: int, cells_per_grid: int) -> Topology:
+    """Build the topology with one LMM per basic grid. Raises ValueError
+    where ``check_topology`` does."""
+    check_topology(grid_count, cells_per_grid)
+    return Topology(lmm_count=grid_count, cells_per_grid=cells_per_grid)

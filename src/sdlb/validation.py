@@ -19,7 +19,7 @@ from .queueing import (
     FirstOrderValidityError,
     SystemTypeParams,
     TransitionKind,
-    finite_state_probabilities,
+    state_probabilities,
     transition_probability,
 )
 from .topology import AccessNetworkKind
@@ -125,7 +125,7 @@ def validate_against_analytic(
     analytic_tr = {
         kind: transition_probability(p, T, kind) for kind in TransitionKind
     }
-    dist = finite_state_probabilities(p)
+    dist = state_probabilities(p)
     events = stats.events
     too_few = events < MIN_EVENTS
 

@@ -192,7 +192,7 @@ def test_criterion_6_first_order_transition_validation():
 
 def test_criterion_7_protocol_invariants():
     with criterion(7, "protocol invariants"):
-        topo = build_topology(3, 7, {k: 1 for k in AccessNetworkKind})
+        topo = build_topology(3, 7)
         cfg = default_config()
         scenario = SimScenario(
             window=0.1,

@@ -182,12 +182,8 @@ class TestSchemaWalk:
 
     def test_left_out_keys_take_the_field_defaults(self, doc):
         del doc["sim"]
-        doc["topology"]["ap_counts"] = {"wimax": 5}
         cfg = ScenarioConfig.from_dict(doc)
         assert cfg.sim == default_config().sim
-        assert cfg.topology.ap_counts == {
-            AccessNetworkKind.UMTS: 0, AccessNetworkKind.WIMAX: 5, AccessNetworkKind.WLAN: 0
-        }
 
     def test_optional_field_round_trips(self, doc):
         assert doc["overhead"]["a_common"] is None  # written as null
@@ -258,10 +254,12 @@ class TestIntegerRange:
 class TestTopologyRules:
     @pytest.mark.parametrize("command", ["figures", "validate", "scenario"])
     @pytest.mark.parametrize("path,value,error", [
-        ("topology.ap_counts.umts", -1, "topology.ap_counts.umts: must be >= 0, got -1"),
         ("topology.grid_count", 2,
          "topology.grid_count: must be >= 3 (the bulletin board needs two backups), got 2"),
-    ], ids=["negative_ap_count", "two_grids"])
+        # AP counts come from types.<kind>.ap_count alone
+        ("topology.ap_counts", {"umts": 1, "wimax": 1, "wlan": 1},
+         "topology: unknown keys ['ap_counts']"),
+    ], ids=["two_grids", "ap_counts_key"])
     def test_every_command_exits_2(self, tmp_path, doc, capsys, command, path, value, error):
         _set(doc, path, value)
         assert _run(tmp_path, command, doc) == 2

@@ -103,11 +103,6 @@ class TestNonperiodicOverhead:
             2 * nonperiodic_overhead(t1), rel=1e-12
         )
 
-    def test_explicit_split_overrides_default(self):
-        p = OverheadParams(T=0.1, d=1.0, types=make_types())
-        skewed = nonperiodic_overhead(p, bb_ap_counts=((600, 900, 600), (0, 0, 0)))
-        assert skewed != nonperiodic_overhead(p)
-
     def test_a_common_override(self):
         p1 = OverheadParams(T=0.1, d=0.0, types=make_types())
         p2 = OverheadParams(T=0.1, d=0.0, types=make_types(), a_common=2.0)
@@ -119,8 +114,3 @@ class TestNonperiodicOverhead:
         p = OverheadParams(T=3.0, d=1.0, types=make_types())
         with pytest.raises(FirstOrderValidityError):
             nonperiodic_overhead(p)
-
-    def test_bad_replica_count_rejected(self):
-        p = OverheadParams(T=0.1, d=1.0, types=make_types())
-        with pytest.raises(ValueError):
-            nonperiodic_overhead(p, bb_ap_counts=((1, 1, 1),))

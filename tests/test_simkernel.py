@@ -399,7 +399,7 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-BASELINE_TOPO = build_topology(3, 7, {k: 1 for k in AccessNetworkKind})
+BASELINE_TOPO = build_topology(3, 7)
 
 # (topology, types, scenario knobs, horizon, seed, SHA-256 of ``report_bytes``,
 # SHA-256 of the trace text), recorded from the per-cell report tick (the last three
@@ -497,7 +497,7 @@ SYSTEM_GOLDEN = {
     # fails and LMM 7 inherits both; LMM 11's backup wraps to LMM 0; the
     # borders sit on grid edges, cell 47's neighbour grid wrapping to 0
     "ring_cascade_12x4": (
-        build_topology(12, 4, {k: 1 for k in AccessNetworkKind}),
+        build_topology(12, 4),
         uniform_types(2.0, 1.0, 4, 1, 3),
         dict(faults=(LmmFault(time=2.0, lmm_id=5), LmmFault(time=4.0, lmm_id=11),
                      LmmFault(time=5.0, lmm_id=6)),
@@ -512,7 +512,7 @@ SYSTEM_GOLDEN = {
     # no event since the previous tick; recorded from the report tick that
     # classified every kind of every changed cell
     "many_grids_heavy_balancing": (
-        build_topology(30, 7, {k: 1 for k in AccessNetworkKind}),
+        build_topology(30, 7),
         uniform_types(8.0, 0.5, 40, 12, 18),
         dict(faults=(LmmFault(time=2.0, lmm_id=13),), borders=(BorderEvent(time=3.0, cell_id=97),)),
         5.0, 13,
@@ -594,7 +594,7 @@ class TestReportTickScaling:
     def test_quiet_system_classifies_at_most_once_per_cell(self, classify_calls):
         for grids, cells, horizon in ((3, 3, 200.0), (12, 5, 20.0)):
             classify_calls[0] = 0
-            topo = build_topology(grids, cells, {k: 1 for k in AccessNetworkKind})
+            topo = build_topology(grids, cells)
             report = run_system_sim(topo, small_types(lam=0.0), SimScenario(), horizon, 1)
             assert report.message_counts["LoadReport"] == grids * cells * int(horizon * 10)
             assert classify_calls[0] == SETUP_CLASSIFICATIONS
@@ -646,7 +646,7 @@ class TestPerStreamState:
         # about 90 live sessions at any time and no over-loaded cell, so no
         # migration. A per-stream queue of every admitted id grows by some
         # 36 B per admission: 0.55 MB between these two runs
-        topo = build_topology(3, 1, {k: 1 for k in AccessNetworkKind})
+        topo = build_topology(3, 1)
         types = uniform_types(20.0, 2.0, 60, 1, 60)
         scenario = SimScenario(window=10.0, heartbeat_period=5.0, heartbeat_timeout=15.0)
         run_system_sim(topo, types, scenario, 10.0, 1)  # lazy set-up
@@ -704,7 +704,7 @@ class TestBulkStreamSeeding:
 
 
 class TestRunSystemSim:
-    topo = build_topology(3, 3, {k: 1 for k in AccessNetworkKind})
+    topo = build_topology(3, 3)
 
     def run(self, horizon=200.0, seed=42, types=None, trace=None, window=0.1,
             **scenario_kw):
@@ -784,7 +784,7 @@ class TestRunSystemSim:
     ])
     def test_takeover_after_late_last_beat(self, period, timeout, fault, horizon):
         # far from 0, (beat + timeout) - beat can round below the timeout
-        topo = build_topology(3, 1, {k: 1 for k in AccessNetworkKind})
+        topo = build_topology(3, 1)
         scenario = SimScenario(window=1.0, heartbeat_period=period, heartbeat_timeout=timeout,
                                faults=(LmmFault(time=fault, lmm_id=1),))
         report = run_system_sim(topo, small_types(lam=0.0), scenario, horizon, 1)
@@ -912,7 +912,7 @@ class TestFailoverProperties:
     @given(fault_schedules())
     def test_every_grid_is_answered_or_has_no_live_backup(self, case):
         grids, cells_per_grid, scenario, horizon, seed = case
-        topo = build_topology(grids, cells_per_grid, {k: 1 for k in AccessNetworkKind})
+        topo = build_topology(grids, cells_per_grid)
         buf = io.StringIO()
         report = run_system_sim(topo, small_types(lam=2.0, mu=1.0), scenario, horizon, seed,
                                 trace=buf)
