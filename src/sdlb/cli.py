@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import ConfigError, ScenarioConfig, default_config, load_config
 from .overhead import nonperiodic_overhead, periodic_overhead
-from .queueing import OccupancyOverflowError
+from .queueing import FirstOrderValidityError, OccupancyOverflowError
 from .simkernel import horizon_for_events, run_cell_mc, run_system_sim
 from .timing import check_swept_rate, swept_processing_times
 from .topology import AccessNetworkKind
@@ -261,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OccupancyOverflowError as exc:
+    except (OccupancyOverflowError, FirstOrderValidityError) as exc:
         # raised for one kind's params: name that kind's section
         kind = next(k for k, p in cfg.types.items() if p is exc.params)
         print(f"config error: types.{kind.name.lower()}: {exc}", file=sys.stderr)

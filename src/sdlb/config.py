@@ -59,10 +59,9 @@ class OverheadSpec:
 
     T: float
     d: float
-    a_common: float | None = None
 
     def __post_init__(self):
-        check_period_and_cost(self.T, self.d, self.a_common)
+        check_period_and_cost(self.T, self.d)
 
 
 @dataclass(frozen=True)
@@ -85,11 +84,10 @@ class ReliabilitySpec:
     k2_lmms: int = 1
     c_uniform: float = 1.0
     b_uniform: float = 1.0
-    redundancy_exponent: int | None = None
 
     def __post_init__(self):
         check_reliabilities(self.r_lmm, self.r_c)
-        check_weights(self.redundancy_exponent, c_uniform=self.c_uniform, b_uniform=self.b_uniform)
+        check_weights(c_uniform=self.c_uniform, b_uniform=self.b_uniform)
 
     def params_for(self, n: int) -> ReliabilityParams:
         return uniform_reliability_params(n, *self._uniform_args())
@@ -99,8 +97,7 @@ class ReliabilitySpec:
         return uniform_integrated_reliability(n, *self._uniform_args())
 
     def _uniform_args(self) -> tuple:
-        return (self.r_lmm, self.r_c, self.k1_lines, self.k2_lmms, self.c_uniform,
-                self.b_uniform, self.redundancy_exponent)
+        return (self.r_lmm, self.r_c, self.k1_lines, self.k2_lmms, self.c_uniform, self.b_uniform)
 
 
 @dataclass(frozen=True)
@@ -184,8 +181,7 @@ class ScenarioConfig:
 
     def overhead_params(self) -> OverheadParams:
         ordered = tuple(self.types[kind] for kind in AccessNetworkKind)
-        ov = self.overhead
-        return OverheadParams(T=ov.T, d=ov.d, types=ordered, a_common=ov.a_common)
+        return OverheadParams(T=self.overhead.T, d=self.overhead.d, types=ordered)
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
@@ -195,7 +191,7 @@ class ScenarioConfig:
             raise ConfigError(f"{exc.path()}: {exc}") from None
 
     def to_dict(self) -> dict:
-        """Every field is written; None as null."""
+        """Every field is written."""
         return _encode(self)
 
     def save(self, path: str | Path):
@@ -288,9 +284,6 @@ def _decoder(tp) -> Callable[[Any], Any]:
         # keyed by kind name; every kind is required
         plan = [(key, _decoder(args[1]), True) for key in _KINDS]
         return lambda v: {_KINDS[k]: x for k, x in _entries(v, plan, _KIND_KEYS).items()}
-    if type(None) in args:
-        present = _decoder(args[0])
-        return lambda v: None if v is None else present(v)
     return _SCALARS[tp]
 
 

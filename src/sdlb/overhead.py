@@ -36,36 +36,28 @@ __all__ = [
 ]
 
 
-def check_period_and_cost(T: float, d: float, a_common: float | None):
-    """The rules every overhead model puts on the report period, the
-    LMM-to-backup copy cost and the common report cost."""
+def check_period_and_cost(T: float, d: float):
+    """The rules every overhead model puts on the report period and the
+    LMM-to-backup copy cost."""
     if T <= 0:
         raise ValueError(f"T must be > 0, got {T}")
     if d < 0:
         raise ValueError(f"d must be >= 0, got {d}")
-    if a_common is not None and a_common < 0:
-        raise ValueError(f"a_common must be >= 0, got {a_common}")
 
 
 @dataclass(frozen=True)
 class OverheadParams:
     """T: reporting period (s); d: LMM-to-backup transfer cost; types: the
-    three per-kind parameter sets; a_common: report cost used for the
-    non-periodic sum (defaults to the first type's report_cost)."""
+    three per-kind parameter sets."""
 
     T: float
     d: float
     types: tuple[SystemTypeParams, SystemTypeParams, SystemTypeParams]
-    a_common: float | None = None
 
     def __post_init__(self):
-        check_period_and_cost(self.T, self.d, self.a_common)
+        check_period_and_cost(self.T, self.d)
         if len(self.types) != 3:
             raise ValueError(f"exactly three type parameter sets required, got {len(self.types)}")
-
-    @property
-    def report_cost(self) -> float:
-        return self.types[0].report_cost if self.a_common is None else self.a_common
 
 
 @dataclass(frozen=True)
@@ -99,11 +91,12 @@ def even_bb_split(
 def nonperiodic_overhead(p: OverheadParams) -> float:
     """State-change-triggered bulletin-board overhead, units per second.
 
-    Each type's APs are split evenly over the two backup replicas
-    (``even_bb_split``). Like the periodic part, the result does not
-    depend on the LMM count.
+    The paper's single report cost ``a`` is the first type's
+    ``report_cost``. Each type's APs are split evenly over the two backup
+    replicas (``even_bb_split``). Like the periodic part, the result does
+    not depend on the LMM count.
     """
     pr = [prob_state_change(t, p.T) for t in p.types]
     report_sum = sum(t.ap_count * pr_i for t, pr_i in zip(p.types, pr))
     replica_sum = sum(bb_update_probability(pr, counts) for counts in even_bb_split(p.types))
-    return (p.report_cost * report_sum + p.d * replica_sum) / p.T
+    return (p.types[0].report_cost * report_sum + p.d * replica_sum) / p.T

@@ -57,7 +57,12 @@ _RESCALE_LIMIT = 1e280
 
 
 class FirstOrderValidityError(ValueError):
-    """The reporting window T is too coarse for the first-order model."""
+    """The reporting window T is too coarse for the first-order model of
+    ``params``."""
+
+    def __init__(self, params: SystemTypeParams, message: str):
+        super().__init__(f"T too coarse for first-order model: {message}")
+        self.params = params
 
 
 class OccupancyOverflowError(ValueError):
@@ -197,14 +202,10 @@ def _check_first_order(p: SystemTypeParams, T: float):
         raise ValueError(f"T must be > 0, got {T}")
     lam_t = p.lam * T
     if lam_t >= 1:
-        raise FirstOrderValidityError(
-            f"T too coarse for first-order model: lam*T = {lam_t:g} >= 1"
-        )
+        raise FirstOrderValidityError(p, f"lam*T = {lam_t:g} >= 1")
     mu_t = (p.k2 + 1) * p.mu * T
     if mu_t >= 1:
-        raise FirstOrderValidityError(
-            f"T too coarse for first-order model: (k2+1)*mu*T = {mu_t:g} >= 1"
-        )
+        raise FirstOrderValidityError(p, f"(k2+1)*mu*T = {mu_t:g} >= 1")
 
 
 def _transition(

@@ -12,8 +12,7 @@ Three failure scenarios are weighed by the traffic they lose:
       L2 = all junction-line traffic + the inventory traffic of the K2
            broken managers
 
-with P_lmm = 1 - (1-R_lmm)^n (redundancy of the manager pool; the exponent
-can be overridden, see ReliabilityParams.redundancy_exponent) and
+with P_lmm = 1 - (1-R_lmm)^n (redundancy of the manager pool) and
 P_c = 1 - (1-R_c)^2 (each manager reaches its backups over two lines).
 n' = floor(n/3) + n % 3 + 1 junction lines exist for n managers.
 
@@ -104,14 +103,11 @@ def _check_failures(n: int, k1_lines: int, k2_lmms: int) -> int:
     return n_lines
 
 
-def check_weights(redundancy_exponent: int | None, **lowest: float):
-    """Each traffic intensity, named with its lowest value, must be >= 0;
-    an explicit redundancy exponent must be >= 1."""
+def check_weights(**lowest: float):
+    """Each traffic intensity, named with its lowest value, must be >= 0."""
     for name, low in lowest.items():
         if low < 0:
             raise ValueError(f"{name} must be >= 0, got {low}")
-    if redundancy_exponent is not None and redundancy_exponent < 1:
-        raise ValueError(f"redundancy_exponent must be >= 1, got {redundancy_exponent}")
 
 
 @dataclass(frozen=True)
@@ -119,10 +115,7 @@ class ReliabilityParams:
     """r_lmm / r_c: per-manager and per-junction-line reliabilities;
     n: manager count; k1_lines / k2_lmms: how many lines / managers fail
     in scenarios 1 and 2; c: junction-line traffic intensities (length
-    n'); b: 3 x n inventory-to-manager traffic intensities.
-
-    redundancy_exponent overrides the exponent of the manager-pool
-    redundancy term 1 - (1-r_lmm)^n (None keeps the literal n)."""
+    n'); b: 3 x n inventory-to-manager traffic intensities."""
 
     r_lmm: float
     r_c: float
@@ -131,7 +124,6 @@ class ReliabilityParams:
     k2_lmms: int
     c: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
-    redundancy_exponent: int | None = None
 
     def __post_init__(self):
         check_reliabilities(self.r_lmm, self.r_c)
@@ -146,7 +138,7 @@ class ReliabilityParams:
             raise ValueError(f"c must have shape ({n_lines},), got {c.shape}")
         if b.shape != (3, self.n):
             raise ValueError(f"b must have shape (3, {self.n}), got {b.shape}")
-        check_weights(self.redundancy_exponent, c=float(c.min()), b=float(b.min()))
+        check_weights(c=float(c.min()), b=float(b.min()))
 
     @property
     def n_lines(self) -> int:
@@ -180,11 +172,9 @@ def _traffic_sums(c: np.ndarray, b: np.ndarray, k1_lines: int, k2_lmms: int):
 
 def _scenarios(
     r_lmm: float, r_c: float, n: int, n_lines: int, k1_lines: int, k2_lmms: int,
-    redundancy_exponent: int | None,
 ) -> tuple[float, float, float, float, float]:
     """(P_lmm, P_c, P0, P1, P2) of the three failure scenarios."""
-    exponent = n if redundancy_exponent is None else redundancy_exponent
-    p_lmm = 1.0 - (1.0 - r_lmm) ** exponent
+    p_lmm = 1.0 - (1.0 - r_lmm) ** n
     p_c = 1.0 - (1.0 - r_c) ** 2
     r_pow_n = r_lmm**n
 
@@ -205,9 +195,7 @@ def _score(scenarios: tuple[float, ...], total: float, l1: float, l2: float) -> 
 
 def scenario_probabilities(p: ReliabilityParams) -> ScenarioProbabilities:
     """Evaluate the three failure scenarios for one (K1, K2) choice."""
-    p_lmm, p_c, p0, p1, p2 = _scenarios(
-        p.r_lmm, p.r_c, p.n, p.n_lines, p.k1_lines, p.k2_lmms, p.redundancy_exponent
-    )
+    p_lmm, p_c, p0, p1, p2 = _scenarios(p.r_lmm, p.r_c, p.n, p.n_lines, p.k1_lines, p.k2_lmms)
     _, l1, l2 = _traffic_sums(p.c, p.b, p.k1_lines, p.k2_lmms)
     return ScenarioProbabilities(
         p_lmm=p_lmm, p_c=p_c, p0=p0, p1=p1, p2=p2, l0=0.0, l1=l1, l2=l2
@@ -217,8 +205,7 @@ def scenario_probabilities(p: ReliabilityParams) -> ScenarioProbabilities:
 def integrated_reliability(p: ReliabilityParams) -> float:
     """1 minus the traffic-weighted expected loss fraction."""
     return _score(
-        _scenarios(p.r_lmm, p.r_c, p.n, p.n_lines, p.k1_lines, p.k2_lmms,
-                   p.redundancy_exponent),
+        _scenarios(p.r_lmm, p.r_c, p.n, p.n_lines, p.k1_lines, p.k2_lmms),
         *_traffic_sums(p.c, p.b, p.k1_lines, p.k2_lmms),
     )
 
@@ -231,17 +218,16 @@ def uniform_integrated_reliability(
     k2_lmms: int = 1,
     c_value: float = 1.0,
     b_value: float = 1.0,
-    redundancy_exponent: int | None = None,
 ) -> float:
     """``integrated_reliability(uniform_reliability_params(...))`` with the
     same arguments: the same checks, sums and score, without the params."""
     check_reliabilities(r_lmm, r_c)
     n_lines = _check_failures(n, k1_lines, k2_lmms)
-    check_weights(redundancy_exponent, c=float(c_value), b=float(b_value))
+    check_weights(c=float(c_value), b=float(b_value))
     c = np.full(n_lines, float(c_value))
     b = np.full((3, n), float(b_value))
     return _score(
-        _scenarios(r_lmm, r_c, n, n_lines, k1_lines, k2_lmms, redundancy_exponent),
+        _scenarios(r_lmm, r_c, n, n_lines, k1_lines, k2_lmms),
         *_traffic_sums(c, b, k1_lines, k2_lmms),
     )
 
@@ -254,7 +240,6 @@ def uniform_reliability_params(
     k2_lmms: int = 1,
     c_value: float = 1.0,
     b_value: float = 1.0,
-    redundancy_exponent: int | None = None,
 ) -> ReliabilityParams:
     """Params with uniform traffic: every line carries c_value, every
     inventory-manager pair b_value."""
@@ -266,5 +251,4 @@ def uniform_reliability_params(
         k2_lmms=k2_lmms,
         c=np.full(max_junction_lines(n), float(c_value)),
         b=np.full((3, n), float(b_value)),
-        redundancy_exponent=redundancy_exponent,
     )

@@ -154,7 +154,8 @@ class TestFailedFiguresWriteNothing:
         ),
         "fig6_coarse_period": (
             _coarse_umts,
-            "error: T too coarse for first-order model: lam*T = 2 >= 1\n",
+            "config error: types.umts: "
+            "T too coarse for first-order model: lam*T = 2 >= 1\n",
         ),
         "fig6_overflowing_distribution": (
             _tiny_umts_mu,
@@ -431,7 +432,7 @@ def sweep_doc(top):
     ``state_probabilities``."""
     doc = default_config().to_dict()
     T = 0.0937
-    doc["overhead"] = {"T": T, "d": 1.31, "a_common": None}
+    doc["overhead"] = {"T": T, "d": 1.31}
     for kind, share, aps in (("umts", 0.75, 613), ("wimax", 0.25, 287), ("wlan", 1.0, 941)):
         m = int(top * share)
         k1, k2 = math.ceil(0.2913 * m), math.ceil(0.8117 * m)
@@ -452,12 +453,10 @@ def sweep_doc(top):
 
 
 def weighted_traffic_doc():
-    """Non-unit traffic weights, an explicit redundancy exponent, two lost
-    lines and managers, and LMM counts on both sides of the log-space
-    binomial limit (170)."""
+    """Non-unit traffic weights, two lost lines and managers, and LMM
+    counts on both sides of the log-space binomial limit (170)."""
     doc = default_config().to_dict()
-    doc["reliability"].update(c_uniform=0.3, b_uniform=1 / 3, redundancy_exponent=2,
-                              k1_lines=2, k2_lmms=2)
+    doc["reliability"].update(c_uniform=0.3, b_uniform=1 / 3, k1_lines=2, k2_lmms=2)
     doc["sweeps"]["reliability_lmm_counts"] = [2, 3, 4, 5, 7, 10, 99, 168, 169, 170, 171,
                                                172, 173, 250, 500, 1000, 4321]
     return doc
@@ -510,7 +509,7 @@ FIGURES_GOLDEN = {
             "9822708b913bca51e159a0ed825ecbe110a986778429ea4b522b44b9709e4996",
             "90fdc2f8f9c3a5a0139b1b84bd62bba95bc0df07babc310f2677aafd36255ad5",
             "9081385712c5c537999c2684ceab057f7abbc47491053ae05b4550096c517e25",
-            "8024abca0d753aea93b84cda1bcf2bdcfcd23b7368a688cf962618108bc35bd8",
+            "b58354faced356bfe523d3ed58c8360e39d9bc463170bd031630dfffe4af4d9e",
         ))),
     ),
 }

@@ -61,8 +61,6 @@ class TestPeriodicOverhead:
             OverheadParams(T=0.0, d=1.0, types=make_types())
         with pytest.raises(ValueError):
             OverheadParams(T=0.1, d=-1.0, types=make_types())
-        with pytest.raises(ValueError, match="a_common must be >= 0"):
-            OverheadParams(T=0.1, d=1.0, types=make_types(), a_common=-5.0)
 
 
 class TestEvenBbSplit:
@@ -101,13 +99,6 @@ class TestNonperiodicOverhead:
         t2 = OverheadParams(T=0.1, d=1.0, types=make_types(lam=0.5, mu=0.05))
         assert nonperiodic_overhead(t2) == pytest.approx(
             2 * nonperiodic_overhead(t1), rel=1e-12
-        )
-
-    def test_a_common_override(self):
-        p1 = OverheadParams(T=0.1, d=0.0, types=make_types())
-        p2 = OverheadParams(T=0.1, d=0.0, types=make_types(), a_common=2.0)
-        assert nonperiodic_overhead(p2) == pytest.approx(
-            2 * nonperiodic_overhead(p1), rel=1e-12
         )
 
     def test_first_order_violation_propagates(self):

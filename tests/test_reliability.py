@@ -80,14 +80,6 @@ class TestScenarioProbabilities:
         assert s.p0 == 0.0
         assert s.p1 == 0.0
 
-    def test_redundancy_exponent_override(self):
-        literal = scenario_probabilities(uniform_reliability_params(10, 0.92, 0.97))
-        fixed = scenario_probabilities(
-            uniform_reliability_params(10, 0.92, 0.97, redundancy_exponent=3)
-        )
-        assert literal.p_lmm == pytest.approx(1 - 0.08**10, rel=1e-12)
-        assert fixed.p_lmm == pytest.approx(1 - 0.08**3, rel=1e-12)
-
     def test_loss_sums_use_leading_entries(self):
         c = np.array([5.0, 7.0, 11.0, 13.0])  # n=5 has 4 junction lines
         b = np.arange(15, dtype=float).reshape(3, 5)
@@ -225,7 +217,7 @@ class TestUniformIntegratedReliability:
 
     @pytest.mark.parametrize("kw", [
         dict(),
-        dict(c_value=0.3, b_value=1 / 3, redundancy_exponent=2, k1_lines=2, k2_lmms=2),
+        dict(c_value=0.3, b_value=1 / 3, k1_lines=2, k2_lmms=2),
         dict(c_value=0.0, b_value=2.5),
         dict(c_value=7.1, b_value=0.0, k2_lmms=3),
     ])
@@ -242,7 +234,7 @@ class TestUniformIntegratedReliability:
         (3, dict(k2_lmms=4)),
         (3, dict(c_value=-1.0)),
         (3, dict(b_value=-1.0)),
-        (3, dict(redundancy_exponent=0)),
+        (3, dict(k2_lmms=0)),
         (3, dict(c_value=0.0, b_value=0.0)),
     ])
     def test_same_errors_as_params_path(self, n, kw):
