@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,12 +42,13 @@ class MetricSeries:
     provenance: tuple[str, ...] = ()
 
     def write(self, path: Path):
-        lines = [f"# {line}" for line in self.provenance]
-        lines.append(f"# sweep variable: {self.sweep_name}")
-        lines.append("sweep_value,metric,value")
-        for sweep_value, metric, value in sorted(self.rows, key=lambda r: (r[0], r[1])):
-            lines.append(f"{sweep_value},{metric},{value}")
-        path.write_text("\n".join(lines) + "\n")
+        # a stable sort: rows with the same (sweep_value, metric) keep their order
+        rows = sorted(self.rows, key=operator.itemgetter(0, 1))
+        path.write_text("".join([
+            *(f"# {line}\n" for line in self.provenance),
+            f"# sweep variable: {self.sweep_name}\nsweep_value,metric,value\n",
+            *(f"{sweep_value},{metric},{value}\n" for sweep_value, metric, value in rows),
+        ]))
 
 
 def _override(cfg: ScenarioConfig, flag: str, path: tuple[str, ...], value) -> ScenarioConfig:
@@ -96,6 +98,17 @@ def _each(name: str, values, fn) -> list:
     return results
 
 
+def _swept(name: str, values, fn) -> list:
+    """``fn`` of all values of ``sweeps.<name>`` at once. ``fn`` checks each
+    value alone, in order, so on a ValueError the first value that fails
+    alone is the one named."""
+    try:
+        return fn(values)
+    except ValueError:
+        _each(name, values, lambda value: fn([value]))
+        raise
+
+
 def cmd_figures(cfg: ScenarioConfig) -> int:
     # every series is evaluated before anything is written, so a failing
     # sweep leaves the output directory as it was
@@ -143,7 +156,7 @@ def cmd_figures(cfg: ScenarioConfig) -> int:
     )
 
     counts = cfg.sweeps.reliability_lmm_counts
-    scores = _each("reliability_lmm_counts", counts, cfg.reliability.integrated_reliability)
+    scores = _swept("reliability_lmm_counts", counts, cfg.reliability.swept_integrated_reliability)
     fig8 = MetricSeries(
         sweep_name="lmm_count",
         rows=[(n, "integrated_reliability", score) for n, score in zip(counts, scores)],

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
@@ -26,7 +27,7 @@ from .reliability import (
     ReliabilityParams,
     check_reliabilities,
     check_weights,
-    uniform_integrated_reliability,
+    swept_integrated_reliability,
     uniform_reliability_params,
 )
 from .simkernel import BorderEvent, LmmFault, SimScenario
@@ -92,9 +93,10 @@ class ReliabilitySpec:
     def params_for(self, n: int) -> ReliabilityParams:
         return uniform_reliability_params(n, *self._uniform_args())
 
-    def integrated_reliability(self, n: int) -> float:
-        """``integrated_reliability(self.params_for(n))``, without the params."""
-        return uniform_integrated_reliability(n, *self._uniform_args())
+    def swept_integrated_reliability(self, ns: Sequence[int]) -> list[float]:
+        """``integrated_reliability(self.params_for(n))`` for each n of ``ns``,
+        without the params."""
+        return swept_integrated_reliability(ns, *self._uniform_args())
 
     def _uniform_args(self) -> tuple:
         return (self.r_lmm, self.r_c, self.k1_lines, self.k2_lmms, self.c_uniform, self.b_uniform)

@@ -26,14 +26,19 @@ Binomial factors are evaluated in log space once the population exceeds
 score is not clamped: values outside [0, 1] signal abusive parameters,
 not a bug.
 
+1 - P_lmm is evaluated as (1-R_lmm)^n itself, not as 1 minus P_lmm, so
+P2 stays nonzero until that power underflows.
+
 The score is one function of the traffic sums B, L1 and L2 as numbers;
 ``integrated_reliability`` takes them from the params' arrays and
-``uniform_integrated_reliability`` (a sweep point of fig 8) from uniform
-arrays it sums the same way, without building params.
+``swept_integrated_reliability`` (fig 8's whole sweep) from prefixes of
+two uniform arrays built once per sweep, which sum bit for bit like the
+params' arrays of each point.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +52,7 @@ __all__ = [
     "check_weights",
     "integrated_reliability",
     "scenario_probabilities",
-    "uniform_integrated_reliability",
+    "swept_integrated_reliability",
     "uniform_reliability_params",
 ]
 
@@ -174,21 +179,26 @@ def _scenarios(
     r_lmm: float, r_c: float, n: int, n_lines: int, k1_lines: int, k2_lmms: int,
 ) -> tuple[float, float, float, float, float]:
     """(P_lmm, P_c, P0, P1, P2) of the three failure scenarios."""
-    p_lmm = 1.0 - (1.0 - r_lmm) ** n
+    all_down = (1.0 - r_lmm) ** n  # 1 - P_lmm, without the cancellation
+    p_lmm = 1.0 - all_down
     p_c = 1.0 - (1.0 - r_c) ** 2
     r_pow_n = r_lmm**n
 
     p0 = p_lmm * p_c**n_lines * r_pow_n
     p1 = p_lmm * binomial_pmf(n_lines, k1_lines, 1.0 - p_c) * r_pow_n
-    p2 = (1.0 - p_lmm) * p_c**k2_lmms * binomial_pmf(n, k2_lmms, 1.0 - r_lmm)
+    p2 = all_down * p_c**k2_lmms * binomial_pmf(n, k2_lmms, 1.0 - r_lmm)
     return p_lmm, p_c, p0, p1, p2
+
+
+def _check_traffic(total: float):
+    if total <= 0:
+        raise ValueError("zero traffic: total traffic intensity must be > 0")
 
 
 def _score(scenarios: tuple[float, ...], total: float, l1: float, l2: float) -> float:
     """R = 1 - (P0*L0 + P1*L1 + P2*L2) / B with L0 = 0, from the
     probabilities of ``_scenarios`` and the sums of ``_traffic_sums``."""
-    if total <= 0:
-        raise ValueError("zero traffic: total traffic intensity must be > 0")
+    _check_traffic(total)
     _, _, p0, p1, p2 = scenarios
     return 1.0 - (p0 * 0.0 + p1 * l1 + p2 * l2) / total
 
@@ -210,26 +220,46 @@ def integrated_reliability(p: ReliabilityParams) -> float:
     )
 
 
-def uniform_integrated_reliability(
-    n: int,
+def swept_integrated_reliability(
+    ns: Sequence[int],
     r_lmm: float,
     r_c: float,
     k1_lines: int = 1,
     k2_lmms: int = 1,
     c_value: float = 1.0,
     b_value: float = 1.0,
-) -> float:
-    """``integrated_reliability(uniform_reliability_params(...))`` with the
-    same arguments: the same checks, sums and score, without the params."""
+) -> list[float]:
+    """``integrated_reliability(uniform_reliability_params(n, ...))`` for
+    each n of ``ns``: the same checks, sums and scores, without params.
+
+    Every n is checked, in list order, before any array is built. Each
+    point's arrays are prefixes of two built once, c[:n'] and b[:3n] (the
+    3 x n array row by row), and a contiguous prefix of a constant array
+    sums bit for bit like a fresh one. The strided sum of b[:, :K2] is
+    the same for every n > K2; at n == K2 that slice is all of b, which
+    NumPy sums as one run (the two differ once 3*K2 passes its
+    8192-element buffer).
+    """
     check_reliabilities(r_lmm, r_c)
-    n_lines = _check_failures(n, k1_lines, k2_lmms)
-    check_weights(c=float(c_value), b=float(b_value))
-    c = np.full(n_lines, float(c_value))
-    b = np.full((3, n), float(b_value))
-    return _score(
-        _scenarios(r_lmm, r_c, n, n_lines, k1_lines, k2_lmms),
-        *_traffic_sums(c, b, k1_lines, k2_lmms),
-    )
+    c_value, b_value = float(c_value), float(b_value)
+    n_lines = []
+    for n in ns:
+        n_lines.append(_check_failures(n, k1_lines, k2_lmms))
+        check_weights(c=c_value, b=b_value)
+        _check_traffic(c_value + b_value)  # > 0 exactly when every total is
+    c = np.full(max(n_lines, default=0), c_value)
+    b = np.full((3, max(ns, default=0)), b_value)
+    b_run = b.reshape(-1)
+    l1 = float(c[:k1_lines].sum())
+    b_lost = float(b[:, :k2_lmms].sum())
+    scores = []
+    for n, lines in zip(ns, n_lines):
+        c_sum = float(c[:lines].sum())
+        b_sum = float(b_run[: 3 * n].sum())
+        l2 = c_sum + (b_sum if n == k2_lmms else b_lost)
+        scenarios = _scenarios(r_lmm, r_c, n, lines, k1_lines, k2_lmms)
+        scores.append(_score(scenarios, c_sum + b_sum, l1, l2))
+    return scores
 
 
 def uniform_reliability_params(

@@ -103,6 +103,27 @@ class TestFigures:
         for name in ("fig5.csv", "fig6.csv", "fig7.csv", "fig8.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
+    def test_series_bytes(self, tmp_path):
+        series = cli.MetricSeries(
+            sweep_name="lmm_count",
+            rows=[(50, "b", 0.25), (3, "a", 1.5), (50, "a", 2.0), (3, "a", 0.1),
+                  (10, "b", 1e-20), (3.5, "a", -0.0)],
+            provenance=("first formula", "second line"),
+        )
+        series.write(tmp_path / "s.csv")
+        assert (tmp_path / "s.csv").read_text() == (
+            "# first formula\n"
+            "# second line\n"
+            "# sweep variable: lmm_count\n"
+            "sweep_value,metric,value\n"
+            "3,a,1.5\n"
+            "3,a,0.1\n"
+            "3.5,a,-0.0\n"
+            "10,b,1e-20\n"
+            "50,a,2.0\n"
+            "50,b,0.25\n"
+        )
+
     def test_rows_sorted_by_sweep_value(self, tmp_path, config_path):
         out = tmp_path / "figs"
         main(["figures", "--config", str(config_path), "--out", str(out)])
@@ -125,6 +146,11 @@ def _unstable_rate(doc):
 def _too_many_lost_lines(doc):
     doc["reliability"]["k1_lines"] = 3
     doc["sweeps"]["reliability_lmm_counts"] = [3, 1]
+
+
+def _lost_managers_out_of_order(doc):
+    doc["reliability"]["k2_lmms"] = 3
+    doc["sweeps"]["reliability_lmm_counts"] = [300, 4, 2, 1]
 
 
 def _coarse_umts(doc):
@@ -151,6 +177,11 @@ class TestFailedFiguresWriteNothing:
             _too_many_lost_lines,
             "config error: sweeps.reliability_lmm_counts value 3: "
             "k1_lines must be in 1..2 (junction lines for n=3), got 3\n",
+        ),
+        "fig8_lost_managers_out_of_order": (
+            _lost_managers_out_of_order,
+            "config error: sweeps.reliability_lmm_counts value 2: "
+            "k2_lmms must be in 1..2, got 3\n",
         ),
         "fig6_coarse_period": (
             _coarse_umts,

@@ -9,7 +9,7 @@ from sdlb.reliability import (
     binomial_pmf,
     integrated_reliability,
     scenario_probabilities,
-    uniform_integrated_reliability,
+    swept_integrated_reliability,
     uniform_reliability_params,
 )
 from sdlb.topology import max_junction_lines
@@ -66,6 +66,19 @@ class TestScenarioProbabilities:
         assert s.p_c == pytest.approx(0.9991, abs=1e-12)
         assert s.p1 == pytest.approx(1.3996599324541748e-3, rel=1e-9)
         assert s.p2 == pytest.approx(1.039120269312e-4, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [15, 50, 100])
+    def test_p2_does_not_cancel_to_zero(self, n):
+        # 1 - P_lmm = (1-R)^n is below the float spacing near 1 from n = 15
+        # at R = 0.92, so 1 - P_lmm computed from P_lmm would be 0
+        s = scenario_probabilities(uniform_reliability_params(n, 0.92, 0.97))
+        assert s.p2 > 0.0
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            r, r_c = mpmath.mpf(0.92), mpmath.mpf(0.97)
+            p_c = 1 - (1 - r_c) ** 2
+            exact = (1 - r) ** n * p_c * n * (1 - r) * r ** (n - 1)
+        assert s.p2 == pytest.approx(float(exact), rel=1e-12)
 
     def test_perfect_hardware(self):
         s = scenario_probabilities(uniform_reliability_params(4, 1.0, 1.0))
@@ -212,21 +225,44 @@ class TestIntegratedReliability:
 
 
 class TestUniformIntegratedReliability:
-    """The fig 8 sweep point: the same score and the same errors as the
-    params path, without building params."""
+    """Fig 8's whole sweep under uniform traffic: at every n the score and
+    the error of the params path, without building params."""
 
-    @pytest.mark.parametrize("kw", [
+    WEIGHTS = [
         dict(),
         dict(c_value=0.3, b_value=1 / 3, k1_lines=2, k2_lmms=2),
         dict(c_value=0.0, b_value=2.5),
         dict(c_value=7.1, b_value=0.0, k2_lmms=3),
-    ])
+    ]
+
+    @staticmethod
+    def assert_params_path(ns, r_lmm, r_c, **kw):
+        got = swept_integrated_reliability(ns, r_lmm, r_c, **kw)
+        want = [integrated_reliability(uniform_reliability_params(n, r_lmm, r_c, **kw))
+                for n in ns]
+        assert len(got) == len(ns)
+        for n, g, w in zip(ns, got, want):
+            assert g == w or (math.isnan(g) and math.isnan(w)), (n, r_lmm, r_c, kw)
+
+    @pytest.mark.parametrize("kw", WEIGHTS)
     def test_bit_identical_to_params_path(self, kw):
-        for n in (3, 4, 5, 7, 11, 169, 170, 171, 172, 301, 1000):
-            for r_lmm, r_c in ((0.92, 0.97), (0.5, 0.61), (1.0, 0.0)):
-                got = uniform_integrated_reliability(n, r_lmm, r_c, **kw)
-                want = integrated_reliability(uniform_reliability_params(n, r_lmm, r_c, **kw))
-                assert got == want or (math.isnan(got) and math.isnan(want)), (n, r_lmm, r_c)
+        # one sweep across the log-space binomial limit (170), out of order
+        ns = [*range(3, 180), 301, 1000, 172, 3, 5]
+        for r_lmm, r_c in ((0.92, 0.97), (0.5, 0.61), (1.0, 0.0)):
+            self.assert_params_path(ns, r_lmm, r_c, **kw)
+
+    @pytest.mark.parametrize("k2", [3, 5, 40, 171, 2731])
+    def test_n_equal_to_k2_sums_the_contiguous_array(self, k2):
+        # at n == K2 the lost managers are all of b, summed as one run;
+        # from 3*K2 > 8192 (NumPy's buffer) that run and the strided sum of
+        # b[:, :K2] for n > K2 differ in the last bits. With dead managers
+        # and perfect lines R = 1 - L2/B, which shows those bits.
+        kw = dict(c_value=0.3, b_value=1 / 3, k2_lmms=k2)
+        for r_lmm, r_c in ((0.9, 0.95), (0.0, 1.0)):
+            self.assert_params_path([k2 + 1, k2, 2 * k2, k2], r_lmm, r_c, **kw)
+
+    def test_empty_sweep(self):
+        assert swept_integrated_reliability([], 0.9, 0.9) == []
 
     @pytest.mark.parametrize("n,kw", [
         (0, {}),
@@ -241,5 +277,20 @@ class TestUniformIntegratedReliability:
         with pytest.raises(ValueError) as params_error:
             integrated_reliability(uniform_reliability_params(n, 0.9, 0.9, **kw))
         with pytest.raises(ValueError) as sweep_error:
-            uniform_integrated_reliability(n, 0.9, 0.9, **kw)
+            swept_integrated_reliability([n], 0.9, 0.9, **kw)
+        assert str(sweep_error.value) == str(params_error.value)
+
+    @pytest.mark.parametrize("ns,first,kw", [
+        ([4, 300, 3], 4, dict(k2_lmms=5)),
+        ([300, 2, 1, 0], 1, dict(k2_lmms=2)),
+        ([3, 1], 3, dict(k1_lines=3)),
+        ([1, 5], 1, dict(k2_lmms=2, c_value=0.0, b_value=0.0)),
+        ([5, 1], 5, dict(k2_lmms=2, c_value=0.0, b_value=0.0)),
+        ([7, -3, 0], -3, {}),
+    ])
+    def test_first_failing_value_in_list_order(self, ns, first, kw):
+        with pytest.raises(ValueError) as params_error:
+            integrated_reliability(uniform_reliability_params(first, 0.9, 0.9, **kw))
+        with pytest.raises(ValueError) as sweep_error:
+            swept_integrated_reliability(ns, 0.9, 0.9, **kw)
         assert str(sweep_error.value) == str(params_error.value)
