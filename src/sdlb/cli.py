@@ -28,7 +28,7 @@ from .config import ConfigError, ScenarioConfig, default_config, load_config
 from .overhead import nonperiodic_overhead, periodic_overhead
 from .queueing import FirstOrderValidityError, OccupancyOverflowError
 from .simkernel import horizon_for_events, run_cell_mc, run_system_sim
-from .timing import check_swept_rate, swept_processing_times
+from .timing import check_swept_rates, swept_processing_times
 from .topology import AccessNetworkKind
 from .validation import report_section, report_text
 
@@ -44,11 +44,18 @@ class MetricSeries:
     def write(self, path: Path):
         # a stable sort: rows with the same (sweep_value, metric) keep their order
         rows = sorted(self.rows, key=operator.itemgetter(0, 1))
-        path.write_text("".join([
-            *(f"# {line}\n" for line in self.provenance),
-            f"# sweep variable: {self.sweep_name}\nsweep_value,metric,value\n",
-            *(f"{sweep_value},{metric},{value}\n" for sweep_value, metric, value in rows),
-        ]))
+        lines = [f"# {line}\n" for line in self.provenance]
+        lines.append(f"# sweep variable: {self.sweep_name}\nsweep_value,metric,value\n")
+        # A value object repeated on consecutive rows is formatted once. The
+        # test is identity, not equality: 0.0 == -0.0 and 3 == 3.0 print apart
+        last_x = last_v = x_text = v_text = None
+        for x, metric, v in rows:
+            if x is not last_x:
+                last_x, x_text = x, f"{x}"
+            if v is not last_v:
+                last_v, v_text = v, f"{v}"
+            lines.append(f"{x_text},{metric},{v_text}\n")
+        path.write_text("".join(lines))
 
 
 def _override(cfg: ScenarioConfig, flag: str, path: tuple[str, ...], value) -> ScenarioConfig:
@@ -99,9 +106,9 @@ def _each(name: str, values, fn) -> list:
 
 
 def _swept(name: str, values, fn) -> list:
-    """``fn`` of all values of ``sweeps.<name>`` at once. ``fn`` checks each
-    value alone, in order, so on a ValueError the first value that fails
-    alone is the one named."""
+    """``fn`` of all values of ``sweeps.<name>`` at once. On a ValueError
+    ``fn`` runs on each value alone, in order, and the first value that
+    fails alone is the one named."""
     try:
         return fn(values)
     except ValueError:
@@ -136,8 +143,8 @@ def cmd_figures(cfg: ScenarioConfig) -> int:
     )
 
     rates = cfg.sweeps.arrival_rates
-    _each("arrival_rates", rates,
-          functools.partial(check_swept_rate, cfg.timing, cfg.hsca_timing))
+    _swept("arrival_rates", rates,
+           functools.partial(check_swept_rates, cfg.timing, cfg.hsca_timing))
     sda, hsca = swept_processing_times(cfg.timing, cfg.hsca_timing, np.array(rates))
     rows7: list[tuple[float, str, float]] = []
     for rate, sda_ms, hsca_ms in zip(rates, (sda * 1e3).tolist(), (hsca * 1e3).tolist()):

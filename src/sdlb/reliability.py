@@ -245,8 +245,11 @@ def swept_integrated_reliability(
     n_lines = []
     for n in ns:
         n_lines.append(_check_failures(n, k1_lines, k2_lmms))
-        check_weights(c=c_value, b=b_value)
-        _check_traffic(c_value + b_value)  # > 0 exactly when every total is
+        if len(n_lines) == 1:
+            # the same for every n, so checked once, where the first n's
+            # checks would reach them
+            check_weights(c=c_value, b=b_value)
+            _check_traffic(c_value + b_value)  # > 0 exactly when every total is
     c = np.full(max(n_lines, default=0), c_value)
     b = np.full((3, max(ns, default=0)), b_value)
     b_run = b.reshape(-1)

@@ -725,13 +725,14 @@ def run_system_sim(
                     if fires[move]:
                         notices.append(s)
             # A cell with no changed stream failed migrate_one then (a success
-            # changes two streams). Any other may, from any over-loaded kind,
-            # which zones rising with occupancy put on top. Session ids are
-            # global, so cells go in order
+            # changes two streams). Any other may, when it has both an
+            # over-loaded and an under-loaded kind, which zones rising with
+            # occupancy put on top and at the bottom. Session ids are global,
+            # so cells go in order
             if scenario.balancing_enabled:
                 for c in dict.fromkeys([s // n_kinds for s in changed]):
-                    base = c * n_kinds
-                    if zone_state[max(zone_at_tick[base:base + n_kinds])] is OVER:
+                    zs = zone_at_tick[c * n_kinds:(c + 1) * n_kinds]
+                    if zone_state[max(zs)] is OVER and zone_state[min(zs)] is UNDER:
                         migrate_one(c, t)
             # the zero-delay notices, in (cell, kind) order, then their
             # replicas, in (cell, kind, backup) order: queued at t they

@@ -36,6 +36,7 @@ __all__ = [
     "HscaTimingParams",
     "TimingParams",
     "check_swept_rate",
+    "check_swept_rates",
     "mm1_delay",
     "swept_processing_times",
     "total_processing_time_hsca",
@@ -162,6 +163,20 @@ def check_swept_rate(p: TimingParams, h: HscaTimingParams, rate: float):
     _check_nonneg("lambda_report", rate)
     _check_utilisation(rate / p.mu_serve)
     _check_rho("rho_ra", rate / h.mu)
+
+
+def check_swept_rates(p: TimingParams, h: HscaTimingParams, rates):
+    """``check_swept_rate`` of every rate in ``rates``, from its two ends.
+
+    The rates that pass form an interval: rate >= 0, rate/mu_serve < 1 and
+    rate/h.mu < 1, and correctly rounded division by a positive number is
+    monotone. So all pass when the least and the greatest do. NaN fails
+    every check, and NumPy's ``min``/``max`` carry it to both ends.
+    """
+    rates = np.asarray(rates)
+    if rates.size:
+        check_swept_rate(p, h, rates.min().item())
+        check_swept_rate(p, h, rates.max().item())
 
 
 def swept_processing_times(

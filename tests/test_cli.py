@@ -8,6 +8,7 @@ import types
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sdlb import cli
@@ -123,6 +124,28 @@ class TestFigures:
             "50,a,2.0\n"
             "50,b,0.25\n"
         )
+
+    def test_repeated_value_objects_print_like_each_row(self, tmp_path):
+        # the writer formats a value once while the same object repeats on
+        # consecutive rows; equal objects of another sign or type must not
+        # take its text
+        shared, zero, neg_zero = 0.1 + 0.2, 0.0, -0.0
+        rows = [
+            (5, "a", shared), (1, "a", shared), (1, "b", shared), (2, "a", 7.5),
+            (2, "b", shared), (3, "a", zero), (3, "a", neg_zero), (3, "a", zero),
+            (4, "a", 3), (4, "a", 3.0), (4, "a", 3), (zero, "c", 1.0),
+            (neg_zero, "c", 1.0), (3.0, "c", shared), (6, "a", np.float64(shared)),
+            (6, "b", shared), (np.float64(6.0), "b", np.float64(-0.0)),
+        ]
+        series = cli.MetricSeries(sweep_name="x", rows=rows)
+        series.write(tmp_path / "s.csv")
+        reference = "".join(
+            f"{x},{metric},{v}\n" for x, metric, v in sorted(rows, key=lambda r: r[:2]))
+        text = (tmp_path / "s.csv").read_text()
+        assert text == "# sweep variable: x\nsweep_value,metric,value\n" + reference
+        assert "\n3,a,0.0\n3,a,-0.0\n3,a,0.0\n3.0,c,0.30000000000000004\n" in text
+        assert "\n4,a,3\n4,a,3.0\n4,a,3\n" in text
+        assert "\n0.0,c,1.0\n-0.0,c,1.0\n" in text
 
     def test_rows_sorted_by_sweep_value(self, tmp_path, config_path):
         out = tmp_path / "figs"

@@ -1,9 +1,11 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from sdlb import reliability
 from sdlb.reliability import (
     ReliabilityParams,
     binomial_pmf,
@@ -263,6 +265,20 @@ class TestUniformIntegratedReliability:
 
     def test_empty_sweep(self):
         assert swept_integrated_reliability([], 0.9, 0.9) == []
+
+    def test_weights_checked_once_per_sweep(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("check_weights", "_check_traffic"):
+            monkeypatch.setattr(reliability, name, counted(name, getattr(reliability, name)))
+        swept_integrated_reliability(range(3, 300), 0.92, 0.97, c_value=0.5, b_value=2.0)
+        assert calls == {"check_weights": 1, "_check_traffic": 298}
 
     @pytest.mark.parametrize("n,kw", [
         (0, {}),

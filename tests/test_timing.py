@@ -1,12 +1,23 @@
+import contextlib
 import dataclasses
+import functools
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from sdlb import cli
+from sdlb.config import ConfigError, ScenarioConfig, default_config
 from sdlb.timing import (
     HscaTimingParams,
     TimingParams,
     check_swept_rate,
+    check_swept_rates,
     mm1_delay,
     swept_processing_times,
     total_processing_time_hsca,
@@ -190,3 +201,73 @@ class TestSweptProcessingTimes:
     def test_check_passes_stable_rates(self):
         check_swept_rate(sda_params(), hsca_params(), 0.0)
         check_swept_rate(sda_params(), hsca_params(), 999.0)
+
+
+@st.composite
+def swept_rate_cases(draw, finite=False):
+    """(mu_serve, mu, rates): rates on, next to and past the ends of the
+    interval that passes, mixed with valid ones."""
+    mu_serve = draw(st.floats(1e-3, 1e6))
+    mu = draw(st.sampled_from([mu_serve]) | st.floats(1e-3, 1e6))
+    edges = [-1.0, -5e-324, -0.0, 0.0, 5e-324]
+    for top in (mu_serve, mu):
+        edges += [math.nextafter(top, 0.0), top, math.nextafter(top, math.inf), 2 * top]
+    if not finite:
+        edges += [math.nan, math.inf, -math.inf]
+    rate = (st.sampled_from(edges) | st.floats(0.0, min(mu_serve, mu))
+            | st.floats(allow_nan=not finite, allow_infinity=not finite))
+    return mu_serve, mu, draw(st.lists(rate, max_size=8))
+
+
+def raises_value_error(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except ValueError:
+        return True
+    return False
+
+
+class TestCheckSweptRates:
+    @given(swept_rate_cases())
+    @example((1000.0, 900.0, [100.0, math.nan, 200.0]))
+    @example((1000.0, 900.0, [100.0, -0.0, math.inf]))
+    @example((900.0, 1000.0, [899.0, 900.0]))
+    def test_fails_iff_some_rate_fails_alone(self, case):
+        mu_serve, mu, rates = case
+        p, h = sda_params(mu_serve=mu_serve, lambda_report=0.0), hsca_params(mu=mu)
+        some = any(raises_value_error(check_swept_rate, p, h, rate) for rate in rates)
+        assert raises_value_error(check_swept_rates, p, h, np.array(rates)) == some
+
+    @settings(deadline=None)
+    @given(swept_rate_cases(finite=True))
+    @example((1000.0, 1000.0, [100.0, 1000.0, -1.0]))
+    @example((1000.0, 900.0, [100.0, 950.0, 200.0, -1.0]))
+    @example((900.0, 1000.0, [0.0, -0.0, 950.0, 80.0]))
+    def test_figures_names_the_first_rate_that_fails_alone(self, case):
+        mu_serve, mu, rates = case
+        doc = default_config().to_dict()
+        doc["timing"].update(mu_serve=mu_serve, lambda_report=0.0)
+        doc["hsca_timing"]["mu"] = mu
+        doc["sweeps"]["arrival_rates"] = rates or [0.0]
+        cfg = ScenarioConfig.from_dict(doc)
+        # the message of the per-value check, in list order
+        error = None
+        try:
+            cli._each("arrival_rates", cfg.sweeps.arrival_rates,
+                      functools.partial(check_swept_rate, cfg.timing, cfg.hsca_timing))
+        except ConfigError as exc:
+            error = f"config error: {exc}\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp, "doc.json"), Path(tmp, "figs")
+            path.write_text(json.dumps(doc))
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = cli.main(["figures", "--config", str(path), "--out", str(out)])
+            if error is None:
+                assert code == 0 and (out / "fig7.csv").exists()
+            else:
+                assert (code, stderr.getvalue()) == (2, error)
+                assert not out.exists()
+
+    def test_empty_sweep_passes(self):
+        check_swept_rates(sda_params(), hsca_params(), np.array([]))
