@@ -5,14 +5,14 @@ Two simulators live here.
 ``run_cell_mc`` simulates one cell's birth-death chain (the M/M/m/m loss
 system: arrivals at rate lam, departures at rate k*mu at occupancy k,
 arrivals while full blocked and counted) and reports time-weighted
-occupancy frequencies plus per-window threshold-crossing tallies. It is
-the empirical oracle for the closed-form occupancy distribution and the
-first-order transition probabilities. Crossing tallies compare the
-occupancy at consecutive window boundaries: a window counts as U->B when
-it starts at or below k1-1 and ends at or above k1, B->O likewise around
-k2, and the two downward directions mirror those around k2 and k1. Flips
-that cancel within a window are invisible, matching the single-event
-regime the linearised formulas describe.
+occupancy frequencies plus per-window zone moves. It is the empirical
+oracle for the closed-form occupancy distribution and the first-order
+transition probabilities. Both simulators tally the 25 zone moves
+(``_zone``) between window boundaries; ``_crossings`` reads the four
+threshold crossings off them: U->B when a window starts below k1 and ends
+at or above it, B->O likewise around k2, and O->B and B->U mirror
+them. Flips that cancel within a window are invisible, matching the
+single-event regime the linearised formulas describe.
 
 ``run_system_sim`` executes the signalling protocol on a topology: every
 report tick each cell's inventory sends a LoadReport to its serving LMM
@@ -102,10 +102,10 @@ _BLOCK = 1 << 13  # events per vector stage: bounds the temporaries' memory
 
 
 def _crossings(prev, cur, k1, k2):
-    """Directed threshold crossings from occupancy ``prev`` to ``cur``.
+    """Directed threshold crossings from occupancy or zone ``prev`` to ``cur``.
 
-    Returns (U->B, B->O, O->B, B->U), the order of ``TransitionKind``;
-    works on ints and elementwise on integer arrays.
+    Returns (U->B, B->O, O->B, B->U), the order of ``TransitionKind``, as
+    bools; ``CellStats.transition_counts`` calls it on zones (ints).
     """
     return (
         (prev < k1) & (k1 <= cur),
@@ -141,18 +141,15 @@ def _arrival_thresholds(unis, tot, lam, mu):
         c -= down
 
 
-def _window_crossings(crossed, kb, wj, jb, prev_b, k1, k2):
-    """Tally crossings at the window boundaries passed by events that spend
-    their interval at occupancy kb[i] and end in window wj[i], each against
-    the occupancy at the boundary passed before; returns the new (jb, prev_b).
-    """
-    cur = kb[wj > np.concatenate(([jb], wj[:-1]))]
+def _window_moves(moves, zb, wj, jb, prev_z):
+    """Tally the zone moves at the window boundaries passed by events that
+    spend their interval in zone zb[i] and end in window wj[i], each from
+    the zone at the boundary passed before; returns the new (jb, prev_z)."""
+    cur = zb[wj > np.concatenate(([jb], wj[:-1]))]
     if cur.size:
-        prev = np.concatenate(([prev_b], cur[:-1]))
-        for x, hits in enumerate(_crossings(prev, cur, k1, k2)):
-            crossed[x] += int(np.count_nonzero(hits))
-        prev_b = int(cur[-1])
-    return int(wj[-1]), prev_b
+        moves += np.bincount(5 * np.concatenate(([prev_z], cur[:-1])) + cur, minlength=25)
+        prev_z = int(cur[-1])
+    return int(wj[-1]), prev_z
 
 
 def _walk(k, c, up):
@@ -208,7 +205,9 @@ class CellStats:
 
     occupancy_freq: np.ndarray
     occupancy_se: np.ndarray | None
-    transition_counts: dict[TransitionKind, int]
+    # entry 5 * a + b: window boundaries at which the zone went from a to b
+    # (0 on the diagonal); kept out of to_jsonable, which the goldens hash
+    zone_moves: list[int]
     window_count: int
     arrivals: int
     departures: int
@@ -225,7 +224,17 @@ class CellStats:
     k2: int = 1
     window: float = 0.1
 
+    @property
+    def transition_counts(self) -> dict[TransitionKind, int]:
+        """The four threshold crossings, read off the zone moves."""
+        counts = dict.fromkeys(TransitionKind, 0)
+        for move, n in enumerate(self.zone_moves):
+            for kind, hit in zip(TransitionKind, _crossings(*divmod(move, 5), 1, 3)):
+                counts[kind] += n * hit
+        return counts
+
     def to_jsonable(self) -> dict:
+        crossed = self.transition_counts
         return {
             "occupancy_freq": [float(x) for x in self.occupancy_freq],
             "occupancy_se": (
@@ -233,10 +242,7 @@ class CellStats:
                 if self.occupancy_se is None
                 else [float(x) for x in self.occupancy_se]
             ),
-            "transition_counts": {
-                kind.value: int(self.transition_counts.get(kind, 0))
-                for kind in TransitionKind
-            },
+            "transition_counts": {kind.value: int(crossed[kind]) for kind in TransitionKind},
             "window_count": int(self.window_count),
             "arrivals": int(self.arrivals),
             "departures": int(self.departures),
@@ -310,9 +316,8 @@ def run_cell_mc(
 
     Occupancy frequencies are time-weighted over the full horizon; their
     standard errors come from ``n_batches`` equal time slices (batch
-    means). Threshold crossings are tallied between consecutive window
-    boundaries spaced ``window`` apart. Identical seeds give bit-identical
-    reports.
+    means). Zone moves are tallied between consecutive window boundaries
+    spaced ``window`` apart. Identical seeds give bit-identical reports.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
@@ -320,15 +325,17 @@ def run_cell_mc(
         raise ValueError(f"window must be > 0, got {window}")
 
     rng = np.random.default_rng(seed)
-    lam, m, k1, k2 = p.lam, p.m, p.k1, p.k2
+    lam, m = p.lam, p.m
     occ_time = np.zeros(m + 1)
     batch_time = np.zeros((n_batches, m + 1))
-    crossed = [0, 0, 0, 0]
+    moves = np.zeros(25, np.int64)
     arrivals = blocked = events = 0
     t = 0.0
     k = 0
+    # a table from Python ints: _zone on an array would add bools, an OR
+    zone = np.array([_zone(j, p.k1, p.k2) for j in range(m + 1)])
     jb = 0  # index of the window boundary last passed
-    prev_b = 0  # occupancy at that boundary
+    prev_z = int(zone[0])  # zone at that boundary: the cell starts empty
     inv_w = 1.0 / window
     batch_len = horizon / n_batches
     inv_b = 1.0 / batch_len
@@ -359,8 +366,8 @@ def run_cell_mc(
             if n:
                 tp = np.concatenate(([t], tn[:-1]))
                 _add_intervals(occ_c, bt_c, kb, tp, tn, inv_b, batch_len)
-                jb, prev_b = _window_crossings(
-                    crossed, kb, (tn * inv_w).astype(np.int64), jb, prev_b, k1, k2
+                jb, prev_z = _window_moves(
+                    moves, zone[kb], (tn * inv_w).astype(np.int64), jb, prev_z
                 )
                 admitted = kb < c
                 arrivals += int(np.count_nonzero(admitted))
@@ -375,14 +382,13 @@ def run_cell_mc(
 
     # the tail [t, horizon) at occupancy k
     _add_interval(occ_time, batch_time, k, t, horizon, inv_b, batch_len)
-    jb, _ = _window_crossings(
-        crossed, np.array([k]), np.array([int(horizon * inv_w)]), jb, prev_b, k1, k2
-    )
+    jb, _ = _window_moves(moves, zone[[k]], np.array([int(horizon * inv_w)]), jb, prev_z)
+    moves[::6] = 0  # a boundary in an unchanged zone is no move
 
     stats = CellStats(
         occupancy_freq=occ_time / horizon,
         occupancy_se=(batch_time / batch_len).std(axis=0, ddof=1) / math.sqrt(n_batches),
-        transition_counts=dict(zip(TransitionKind, crossed)),
+        zone_moves=moves.tolist(),
         window_count=jb,
         arrivals=arrivals,
         departures=events - arrivals,
@@ -621,14 +627,9 @@ def run_system_sim(
         base = c * n_kinds
         row = occ[base:base + n_kinds]
         states = [zone_state[z] for z in zone_at_tick[base:base + n_kinds]]
-        over = [(-row[ki], ki) for ki in range(n_kinds)
-                if states[ki] is OVER and row[ki] > 0]
-        under = [(row[ki], ki) for ki in range(n_kinds)
-                 if states[ki] is UNDER and row[ki] < params[ki].m]
-        if not over or not under:
-            return
-        src = min(over)[1]
-        dst = min(under)[1]
+        # the scan calls this with an OVER (occ >= k2 >= 1) and an UNDER (occ <= k1 < m) kind
+        src = min((-row[ki], ki) for ki in range(n_kinds) if states[ki] is OVER)[1]
+        dst = min((row[ki], ki) for ki in range(n_kinds) if states[ki] is UNDER)[1]
         s, d = base + src, base + dst
         # with occupancy > 0 the source has a live session: move its oldest
         sessions = live[s]
@@ -803,14 +804,10 @@ def run_system_sim(
     for ki, kind in enumerate(_KIND_ORDER):
         p = params[ki]
         n_arr, n_dep = sum(arrivals[ki::n_kinds]), sum(departures[ki::n_kinds])
-        tallies = dict.fromkeys(TransitionKind, 0)
-        for move, n in enumerate(moves[ki]):
-            for kindt, hit in zip(TransitionKind, _crossings(*divmod(move, 5), 1, 3)):
-                tallies[kindt] += n * hit
         per_type[kind] = CellStats(
             occupancy_freq=np.array(occ_time[ki]) / total_time,
             occupancy_se=None,
-            transition_counts=tallies,
+            zone_moves=moves[ki],
             window_count=ticks * n_cells,
             arrivals=n_arr,
             departures=n_dep,

@@ -139,9 +139,10 @@ def validate_against_analytic(
         checks.append(_judge("blocking", stats.blocked / stats.arrivals, dist.blocking,
                              stats.arrivals, stats.blocked, 0.0, too_few))
     nwin = stats.window_count
+    crossed = stats.transition_counts
     for kind in TransitionKind:
         ana = analytic_tr[kind]
-        count = stats.transition_counts.get(kind, 0)
+        count = crossed[kind]
         checks.append(_judge(f"transition[{kind.value}]", count / nwin if nwin else 0.0,
                              ana, nwin, count, CROSSING_TOL * ana, too_few))
     return ValidationVerdict(checks=checks)

@@ -195,6 +195,7 @@ def reference_cell_mc(p, horizon, window, seed, n_batches=64, chunk_size=1 << 16
     occ_time = np.zeros(p.m + 1)
     batch_time = np.zeros((n_batches, p.m + 1))
     tallies = dict.fromkeys(TransitionKind, 0)
+    moves = [0] * 25
     arrivals = blocked = events = nwin = 0
     t, k, jb, prev_b = 0.0, 0, 0, 0
     inv_w = 1.0 / window
@@ -221,6 +222,9 @@ def reference_cell_mc(p, horizon, window, seed, n_batches=64, chunk_size=1 << 16
             tallies[TransitionKind.BALANCED_TO_OVER] += prev_b < p.k2 <= k
             tallies[TransitionKind.OVER_TO_BALANCED] += prev_b > p.k2 >= k
             tallies[TransitionKind.BALANCED_TO_UNDER] += prev_b > p.k1 >= k
+            zp, zc = simkernel._zone(prev_b, p.k1, p.k2), simkernel._zone(k, p.k1, p.k2)
+            if zp != zc:
+                moves[5 * zp + zc] += 1
             prev_b = k
             nwin += wj - jb
             jb = wj
@@ -263,6 +267,7 @@ def reference_cell_mc(p, horizon, window, seed, n_batches=64, chunk_size=1 << 16
         "blocked": blocked,
         "in_system": k,
         "events": events,
+        "zone_moves": moves,
     }
 
 
@@ -371,8 +376,9 @@ class TestCellKernelBitIdentity:
             window = rnd.choice([rnd.uniform(1e-3, 1), 2 * horizon, 1 / 3])
             n_batches = rnd.choice([2, 7, 64])
             chunk_size = rnd.choice([17, 1000, 1 << 16])
-            got = run_cell_mc(p, horizon, window, seed=case, n_batches=n_batches,
-                              chunk_size=chunk_size).per_type[UMTS].to_jsonable()
+            stats = run_cell_mc(p, horizon, window, seed=case, n_batches=n_batches,
+                                chunk_size=chunk_size).per_type[UMTS]
+            got = {**stats.to_jsonable(), "zone_moves": stats.zone_moves}
             want = reference_cell_mc(p, horizon, window, case, n_batches, chunk_size)
             assert {key: got[key] for key in want} == want, (case, p, horizon, window)
 
@@ -542,6 +548,23 @@ class TestSystemSimBitIdentity:
         assert sha256(report_bytes(plain)) == report_digest
         assert sha256(buf.getvalue().encode()) == trace_digest
         assert message_tally(buf.getvalue()) == plain.message_counts
+
+    @pytest.mark.parametrize("balancing", [True, False])
+    @pytest.mark.parametrize("name", sorted(SYSTEM_GOLDEN))
+    def test_zone_moves_count_the_notices(self, name, balancing):
+        # a notice fires exactly on a tallied move between two load states
+        topo, types, knobs, horizon, seed = SYSTEM_GOLDEN[name][:5]
+        scenario = SimScenario(**{**knobs, "balancing_enabled": balancing})
+        report = run_system_sim(topo, types, scenario, horizon, seed)
+        state_changes = 0
+        for stats in report.per_type.values():
+            assert len(stats.zone_moves) == 25
+            assert stats.zone_moves[::6] == [0] * 5
+            state_changes += sum(
+                n for move, n in enumerate(stats.zone_moves)
+                if classify_load(move // 5, 1, 3) is not classify_load(move % 5, 1, 3)
+            )
+        assert state_changes == report.message_counts.get("StateChangeNotice", 0)
 
 
 @pytest.fixture
