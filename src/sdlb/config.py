@@ -170,6 +170,12 @@ class ScenarioConfig:
                 v = getattr(entry, attr)
                 if not 0 <= v < bound:
                     raise ValueError(f"sim.{key}[{i}].{attr} must be in [0, {bound}), got {v}")
+        # an LMM fails once; a cell may ask for border support again
+        lmm_ids = [f.lmm_id for f in self.sim.faults]
+        for i, v in enumerate(lmm_ids):
+            if (first := lmm_ids.index(v)) < i:
+                raise ValueError(f"sim.faults[{i}].lmm_id must not repeat "
+                                 f"sim.faults[{first}].lmm_id, got {v}")
         sim, kinds = self.sim, self.types.values()
         cell_rate = sum(2.0 * p.lam for p in kinds) + 1.0 / self.overhead.T
         scenario_work = sim.horizon * (n_cells * cell_rate + n_lmm / sim.heartbeat_period)

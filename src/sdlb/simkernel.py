@@ -29,9 +29,14 @@ over-loaded kind to the least-occupied under-loaded kind. The report tick
 is event-driven: it visits only the streams whose occupancy changed since
 the previous tick, reads their load states off a per-kind zone table,
 counts the reports of all others in bulk and queues the next tick. The
-queue holds only events due at their own time: zero-delay follow-ups (a
-tick's notices and replicas, an instant's border grants) are emitted
-inline, in the order their ranks would give them on it.
+cells that can migrate, those with an over-loaded and an under-loaded
+kind, are kept as a set that only a tick's notices change. What the
+LMMs' liveness decides, the answered grids and a heartbeat round's
+beats, is recomputed only when a fault time has passed (the grids also
+after a takeover). The queue holds only events due at their own time:
+zero-delay follow-ups (a tick's notices and replicas, an instant's
+border grants) are emitted inline, in the order their ranks would give
+them on it.
 
 Each (cell, kind) pair is one stream: its occupancy, live sessions and
 draws sit at one index of flat per-stream lists, and a session is
@@ -513,9 +518,13 @@ def run_system_sim(
         if kind not in types:
             raise ValueError(f"missing SystemTypeParams for {kind.name}")
     n_lmm = topo.lmm_count
+    fail_time: dict[int, float] = {}
     for fault in scenario.faults:
         if not 0 <= fault.lmm_id < n_lmm:
             raise ValueError(f"fault schedule references unknown LMM id {fault.lmm_id}")
+        if fault.lmm_id in fail_time:
+            raise ValueError(f"fault schedule names LMM id {fault.lmm_id} twice")
+        fail_time[fault.lmm_id] = fault.time
     n_cells = topo.cell_count
     for border in scenario.borders:
         if not 0 <= border.cell_id < n_cells:
@@ -555,6 +564,8 @@ def run_system_sim(
     zone_at_tick = [z[0] for z in zones] * n_cells
     # streams whose occupancy changed since the previous report tick
     dirty: set[int] = set()
+    # cells with an over-loaded and an under-loaded kind at the last tick
+    both: set[int] = set()
 
     # live session ids of each stream, oldest first; ids are global
     live: list[dict[int, None]] = [{} for _ in range(n_streams)]
@@ -573,7 +584,6 @@ def run_system_sim(
     failover: list[float] = []
 
     serving = list(range(n_lmm))
-    fail_time = {f.lmm_id: f.time for f in scenario.faults}
     # faults no heartbeat round has seen yet, the earliest last
     unseen = sorted(((f, lmm) for lmm, f in fail_time.items()), reverse=True)
     last_round = 0.0
@@ -582,6 +592,9 @@ def run_system_sim(
     answered: list[bool] = []
     n_answered = 0
     recount_at = -math.inf
+    # a heartbeat round's beats change only when a fault time passes
+    beats: list[tuple[int, int]] = []
+    rebuild_at = -math.inf
     border_cells: dict[float, list[int]] = {}
     for border in scenario.borders:
         if border.time <= horizon:
@@ -607,6 +620,10 @@ def run_system_sim(
             if alive(backup, t):
                 return backup
         return None
+
+    def next_fault(t: float) -> float:
+        """The first fault time after t: what ``alive`` says at t holds until then."""
+        return min((f for f in fail_time.values() if f > t), default=math.inf)
 
     # initial events
     for s in range(n_streams):
@@ -704,7 +721,7 @@ def run_system_sim(
             if t >= recount_at:
                 answered = [alive(lmm, t) for lmm in serving]
                 n_answered = cells_per_grid * sum(answered)
-                recount_at = min((f for f in fail_time.values() if f > t), default=math.inf)
+                recount_at = next_fault(t)
             counters["BalanceInfo"] += n_answered
             if trace is not None:
                 for c in range(n_cells):
@@ -713,11 +730,9 @@ def run_system_sim(
                     if answered[grid_of_cell[c]]:
                         emit(t, "BalanceInfo", f"lmm{lmm}", f"ri{c}")
             # A stream with no event since the previous tick is skipped: its
-            # zone was reported then. (cell, kind) order is the notice order
-            changed = sorted(dirty)
-            dirty.clear()
+            # zone was reported then
             notices = []
-            for s in changed:
+            for s in dirty:
                 prev, cur = zone_at_tick[s], zone_row[s][occ[s]]
                 if cur != prev:
                     zone_at_tick[s] = cur
@@ -725,16 +740,22 @@ def run_system_sim(
                     moves_row[s][move] += 1
                     if fires[move]:
                         notices.append(s)
-            # A cell with no changed stream failed migrate_one then (a success
-            # changes two streams). Any other may, when it has both an
-            # over-loaded and an under-loaded kind, which zones rising with
-            # occupancy put on top and at the bottom. Session ids are global,
-            # so cells go in order
+            dirty.clear()
+            notices.sort()  # (cell, kind) order is the notice order
+            # A cell migrates when it has both an over-loaded and an
+            # under-loaded kind, which zones rising with occupancy put on top
+            # and at the bottom. Only a notice changes that, so only the
+            # cells of notices are re-read. Session ids are global, so cells
+            # go in order
             if scenario.balancing_enabled:
-                for c in dict.fromkeys([s // n_kinds for s in changed]):
+                for c in {s // n_kinds for s in notices}:
                     zs = zone_at_tick[c * n_kinds:(c + 1) * n_kinds]
                     if zone_state[max(zs)] is OVER and zone_state[min(zs)] is UNDER:
-                        migrate_one(c, t)
+                        both.add(c)
+                    else:
+                        both.discard(c)
+                for c in sorted(both):
+                    migrate_one(c, t)
             # the zero-delay notices, in (cell, kind) order, then their
             # replicas, in (cell, kind, backup) order: queued at t they
             # would come right after the tick, before any other event at t
@@ -750,8 +771,10 @@ def run_system_sim(
         elif ekind == HEARTBEAT:
             # every live LMM with a live backup beats to it, in id order:
             # per-LMM chains of period-spaced beats would all share these times
-            beats = [(lmm, backup) for lmm in range(n_lmm) if alive(lmm, t)
-                     and (backup := live_backup(lmm, t)) is not None]
+            if t >= rebuild_at:
+                beats = [(lmm, backup) for lmm in range(n_lmm) if alive(lmm, t)
+                         and (backup := live_backup(lmm, t)) is not None]
+                rebuild_at = next_fault(t)
             counters["Heartbeat"] += len(beats)
             if trace is not None:
                 for lmm, backup in beats:

@@ -255,7 +255,11 @@ class TestTopologyRules:
         ("overhead.a_common", 2.0, "overhead: unknown keys ['a_common']"),
         ("reliability.redundancy_exponent", 2,
          "reliability: unknown keys ['redundancy_exponent']"),
-    ], ids=["two_grids", "ap_counts_key", "a_common_key", "redundancy_exponent_key"])
+        # kept, the last time listed would win and LMM 1 would beat until 5.0
+        ("sim.faults", [{"time": 2.0, "lmm_id": 1}, {"time": 5.0, "lmm_id": 1}],
+         "sim.faults[1].lmm_id: must not repeat sim.faults[0].lmm_id, got 1"),
+    ], ids=["two_grids", "ap_counts_key", "a_common_key", "redundancy_exponent_key",
+            "repeated_fault_id"])
     def test_every_command_exits_2(self, tmp_path, doc, capsys, command, path, value, error):
         _set(doc, path, value)
         assert _run(tmp_path, command, doc) == 2
@@ -291,6 +295,9 @@ class TestRangeRulesAtParse:
          "sim.faults[0].lmm_id: must be in [0, 3), got -1"),
         ("sim.borders", [{"time": 1.0, "cell_id": 21}],
          "sim.borders[0].cell_id: must be in [0, 21), got 21"),
+        ("sim.faults", [{"time": 5.0, "lmm_id": 1}, {"time": 2.0, "lmm_id": 0},
+                        {"time": 2.0, "lmm_id": 1}],
+         "sim.faults[2].lmm_id: must not repeat sim.faults[0].lmm_id, got 1"),
         ("types.umts.lam", 1e300,
          "sim.horizon: must keep scenario work <= 1e+09 units, got 4.2e+304"),
         ("types.umts.lam", 2**63,
@@ -302,7 +309,7 @@ class TestRangeRulesAtParse:
         ("reliability.c_uniform", -1.0, "reliability.c_uniform: must be >= 0, got -1.0"),
         ("reliability.b_uniform", -0.5, "reliability.b_uniform: must be >= 0, got -0.5"),
     ], ids=["seed", "target_events", "fault_time", "border_time", "fault_id_high",
-            "fault_id_negative", "border_id_high", "lam_huge", "lam_int64",
+            "fault_id_negative", "border_id_high", "fault_id_repeated", "lam_huge", "lam_int64",
             "heartbeat_period_tiny", "target_events_int64", "c_uniform", "b_uniform"])
     def test_refused_at_parse(self, doc, path, value, error):
         _set(doc, path, value)
@@ -314,6 +321,11 @@ class TestRangeRulesAtParse:
         doc["sim"]["faults"] = [{"time": 0.0, "lmm_id": 2}]
         doc["sim"]["borders"] = [{"time": 0.0, "cell_id": 20}]
         assert ScenarioConfig.from_dict(doc).sim.faults[0].lmm_id == 2
+
+    def test_repeated_border_cell_accepted(self, doc):
+        # a cell may ask twice; only a fault id must be unique
+        doc["sim"]["borders"] = [{"time": 1.0, "cell_id": 9}, {"time": 1.0, "cell_id": 9}]
+        assert len(ScenarioConfig.from_dict(doc).sim.borders) == 2
 
     @pytest.mark.parametrize("command,path,value", [
         ("scenario", "seed", -1),
