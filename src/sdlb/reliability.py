@@ -33,12 +33,16 @@ The score is one function of the traffic sums B, L1 and L2 as numbers;
 ``integrated_reliability`` takes them from the params' arrays and
 ``swept_integrated_reliability`` (fig 8's whole sweep) from prefixes of
 two uniform arrays built once per sweep, which sum bit for bit like the
-params' arrays of each point.
+params' arrays of each point. Both take the probabilities from
+``_scenarios``, which computes the terms of the line count n' alone
+(P_c^n' and the scenario-1 binomial) once per distinct n'. The sweep sums
+c[:n'] once per distinct n' too, so each n costs one prefix reduction of
+b and one binomial.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +62,10 @@ __all__ = [
 
 # largest population for which C(n, k) is safely computed directly
 _DIRECT_COMB_LIMIT = 170
+
+# largest manager count: fig 8 builds 3n + n' (about 3.34n) doubles for its
+# largest n, under 27 MB at this cap
+MAX_LMMS = 10**6
 
 
 def _log_comb(n: int, k: int) -> float:
@@ -97,7 +105,10 @@ def check_reliabilities(r_lmm: float, r_c: float):
 
 
 def _check_failures(n: int, k1_lines: int, k2_lmms: int) -> int:
-    """n' for n managers, once K1 fits n' and K2 fits n."""
+    """n' for n managers, once n is at most MAX_LMMS, K1 fits n' and K2
+    fits n."""
+    if n > MAX_LMMS:
+        raise ValueError(f"n must be <= {MAX_LMMS}, got {n}")
     n_lines = max_junction_lines(n)
     if not 1 <= k1_lines <= n_lines:
         raise ValueError(
@@ -176,18 +187,27 @@ def _traffic_sums(c: np.ndarray, b: np.ndarray, k1_lines: int, k2_lmms: int):
 
 
 def _scenarios(
-    r_lmm: float, r_c: float, n: int, n_lines: int, k1_lines: int, k2_lmms: int,
-) -> tuple[float, float, float, float, float]:
-    """(P_lmm, P_c, P0, P1, P2) of the three failure scenarios."""
-    all_down = (1.0 - r_lmm) ** n  # 1 - P_lmm, without the cancellation
-    p_lmm = 1.0 - all_down
+    r_lmm: float, r_c: float, ns: Sequence[int], n_lines: Sequence[int],
+    k1_lines: int, k2_lmms: int,
+) -> Iterator[tuple[float, float, float, float, float]]:
+    """(P_lmm, P_c, P0, P1, P2) of the three failure scenarios for each n
+    of ``ns``, whose line counts are ``n_lines``; P_c^n' and the scenario-1
+    binomial are computed once per distinct n'."""
     p_c = 1.0 - (1.0 - r_c) ** 2
-    r_pow_n = r_lmm**n
-
-    p0 = p_lmm * p_c**n_lines * r_pow_n
-    p1 = p_lmm * binomial_pmf(n_lines, k1_lines, 1.0 - p_c) * r_pow_n
-    p2 = all_down * p_c**k2_lmms * binomial_pmf(n, k2_lmms, 1.0 - r_lmm)
-    return p_lmm, p_c, p0, p1, p2
+    r_fail = 1.0 - r_lmm
+    p_c_k2 = p_c**k2_lmms
+    line_terms = {}
+    for n, lines in zip(ns, n_lines):
+        if lines not in line_terms:
+            line_terms[lines] = p_c**lines, binomial_pmf(lines, k1_lines, 1.0 - p_c)
+        p_c_lines, line_pmf = line_terms[lines]
+        all_down = r_fail**n  # 1 - P_lmm, without the cancellation
+        p_lmm = 1.0 - all_down
+        r_pow_n = r_lmm**n
+        p0 = p_lmm * p_c_lines * r_pow_n
+        p1 = p_lmm * line_pmf * r_pow_n
+        p2 = all_down * p_c_k2 * binomial_pmf(n, k2_lmms, r_fail)
+        yield p_lmm, p_c, p0, p1, p2
 
 
 def _check_traffic(total: float):
@@ -205,7 +225,8 @@ def _score(scenarios: tuple[float, ...], total: float, l1: float, l2: float) -> 
 
 def scenario_probabilities(p: ReliabilityParams) -> ScenarioProbabilities:
     """Evaluate the three failure scenarios for one (K1, K2) choice."""
-    p_lmm, p_c, p0, p1, p2 = _scenarios(p.r_lmm, p.r_c, p.n, p.n_lines, p.k1_lines, p.k2_lmms)
+    ((p_lmm, p_c, p0, p1, p2),) = _scenarios(
+        p.r_lmm, p.r_c, [p.n], [p.n_lines], p.k1_lines, p.k2_lmms)
     _, l1, l2 = _traffic_sums(p.c, p.b, p.k1_lines, p.k2_lmms)
     return ScenarioProbabilities(
         p_lmm=p_lmm, p_c=p_c, p0=p0, p1=p1, p2=p2, l0=0.0, l1=l1, l2=l2
@@ -214,10 +235,8 @@ def scenario_probabilities(p: ReliabilityParams) -> ScenarioProbabilities:
 
 def integrated_reliability(p: ReliabilityParams) -> float:
     """1 minus the traffic-weighted expected loss fraction."""
-    return _score(
-        _scenarios(p.r_lmm, p.r_c, p.n, p.n_lines, p.k1_lines, p.k2_lmms),
-        *_traffic_sums(p.c, p.b, p.k1_lines, p.k2_lmms),
-    )
+    (scenarios,) = _scenarios(p.r_lmm, p.r_c, [p.n], [p.n_lines], p.k1_lines, p.k2_lmms)
+    return _score(scenarios, *_traffic_sums(p.c, p.b, p.k1_lines, p.k2_lmms))
 
 
 def swept_integrated_reliability(
@@ -235,7 +254,8 @@ def swept_integrated_reliability(
     Every n is checked, in list order, before any array is built. Each
     point's arrays are prefixes of two built once, c[:n'] and b[:3n] (the
     3 x n array row by row), and a contiguous prefix of a constant array
-    sums bit for bit like a fresh one. The strided sum of b[:, :K2] is
+    sums bit for bit like a fresh one. c[:n'] is summed once per distinct
+    n', b[:3n] once per n. The strided sum of b[:, :K2] is
     the same for every n > K2; at n == K2 that slice is all of b, which
     NumPy sums as one run (the two differ once 3*K2 passes its
     8192-element buffer).
@@ -255,12 +275,14 @@ def swept_integrated_reliability(
     b_run = b.reshape(-1)
     l1 = float(c[:k1_lines].sum())
     b_lost = float(b[:, :k2_lmms].sum())
+    c_sums = {lines: float(c[:lines].sum()) for lines in set(n_lines)}
     scores = []
-    for n, lines in zip(ns, n_lines):
-        c_sum = float(c[:lines].sum())
-        b_sum = float(b_run[: 3 * n].sum())
+    for n, lines, scenarios in zip(
+        ns, n_lines, _scenarios(r_lmm, r_c, ns, n_lines, k1_lines, k2_lmms)
+    ):
+        c_sum = c_sums[lines]
+        b_sum = float(np.add.reduce(b_run[: 3 * n]))
         l2 = c_sum + (b_sum if n == k2_lmms else b_lost)
-        scenarios = _scenarios(r_lmm, r_c, n, lines, k1_lines, k2_lmms)
         scores.append(_score(scenarios, c_sum + b_sum, l1, l2))
     return scores
 
@@ -275,13 +297,14 @@ def uniform_reliability_params(
     b_value: float = 1.0,
 ) -> ReliabilityParams:
     """Params with uniform traffic: every line carries c_value, every
-    inventory-manager pair b_value."""
+    inventory-manager pair b_value. n is checked before the arrays are
+    built, so a count above MAX_LMMS builds none."""
     return ReliabilityParams(
         r_lmm=r_lmm,
         r_c=r_c,
         n=n,
         k1_lines=k1_lines,
         k2_lmms=k2_lmms,
-        c=np.full(max_junction_lines(n), float(c_value)),
+        c=np.full(_check_failures(n, k1_lines, k2_lmms), float(c_value)),
         b=np.full((3, n), float(b_value)),
     )

@@ -176,6 +176,11 @@ def _lost_managers_out_of_order(doc):
     doc["sweeps"]["reliability_lmm_counts"] = [300, 4, 2, 1]
 
 
+def _huge_lmm_count(doc):
+    # fig 8 would take a 9.9 GiB line array for this count
+    doc["sweeps"]["reliability_lmm_counts"] = [3, 4_000_000_000, 0]
+
+
 def _coarse_umts(doc):
     doc["types"]["umts"]["lam"] = 20.0  # lam*T = 2
 
@@ -205,6 +210,11 @@ class TestFailedFiguresWriteNothing:
             _lost_managers_out_of_order,
             "config error: sweeps.reliability_lmm_counts value 2: "
             "k2_lmms must be in 1..2, got 3\n",
+        ),
+        "fig8_huge_lmm_count": (
+            _huge_lmm_count,
+            "config error: sweeps.reliability_lmm_counts value 4000000000: "
+            "n must be <= 1000000, got 4000000000\n",
         ),
         "fig6_coarse_period": (
             _coarse_umts,

@@ -7,6 +7,7 @@ import pytest
 
 from sdlb import reliability
 from sdlb.reliability import (
+    MAX_LMMS,
     ReliabilityParams,
     binomial_pmf,
     integrated_reliability,
@@ -266,7 +267,9 @@ class TestUniformIntegratedReliability:
     def test_empty_sweep(self):
         assert swept_integrated_reliability([], 0.9, 0.9) == []
 
-    def test_weights_checked_once_per_sweep(self, monkeypatch):
+    @staticmethod
+    def count_calls(monkeypatch, *names):
+        """A Counter of the calls to each named function of the module."""
         calls = Counter()
 
         def counted(name, fn):
@@ -275,10 +278,22 @@ class TestUniformIntegratedReliability:
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("check_weights", "_check_traffic"):
+        for name in names:
             monkeypatch.setattr(reliability, name, counted(name, getattr(reliability, name)))
+        return calls
+
+    def test_weights_checked_once_per_sweep(self, monkeypatch):
+        calls = self.count_calls(monkeypatch, "check_weights", "_check_traffic")
         swept_integrated_reliability(range(3, 300), 0.92, 0.97, c_value=0.5, b_value=2.0)
         assert calls == {"check_weights": 1, "_check_traffic": 298}
+
+    def test_one_binomial_per_lmm_count_and_per_line_count(self, monkeypatch):
+        # the scenario-1 binomial depends on n' alone and the scenario-2
+        # one on n, so a sweep takes the first once per distinct n'
+        calls = self.count_calls(monkeypatch, "binomial_pmf")
+        ns = range(3, 301)
+        swept_integrated_reliability(ns, 0.92, 0.97)
+        assert calls["binomial_pmf"] == len(ns) + len({max_junction_lines(n) for n in ns})
 
     @pytest.mark.parametrize("n,kw", [
         (0, {}),
@@ -303,6 +318,7 @@ class TestUniformIntegratedReliability:
         ([1, 5], 1, dict(k2_lmms=2, c_value=0.0, b_value=0.0)),
         ([5, 1], 5, dict(k2_lmms=2, c_value=0.0, b_value=0.0)),
         ([7, -3, 0], -3, {}),
+        ([3, MAX_LMMS + 1, 0], MAX_LMMS + 1, {}),
     ])
     def test_first_failing_value_in_list_order(self, ns, first, kw):
         with pytest.raises(ValueError) as params_error:
@@ -310,3 +326,19 @@ class TestUniformIntegratedReliability:
         with pytest.raises(ValueError) as sweep_error:
             swept_integrated_reliability(ns, 0.9, 0.9, **kw)
         assert str(sweep_error.value) == str(params_error.value)
+
+    @pytest.mark.parametrize("huge", [MAX_LMMS + 1, 4_000_000_000, 2**62])
+    def test_lmm_count_above_the_cap_refused_before_any_array(self, huge):
+        # 4e9 managers would take a 9.9 GiB line array; both paths check the
+        # cap with the other per-n rules, before any array is built
+        message = rf"^n must be <= {MAX_LMMS}, got {huge}$"
+        with pytest.raises(ValueError, match=message):
+            swept_integrated_reliability([3, huge, 5], 0.9, 0.9)
+        with pytest.raises(ValueError, match=message):
+            uniform_reliability_params(huge, 0.9, 0.9)
+        with pytest.raises(ValueError, match=message):
+            ReliabilityParams(0.9, 0.9, huge, 1, 1, np.ones(1), np.ones((3, 1)))
+
+    def test_lmm_count_at_the_cap_accepted(self):
+        (score,) = swept_integrated_reliability([MAX_LMMS], 0.92, 0.97)
+        assert score == integrated_reliability(uniform_reliability_params(MAX_LMMS, 0.92, 0.97))
