@@ -29,23 +29,23 @@ not a bug.
 1 - P_lmm is evaluated as (1-R_lmm)^n itself, not as 1 minus P_lmm, so
 P2 stays nonzero until that power underflows.
 
-The score is one function of the traffic sums B, L1 and L2 as numbers;
-``integrated_reliability`` takes them from the params' arrays and
-``swept_integrated_reliability`` (fig 8's whole sweep) from prefixes of
-two uniform arrays built once per sweep, which sum bit for bit like the
-params' arrays of each point. Both take the probabilities from
-``_scenarios``, which computes the terms of the line count n' alone
-(P_c^n' and the scenario-1 binomial) once per distinct n'. The sweep sums
-c[:n'] once per distinct n' too, so each n costs one prefix reduction of
-b and one binomial.
+Only uniform traffic is modelled: every junction line carries c and
+every inventory-manager pair b, so the traffic sums are the products
+B = n'*c + 3n*b, L1 = K1*c and L2 = n'*c + 3*K2*b.
+``swept_integrated_reliability`` scores fig 8's whole sweep from them and
+from ``_scenarios``, which computes the terms of the line count n' alone
+(P_c^n' and the scenario-1 binomial) once per distinct n'.
+``integrated_reliability`` is the sweep of one point, and
+``scenario_probabilities`` takes L1 and L2 from the same products. No
+command calls these two, ``uniform_reliability_params`` or
+``ReliabilitySpec.params_for``; they stay because the benchmark's tracer
+(``perfbench/tracing.py``) looks each of them up by name.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .topology import max_junction_lines
 
@@ -63,8 +63,9 @@ __all__ = [
 # largest population for which C(n, k) is safely computed directly
 _DIRECT_COMB_LIMIT = 170
 
-# largest manager count: fig 8 builds 3n + n' (about 3.34n) doubles for its
-# largest n, under 27 MB at this cap
+# largest manager count: binomial_pmf's log-space branch loses digits to the
+# cancellation of its lgamma terms as n grows. At q = 1/n its relative error
+# is 1.8e-9 at this cap (k = 3), 3.8e-6 at 10^10 and 0.3 at 10^14.
 MAX_LMMS = 10**6
 
 
@@ -130,31 +131,21 @@ def check_weights(**lowest: float):
 class ReliabilityParams:
     """r_lmm / r_c: per-manager and per-junction-line reliabilities;
     n: manager count; k1_lines / k2_lmms: how many lines / managers fail
-    in scenarios 1 and 2; c: junction-line traffic intensities (length
-    n'); b: 3 x n inventory-to-manager traffic intensities."""
+    in scenarios 1 and 2; c_value: the traffic intensity of each junction
+    line; b_value: that of each of the 3 x n inventory-manager pairs."""
 
     r_lmm: float
     r_c: float
     n: int
     k1_lines: int
     k2_lmms: int
-    c: np.ndarray = field(repr=False)
-    b: np.ndarray = field(repr=False)
+    c_value: float
+    b_value: float
 
     def __post_init__(self):
         check_reliabilities(self.r_lmm, self.r_c)
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        n_lines = _check_failures(self.n, self.k1_lines, self.k2_lmms)
-        c = np.asarray(self.c, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "b", b)
-        if c.shape != (n_lines,):
-            raise ValueError(f"c must have shape ({n_lines},), got {c.shape}")
-        if b.shape != (3, self.n):
-            raise ValueError(f"b must have shape (3, {self.n}), got {b.shape}")
-        check_weights(c=float(c.min()), b=float(b.min()))
+        _check_failures(self.n, self.k1_lines, self.k2_lmms)
+        check_weights(c=self.c_value, b=self.b_value)
 
     @property
     def n_lines(self) -> int:
@@ -175,15 +166,14 @@ class ScenarioProbabilities:
     l2: float
 
 
-def _traffic_sums(c: np.ndarray, b: np.ndarray, k1_lines: int, k2_lmms: int):
-    """(B, L1, L2): all traffic, the first K1 lines', and all lines' plus
-    the first K2 managers' inventory traffic."""
-    c_sum = c.sum()
-    return (
-        float(c_sum + b.sum()),
-        float(c[:k1_lines].sum()),
-        float(c_sum + b[:, :k2_lmms].sum()),
-    )
+def _traffic(
+    n: int, n_lines: int, k1_lines: int, k2_lmms: int, c_value: float, b_value: float,
+) -> tuple[float, float, float]:
+    """(B, L1, L2) under uniform traffic: all n' lines and 3n inventory
+    pairs, the K1 lost lines, and all lines plus the 3*K2 pairs of the K2
+    lost managers."""
+    c_sum = n_lines * c_value
+    return c_sum + 3 * n * b_value, k1_lines * c_value, c_sum + 3 * k2_lmms * b_value
 
 
 def _scenarios(
@@ -215,19 +205,11 @@ def _check_traffic(total: float):
         raise ValueError("zero traffic: total traffic intensity must be > 0")
 
 
-def _score(scenarios: tuple[float, ...], total: float, l1: float, l2: float) -> float:
-    """R = 1 - (P0*L0 + P1*L1 + P2*L2) / B with L0 = 0, from the
-    probabilities of ``_scenarios`` and the sums of ``_traffic_sums``."""
-    _check_traffic(total)
-    _, _, p0, p1, p2 = scenarios
-    return 1.0 - (p0 * 0.0 + p1 * l1 + p2 * l2) / total
-
-
 def scenario_probabilities(p: ReliabilityParams) -> ScenarioProbabilities:
     """Evaluate the three failure scenarios for one (K1, K2) choice."""
     ((p_lmm, p_c, p0, p1, p2),) = _scenarios(
         p.r_lmm, p.r_c, [p.n], [p.n_lines], p.k1_lines, p.k2_lmms)
-    _, l1, l2 = _traffic_sums(p.c, p.b, p.k1_lines, p.k2_lmms)
+    _, l1, l2 = _traffic(p.n, p.n_lines, p.k1_lines, p.k2_lmms, p.c_value, p.b_value)
     return ScenarioProbabilities(
         p_lmm=p_lmm, p_c=p_c, p0=p0, p1=p1, p2=p2, l0=0.0, l1=l1, l2=l2
     )
@@ -235,8 +217,9 @@ def scenario_probabilities(p: ReliabilityParams) -> ScenarioProbabilities:
 
 def integrated_reliability(p: ReliabilityParams) -> float:
     """1 minus the traffic-weighted expected loss fraction."""
-    (scenarios,) = _scenarios(p.r_lmm, p.r_c, [p.n], [p.n_lines], p.k1_lines, p.k2_lmms)
-    return _score(scenarios, *_traffic_sums(p.c, p.b, p.k1_lines, p.k2_lmms))
+    (score,) = swept_integrated_reliability(
+        [p.n], p.r_lmm, p.r_c, p.k1_lines, p.k2_lmms, p.c_value, p.b_value)
+    return score
 
 
 def swept_integrated_reliability(
@@ -248,43 +231,33 @@ def swept_integrated_reliability(
     c_value: float = 1.0,
     b_value: float = 1.0,
 ) -> list[float]:
-    """``integrated_reliability(uniform_reliability_params(n, ...))`` for
-    each n of ``ns``: the same checks, sums and scores, without params.
+    """R = 1 - (P0*L0 + P1*L1 + P2*L2) / B, with L0 = 0, for each n of
+    ``ns`` under uniform traffic.
 
-    Every n is checked, in list order, before any array is built. Each
-    point's arrays are prefixes of two built once, c[:n'] and b[:3n] (the
-    3 x n array row by row), and a contiguous prefix of a constant array
-    sums bit for bit like a fresh one. c[:n'] is summed once per distinct
-    n', b[:3n] once per n. The strided sum of b[:, :K2] is
-    the same for every n > K2; at n == K2 that slice is all of b, which
-    NumPy sums as one run (the two differ once 3*K2 passes its
-    8192-element buffer).
+    Every n is checked, in list order, before any is scored. The total B
+    is checked at every n, because n' does not grow with n (n = 5 has
+    four lines, n = 6 three).
     """
     check_reliabilities(r_lmm, r_c)
     c_value, b_value = float(c_value), float(b_value)
-    n_lines = []
+    n_lines, sums = [], []
     for n in ns:
         n_lines.append(_check_failures(n, k1_lines, k2_lmms))
-        if len(n_lines) == 1:
+        if not sums:
             # the same for every n, so checked once, where the first n's
-            # checks would reach them
+            # checks would reach them; with n' >= 1 and 3n >= 3, c + b > 0
+            # makes every B > 0
             check_weights(c=c_value, b=b_value)
-            _check_traffic(c_value + b_value)  # > 0 exactly when every total is
-    c = np.full(max(n_lines, default=0), c_value)
-    b = np.full((3, max(ns, default=0)), b_value)
-    b_run = b.reshape(-1)
-    l1 = float(c[:k1_lines].sum())
-    b_lost = float(b[:, :k2_lmms].sum())
-    c_sums = {lines: float(c[:lines].sum()) for lines in set(n_lines)}
-    scores = []
-    for n, lines, scenarios in zip(
-        ns, n_lines, _scenarios(r_lmm, r_c, ns, n_lines, k1_lines, k2_lmms)
-    ):
-        c_sum = c_sums[lines]
-        b_sum = float(np.add.reduce(b_run[: 3 * n]))
-        l2 = c_sum + (b_sum if n == k2_lmms else b_lost)
-        scores.append(_score(scenarios, c_sum + b_sum, l1, l2))
-    return scores
+            _check_traffic(c_value + b_value)
+        total, l1, l2 = _traffic(n, n_lines[-1], k1_lines, k2_lmms, c_value, b_value)
+        if not math.isfinite(total):  # L1 <= L2 <= B, so this covers all three
+            raise ValueError(f"total traffic intensity n'*c + 3n*b must be finite, got {total}")
+        sums.append((total, l1, l2))
+    return [
+        1.0 - (p1 * l1 + p2 * l2) / total
+        for (total, l1, l2), (_, _, _, p1, p2) in zip(
+            sums, _scenarios(r_lmm, r_c, ns, n_lines, k1_lines, k2_lmms))
+    ]
 
 
 def uniform_reliability_params(
@@ -297,14 +270,5 @@ def uniform_reliability_params(
     b_value: float = 1.0,
 ) -> ReliabilityParams:
     """Params with uniform traffic: every line carries c_value, every
-    inventory-manager pair b_value. n is checked before the arrays are
-    built, so a count above MAX_LMMS builds none."""
-    return ReliabilityParams(
-        r_lmm=r_lmm,
-        r_c=r_c,
-        n=n,
-        k1_lines=k1_lines,
-        k2_lmms=k2_lmms,
-        c=np.full(_check_failures(n, k1_lines, k2_lmms), float(c_value)),
-        b=np.full((3, n), float(b_value)),
-    )
+    inventory-manager pair b_value."""
+    return ReliabilityParams(r_lmm, r_c, n, k1_lines, k2_lmms, c_value, b_value)

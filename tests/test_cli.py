@@ -177,8 +177,12 @@ def _lost_managers_out_of_order(doc):
 
 
 def _huge_lmm_count(doc):
-    # fig 8 would take a 9.9 GiB line array for this count
     doc["sweeps"]["reliability_lmm_counts"] = [3, 4_000_000_000, 0]
+
+
+def _overflowing_traffic(doc):
+    # each intensity is finite, but n'*c + 3n*b overflows a float
+    doc["reliability"].update(c_uniform=1e308, b_uniform=1e308)
 
 
 def _coarse_umts(doc):
@@ -215,6 +219,11 @@ class TestFailedFiguresWriteNothing:
             _huge_lmm_count,
             "config error: sweeps.reliability_lmm_counts value 4000000000: "
             "n must be <= 1000000, got 4000000000\n",
+        ),
+        "fig8_overflowing_traffic": (
+            _overflowing_traffic,
+            "config error: sweeps.reliability_lmm_counts value 3: "
+            "total traffic intensity n'*c + 3n*b must be finite, got inf\n",
         ),
         "fig6_coarse_period": (
             _coarse_umts,

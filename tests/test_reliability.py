@@ -46,6 +46,30 @@ def exact_uniform_model(n, r_lmm, r_c, k1, k2, c_val, b_val, exponent=None):
     return p_lmm, p_c, p0, p1, p2, l1, l2, score
 
 
+def array_traffic_sums(c, b, k1_lines, k2_lmms):
+    """Oracle: (B, L1, L2) from arbitrary traffic arrays, c per junction
+    line (length n') and b per inventory-manager pair (3 x n), summed by
+    NumPy: all traffic, the first K1 lines', and all lines' plus the first
+    K2 managers' inventory traffic."""
+    c, b = np.asarray(c, dtype=float), np.asarray(b, dtype=float)
+    c_sum = c.sum()
+    return float(c_sum + b.sum()), float(c[:k1_lines].sum()), float(c_sum + b[:, :k2_lmms].sum())
+
+
+def array_reliability(n, r_lmm, r_c, c, b, k1_lines=1, k2_lmms=1):
+    """Oracle: R = 1 - (P0*L0 + P1*L1 + P2*L2) / B with the sums of
+    ``array_traffic_sums`` and the probabilities of ``scenario_probabilities``."""
+    assert np.shape(c) == (max_junction_lines(n),) and np.shape(b) == (3, n)
+    s = scenario_probabilities(ReliabilityParams(r_lmm, r_c, n, k1_lines, k2_lmms, 1.0, 1.0))
+    total, l1, l2 = array_traffic_sums(c, b, k1_lines, k2_lmms)
+    return 1.0 - (s.p0 * s.l0 + s.p1 * l1 + s.p2 * l2) / total
+
+
+def uniform_arrays(n, c_value=1.0, b_value=1.0):
+    """The traffic arrays of n managers with every entry of c and of b equal."""
+    return np.full(max_junction_lines(n), float(c_value)), np.full((3, n), float(b_value))
+
+
 REF = exact_uniform_model(3, Fraction(92, 100), Fraction(97, 100), 1, 1, Fraction(1), Fraction(1))
 
 
@@ -97,12 +121,11 @@ class TestScenarioProbabilities:
         assert s.p1 == 0.0
 
     def test_loss_sums_use_leading_entries(self):
+        # the array oracle loses the first K1 lines and the first K2
+        # managers' three inventory pairs each
         c = np.array([5.0, 7.0, 11.0, 13.0])  # n=5 has 4 junction lines
         b = np.arange(15, dtype=float).reshape(3, 5)
-        p = ReliabilityParams(r_lmm=0.9, r_c=0.95, n=5, k1_lines=2, k2_lmms=2, c=c, b=b)
-        s = scenario_probabilities(p)
-        assert s.l1 == 12.0
-        assert s.l2 == pytest.approx(c.sum() + b[:, :2].sum())
+        assert array_traffic_sums(c, b, 2, 2) == (36.0 + 105.0, 12.0, 36.0 + 33.0)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -111,11 +134,6 @@ class TestScenarioProbabilities:
             uniform_reliability_params(3, 0.9, 0.9, k1_lines=3)  # n=3 has 2 lines
         with pytest.raises(ValueError):
             uniform_reliability_params(3, 0.9, 0.9, k2_lmms=4)
-        with pytest.raises(ValueError):
-            ReliabilityParams(
-                r_lmm=0.9, r_c=0.9, n=3, k1_lines=1, k2_lmms=1,
-                c=np.ones(3), b=np.ones((3, 3)),  # wrong c length
-            )
 
 
 class TestBinomialPmf:
@@ -142,6 +160,17 @@ class TestBinomialPmf:
         assert binomial_pmf(200, 0, 0.0) == 1.0
         assert binomial_pmf(200, 3, 0.0) == 0.0
         assert binomial_pmf(200, 200, 1.0) == 1.0
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_log_space_error_at_the_lmm_cap(self, k):
+        # the lgamma terms cancel more as n grows; at MAX_LMMS and the
+        # scenario-2 failure probability q = 1/n the error stays below 1e-8
+        mpmath = pytest.importorskip("mpmath")
+        got = binomial_pmf(MAX_LMMS, k, 1 / MAX_LMMS)
+        with mpmath.workdps(50):
+            q = mpmath.mpf(1 / MAX_LMMS)
+            exact = mpmath.binomial(MAX_LMMS, k) * q**k * (1 - q) ** (MAX_LMMS - k)
+            assert abs((got - exact) / exact) <= 1e-8
 
     def test_no_overflow_huge_population(self):
         value = binomial_pmf(10_000, 5_000, 0.5)
@@ -181,46 +210,34 @@ class TestIntegratedReliability:
     def test_traffic_on_failed_line_lowers_score(self):
         # a failed-line entry is lost in both failure scenarios, so its
         # loss weight P1+P2 always beats the denominator dilution
-        base = uniform_reliability_params(5, 0.9, 0.95)
-        c = base.c.copy()
+        c, b = uniform_arrays(5)
+        base = array_reliability(5, 0.9, 0.95, c, b)
         c[0] += 1.0
-        bumped_line = ReliabilityParams(
-            r_lmm=0.9, r_c=0.95, n=5, k1_lines=1, k2_lmms=1, c=c, b=base.b
-        )
-        assert integrated_reliability(bumped_line) < integrated_reliability(base)
+        assert array_reliability(5, 0.9, 0.95, c, b) < base
 
     def test_traffic_on_failed_manager_lowers_score_when_lines_never_fail(self):
         # with perfect lines only scenario 2 loses traffic, so extra load on
         # a failed manager strictly lowers the score
-        base = uniform_reliability_params(5, 0.9, 1.0)
-        b = base.b.copy()
+        c, b = uniform_arrays(5)
+        base = array_reliability(5, 0.9, 1.0, c, b)
         b[1, 0] += 1.0
-        bumped = ReliabilityParams(
-            r_lmm=0.9, r_c=1.0, n=5, k1_lines=1, k2_lmms=1, c=base.c, b=b
-        )
-        assert integrated_reliability(bumped) < integrated_reliability(base)
+        assert array_reliability(5, 0.9, 1.0, c, b) < base
 
     def test_denominator_dilution_can_raise_score(self):
         # an entry lost only in the (rare) manager-failure scenario also
         # grows the total traffic, diluting the dominant line-failure loss;
         # the net effect can be a higher score
-        base = uniform_reliability_params(5, 0.9, 0.95)
-        b = base.b.copy()
+        c, b = uniform_arrays(5)
+        base = array_reliability(5, 0.9, 0.95, c, b)
         b[1, 0] += 1.0  # manager 0 is in the failed set
-        bumped = ReliabilityParams(
-            r_lmm=0.9, r_c=0.95, n=5, k1_lines=1, k2_lmms=1, c=base.c, b=b
-        )
-        assert integrated_reliability(bumped) > integrated_reliability(base)
+        assert array_reliability(5, 0.9, 0.95, c, b) > base
 
     def test_safe_traffic_raises_score(self):
         # traffic on a manager outside the failed set only grows the total
-        base = uniform_reliability_params(5, 0.9, 0.95)
-        b = base.b.copy()
+        c, b = uniform_arrays(5)
+        base = array_reliability(5, 0.9, 0.95, c, b)
         b[0, 4] += 10.0
-        safer = ReliabilityParams(
-            r_lmm=0.9, r_c=0.95, n=5, k1_lines=1, k2_lmms=1, c=base.c, b=b
-        )
-        assert integrated_reliability(safer) > integrated_reliability(base)
+        assert array_reliability(5, 0.9, 0.95, c, b) > base
 
     def test_large_n_stays_finite(self):
         score = integrated_reliability(uniform_reliability_params(1000, 0.92, 0.97))
@@ -229,7 +246,7 @@ class TestIntegratedReliability:
 
 class TestUniformIntegratedReliability:
     """Fig 8's whole sweep under uniform traffic: at every n the score and
-    the error of the params path, without building params."""
+    the error of the array oracle and of the params path."""
 
     WEIGHTS = [
         dict(),
@@ -239,30 +256,36 @@ class TestUniformIntegratedReliability:
     ]
 
     @staticmethod
-    def assert_params_path(ns, r_lmm, r_c, **kw):
-        got = swept_integrated_reliability(ns, r_lmm, r_c, **kw)
-        want = [integrated_reliability(uniform_reliability_params(n, r_lmm, r_c, **kw))
-                for n in ns]
+    def assert_matches_oracle(ns, r_lmm, r_c, c_value=1.0, b_value=1.0, **kw):
+        # integer sums are exact, so unit weights match bit for bit; the
+        # products n'*c and 3n*b are correctly rounded where the oracle's
+        # sums are not, so other weights may differ in the last bits of R
+        got = swept_integrated_reliability(ns, r_lmm, r_c, c_value=c_value, b_value=b_value, **kw)
         assert len(got) == len(ns)
-        for n, g, w in zip(ns, got, want):
-            assert g == w or (math.isnan(g) and math.isnan(w)), (n, r_lmm, r_c, kw)
+        for n, g in zip(ns, got):
+            w = array_reliability(n, r_lmm, r_c, *uniform_arrays(n, c_value, b_value), **kw)
+            case = (n, r_lmm, r_c, c_value, b_value, kw)
+            if c_value == b_value == 1.0:
+                assert g == w, case
+            else:
+                assert math.isclose(1 - g, 1 - w, rel_tol=1e-12), case
 
     @pytest.mark.parametrize("kw", WEIGHTS)
-    def test_bit_identical_to_params_path(self, kw):
+    def test_matches_array_oracle(self, kw):
         # one sweep across the log-space binomial limit (170), out of order
         ns = [*range(3, 180), 301, 1000, 172, 3, 5]
         for r_lmm, r_c in ((0.92, 0.97), (0.5, 0.61), (1.0, 0.0)):
-            self.assert_params_path(ns, r_lmm, r_c, **kw)
+            self.assert_matches_oracle(ns, r_lmm, r_c, **kw)
 
+    @pytest.mark.parametrize("weights", [dict(), dict(c_value=0.3, b_value=1 / 3)])
     @pytest.mark.parametrize("k2", [3, 5, 40, 171, 2731])
-    def test_n_equal_to_k2_sums_the_contiguous_array(self, k2):
-        # at n == K2 the lost managers are all of b, summed as one run;
-        # from 3*K2 > 8192 (NumPy's buffer) that run and the strided sum of
-        # b[:, :K2] for n > K2 differ in the last bits. With dead managers
+    def test_n_equal_to_k2_matches_array_oracle(self, k2, weights):
+        # at n == K2 the lost managers are all of b, which NumPy sums as one
+        # run; from 3*K2 > 8192 (its buffer) that run and the strided sum
+        # of b[:, :K2] for n > K2 differ in the last bits. With dead managers
         # and perfect lines R = 1 - L2/B, which shows those bits.
-        kw = dict(c_value=0.3, b_value=1 / 3, k2_lmms=k2)
         for r_lmm, r_c in ((0.9, 0.95), (0.0, 1.0)):
-            self.assert_params_path([k2 + 1, k2, 2 * k2, k2], r_lmm, r_c, **kw)
+            self.assert_matches_oracle([k2 + 1, k2, 2 * k2, k2], r_lmm, r_c, k2_lmms=k2, **weights)
 
     def test_empty_sweep(self):
         assert swept_integrated_reliability([], 0.9, 0.9) == []
@@ -285,7 +308,7 @@ class TestUniformIntegratedReliability:
     def test_weights_checked_once_per_sweep(self, monkeypatch):
         calls = self.count_calls(monkeypatch, "check_weights", "_check_traffic")
         swept_integrated_reliability(range(3, 300), 0.92, 0.97, c_value=0.5, b_value=2.0)
-        assert calls == {"check_weights": 1, "_check_traffic": 298}
+        assert calls == {"check_weights": 1, "_check_traffic": 1}
 
     def test_one_binomial_per_lmm_count_and_per_line_count(self, monkeypatch):
         # the scenario-1 binomial depends on n' alone and the scenario-2
@@ -319,6 +342,10 @@ class TestUniformIntegratedReliability:
         ([5, 1], 5, dict(k2_lmms=2, c_value=0.0, b_value=0.0)),
         ([7, -3, 0], -3, {}),
         ([3, MAX_LMMS + 1, 0], MAX_LMMS + 1, {}),
+        ([3, 4], 3, dict(c_value=1e308, b_value=1e308)),
+        ([3, 4], 3, dict(c_value=0.0, b_value=1e308)),
+        # n' is not monotone in n: 6 has three lines, 5 has four
+        ([6, 5, 4], 5, dict(c_value=5e307, b_value=0.0)),
     ])
     def test_first_failing_value_in_list_order(self, ns, first, kw):
         with pytest.raises(ValueError) as params_error:
@@ -328,16 +355,16 @@ class TestUniformIntegratedReliability:
         assert str(sweep_error.value) == str(params_error.value)
 
     @pytest.mark.parametrize("huge", [MAX_LMMS + 1, 4_000_000_000, 2**62])
-    def test_lmm_count_above_the_cap_refused_before_any_array(self, huge):
-        # 4e9 managers would take a 9.9 GiB line array; both paths check the
-        # cap with the other per-n rules, before any array is built
+    def test_lmm_count_above_the_cap_refused(self, huge):
+        # both paths check the cap with the other per-n rules, before any n
+        # is scored
         message = rf"^n must be <= {MAX_LMMS}, got {huge}$"
         with pytest.raises(ValueError, match=message):
             swept_integrated_reliability([3, huge, 5], 0.9, 0.9)
         with pytest.raises(ValueError, match=message):
             uniform_reliability_params(huge, 0.9, 0.9)
         with pytest.raises(ValueError, match=message):
-            ReliabilityParams(0.9, 0.9, huge, 1, 1, np.ones(1), np.ones((3, 1)))
+            ReliabilityParams(0.9, 0.9, huge, 1, 1, 1.0, 1.0)
 
     def test_lmm_count_at_the_cap_accepted(self):
         (score,) = swept_integrated_reliability([MAX_LMMS], 0.92, 0.97)
