@@ -36,7 +36,8 @@ B = n'*c + 3n*b, L1 = K1*c and L2 = n'*c + 3*K2*b.
 from ``_scenarios``, which computes the terms of the line count n' alone
 (P_c^n' and the scenario-1 binomial) once per distinct n'.
 ``integrated_reliability`` is the sweep of one point, and
-``scenario_probabilities`` takes L1 and L2 from the same products. No
+``scenario_probabilities`` takes L1 and L2 from the same products, with
+the same traffic checks (``_traffic``). No
 command calls these two, ``uniform_reliability_params`` or
 ``ReliabilitySpec.params_for``; they stay because the benchmark's tracer
 (``perfbench/tracing.py``) looks each of them up by name.
@@ -168,12 +169,25 @@ class ScenarioProbabilities:
 
 def _traffic(
     n: int, n_lines: int, k1_lines: int, k2_lmms: int, c_value: float, b_value: float,
+    first: bool,
 ) -> tuple[float, float, float]:
     """(B, L1, L2) under uniform traffic: all n' lines and 3n inventory
     pairs, the K1 lost lines, and all lines plus the 3*K2 pairs of the K2
-    lost managers."""
+    lost managers. Traffic that is negative, zero or not finite is refused.
+
+    The weights are the same at every n of a sweep, so they are checked
+    only at its ``first`` n; with n' >= 1 and 3n >= 3, c + b > 0 makes
+    every B > 0. B is checked at each n; L1 <= L2 <= B, so that covers
+    all three.
+    """
+    if first:
+        check_weights(c=c_value, b=b_value)
+        _check_traffic(c_value + b_value)
     c_sum = n_lines * c_value
-    return c_sum + 3 * n * b_value, k1_lines * c_value, c_sum + 3 * k2_lmms * b_value
+    total = c_sum + 3 * n * b_value
+    if not math.isfinite(total):
+        raise ValueError(f"total traffic intensity n'*c + 3n*b must be finite, got {total}")
+    return total, k1_lines * c_value, c_sum + 3 * k2_lmms * b_value
 
 
 def _scenarios(
@@ -207,9 +221,10 @@ def _check_traffic(total: float):
 
 def scenario_probabilities(p: ReliabilityParams) -> ScenarioProbabilities:
     """Evaluate the three failure scenarios for one (K1, K2) choice."""
+    _, l1, l2 = _traffic(
+        p.n, p.n_lines, p.k1_lines, p.k2_lmms, p.c_value, p.b_value, first=True)
     ((p_lmm, p_c, p0, p1, p2),) = _scenarios(
         p.r_lmm, p.r_c, [p.n], [p.n_lines], p.k1_lines, p.k2_lmms)
-    _, l1, l2 = _traffic(p.n, p.n_lines, p.k1_lines, p.k2_lmms, p.c_value, p.b_value)
     return ScenarioProbabilities(
         p_lmm=p_lmm, p_c=p_c, p0=p0, p1=p1, p2=p2, l0=0.0, l1=l1, l2=l2
     )
@@ -243,16 +258,8 @@ def swept_integrated_reliability(
     n_lines, sums = [], []
     for n in ns:
         n_lines.append(_check_failures(n, k1_lines, k2_lmms))
-        if not sums:
-            # the same for every n, so checked once, where the first n's
-            # checks would reach them; with n' >= 1 and 3n >= 3, c + b > 0
-            # makes every B > 0
-            check_weights(c=c_value, b=b_value)
-            _check_traffic(c_value + b_value)
-        total, l1, l2 = _traffic(n, n_lines[-1], k1_lines, k2_lmms, c_value, b_value)
-        if not math.isfinite(total):  # L1 <= L2 <= B, so this covers all three
-            raise ValueError(f"total traffic intensity n'*c + 3n*b must be finite, got {total}")
-        sums.append((total, l1, l2))
+        sums.append(_traffic(
+            n, n_lines[-1], k1_lines, k2_lmms, c_value, b_value, first=not sums))
     return [
         1.0 - (p1 * l1 + p2 * l2) / total
         for (total, l1, l2), (_, _, _, p1, p2) in zip(

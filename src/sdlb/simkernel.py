@@ -104,6 +104,13 @@ class SimEventKind(IntEnum):
 # ---------------------------------------------------------------------------
 
 _BLOCK = 1 << 13  # events per vector stage: bounds the temporaries' memory
+_SEG = 128  # events per lane segment
+_LEAD = 64  # events a segment's lanes run before the segment starts
+# Lanes pay where the chain forgets its start within the lead: where
+# lam/mu, capped at m, is at most _LANE_LOAD. A lane span must also be
+# long enough to repay its lockstep, whose cost is per step, not per event.
+_LANE_LOAD = 20
+_LANE_MIN = 2 * _BLOCK
 
 
 def _crossings(prev, cur, k1, k2):
@@ -166,6 +173,96 @@ def _walk(k, c, up):
     ks = np.fromiter(chain((k,), [k := (up[k] if k < ci else k - 1) for ci in c.tolist()]),
                      np.int64, c.size + 1)
     return ks[:-1], k
+
+
+def _lane_dtype(m):
+    """The smallest signed integer type that holds m + 1."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if m + 1 <= np.iinfo(t).max)
+
+
+def _lane_walk(k, c, up, s0):
+    """``_walk``'s occupancies, with every segment after the first read off lanes.
+
+    The events are cut into segments of ``_SEG``. Segment s gets two lanes,
+    paths started at s0 and s0 + 1 ``_LEAD`` events before it, and all
+    lanes step in NumPy lockstep. A path is a function of its state and of
+    the thresholds that follow, so once the true path, walked on from the
+    previous segment's end, equals a lane at the same event, it is that
+    lane to the segment's end. A step moves a path by one except a
+    blocked arrival, so paths of unequal parity meet only through one;
+    the lanes start one apart, so one of them has the true path's. A
+    segment whose path meets neither lane is walked to its end, as are
+    the first segment, the events after the last whole one, and spans
+    shorter than two segments. The dtype of ``c`` must hold m + 1.
+    """
+    n = c.size - c.size % _SEG
+    if n < 2 * _SEG:
+        return _walk(k, c, up)
+    m = len(up) - 1
+    ks = np.empty(c.size, c.dtype)
+    ks[:_SEG], k = _walk(k, c[:_SEG], up)
+    segs = c[:n].reshape(-1, _SEG)
+    # column s - 1: the thresholds of segment s's lead and of segment s
+    cols = np.concatenate((segs[:-1, _SEG - _LEAD:].T, segs[1:].T))
+    lanes = np.empty((_LEAD + _SEG + 1, 2, cols.shape[1]), c.dtype)
+    lanes[0, 0], lanes[0, 1] = s0, s0 + 1
+    one, cap = np.ones_like(lanes[0]), np.full_like(lanes[0], m)
+    dep = np.empty(lanes.shape[1:], bool)
+    d = dep.view(np.int8)  # 0 or 1: int8 lanes then step without a cast
+    for cur, nxt, cj in zip(lanes, lanes[1:], cols):
+        # nxt = min(cur + 1 - 2 * (cur >= cj), m): _walk's step
+        np.greater_equal(cur, cj, out=dep)
+        np.subtract(cur, d, out=nxt)
+        np.subtract(nxt, d, out=nxt)
+        np.add(nxt, one, out=nxt)
+        np.minimum(nxt, cap, out=nxt)
+
+    seg = lanes[_LEAD:].transpose(2, 1, 0)  # [segment - 1, lane, event]
+    starts, ends = lanes[_LEAD].tolist(), lanes[-1].tolist()
+    pick = [0] * seg.shape[0]  # the lane each segment's path meets
+    walks = []  # (first event, occupancies walked before meeting it)
+    for s in range(seg.shape[0]):
+        if k == starts[0][s] or k == starts[1][s]:
+            pick[s] = int(k != starts[0][s])
+        else:
+            lo, walked = (s + 1) * _SEG, []
+            a, b = seg[s, :, :_SEG].tolist()
+            for ai, bi, ci in zip(a, b, segs[s + 1].tolist()):
+                if k == ai or k == bi:
+                    pick[s] = int(k != ai)
+                    break
+                walked.append(k)
+                k = up[k] if k < ci else k - 1
+            walks.append((lo, walked))
+            if len(walked) == _SEG:
+                continue  # k is the segment's end
+        k = ends[pick[s]][s]
+    ks[_SEG:n].reshape(-1, _SEG)[...] = seg[np.arange(len(pick)), pick, :_SEG]
+    for lo, walked in walks:
+        ks[lo:lo + len(walked)] = walked
+    ks[n:], k = _walk(k, c[n:], up)
+    return ks, k
+
+
+def _walk_span(k, exps, unis, budget, tot, lam, mu, up, s0):
+    """Thresholds and occupancies for the events of ``exps``/``unis`` ahead.
+
+    One block is walked plainly. With lanes (``s0`` not None) the span is
+    as many whole blocks as surely end within ``budget``, the time left
+    times lam (an event lasts exps[i] / tot[k] <= exps[i] / lam), if that
+    repays the lanes; so no lane walks past the horizon.
+    """
+    n = 0
+    if s0 is not None:
+        n = exps.size if exps.sum() < budget else int(np.searchsorted(np.cumsum(exps), budget))
+        n = n if n == exps.size else n - n % _BLOCK
+    if n < _LANE_MIN:
+        c = _arrival_thresholds(unis[:_BLOCK], tot, lam, mu)
+        return (c, *_walk(k, c, up))
+    c = np.empty(n, _lane_dtype(len(up) - 1))
+    for lo in range(0, n, _BLOCK):
+        c[lo:lo + _BLOCK] = _arrival_thresholds(unis[lo:lo + _BLOCK], tot, lam, mu)
+    return (c, *_lane_walk(k, c, up, s0))
 
 
 def _add_interval(occ, bt, k, t, tn, inv_b, batch_len):
@@ -323,11 +420,20 @@ def run_cell_mc(
     standard errors come from ``n_batches`` equal time slices (batch
     means). Zone moves are tallied between consecutive window boundaries
     spaced ``window`` apart. Identical seeds give bit-identical reports.
+
+    The occupancy walk is read off lanes (``_lane_walk``) where lam/mu,
+    capped at m, is at most ``_LANE_LOAD``, over spans of whole blocks that
+    surely end before the horizon; elsewhere it is walked block by block.
+    Both give the same occupancies.
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
     if window <= 0:
         raise ValueError(f"window must be > 0, got {window}")
+    if n_batches < 2:
+        raise ValueError(f"n_batches must be >= 2 for a standard error, got {n_batches}")
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
 
     rng = np.random.default_rng(seed)
     lam, m = p.lam, p.m
@@ -346,9 +452,11 @@ def run_cell_mc(
     inv_b = 1.0 / batch_len
     tot = np.array([lam + j * p.mu for j in range(m + 1)])
     up = [min(j + 1, m) for j in range(m + 1)]
+    load = min(lam / p.mu, m)
+    s0 = int(min(load, m - 1)) if load <= _LANE_LOAD else None  # lanes start at the mode
 
-    # Only the integer occupancy walk is sequential; every float is
-    # computed by the same expression, in the same order, as an
+    # Only the integer occupancy walk is sequential, and it is exact; every
+    # float is computed by the same expression, in the same order, as an
     # event-by-event loop would, so reports are bit-identical to it.
     done = lam <= 0
     while not done:
@@ -357,9 +465,16 @@ def run_cell_mc(
         # per-chunk partial sums, added to the totals once per chunk
         occ_c = np.zeros(m + 1)
         bt_c = np.zeros((n_batches, m + 1))
+        start, ks = 0, ()  # the walked span: its first event, occupancies
         for lo in range(0, chunk_size, _BLOCK):
-            c = _arrival_thresholds(unis[lo:lo + _BLOCK], tot, lam, p.mu)
-            kb, k_end = _walk(k, c, up)
+            if lo - start == len(ks):
+                start = lo
+                c_span, ks, k_span = _walk_span(k, exps[lo:], unis[lo:], (horizon - t) * lam,
+                                                tot, lam, p.mu, up, s0)
+            i = lo - start
+            c = c_span[i:i + _BLOCK]
+            kb = ks[i:i + _BLOCK].astype(np.int64, copy=False)
+            k_end = int(ks[i + _BLOCK]) if i + _BLOCK < len(ks) else k_span
             tn = exps[lo:lo + _BLOCK] / tot[kb]
             tn[0] += t
             np.cumsum(tn, out=tn)

@@ -44,6 +44,15 @@ class QuantityCheck:
     expected: float
     band: float
 
+    @property
+    def z(self) -> float:
+        """(observed - expected) / (band / 3): 0 when the two are equal,
+        +-inf when the band is 0 and they differ. Not printed."""
+        diff = self.observed - self.expected
+        if diff == 0:
+            return 0.0
+        return diff / (self.band / 3) if self.band else math.copysign(math.inf, diff)
+
 
 @dataclass
 class ValidationVerdict:

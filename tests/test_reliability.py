@@ -114,6 +114,19 @@ class TestScenarioProbabilities:
         assert s.l0 == 0.0
         assert s.p0 == 1.0
 
+    @pytest.mark.parametrize("kw,message", [
+        # the total overflows: L2 read inf
+        (dict(c_value=1e308, b_value=1e308), "must be finite, got inf"),
+        # no traffic at all: L1 = L2 = 0.0 came back
+        (dict(c_value=0.0, b_value=0.0), "zero traffic"),
+    ])
+    def test_refuses_the_traffic_integrated_reliability_refuses(self, kw, message):
+        p = uniform_reliability_params(3, 0.9, 0.9, **kw)
+        with pytest.raises(ValueError, match=message):
+            integrated_reliability(p)
+        with pytest.raises(ValueError, match=message):
+            scenario_probabilities(p)
+
     def test_dead_managers(self):
         s = scenario_probabilities(uniform_reliability_params(3, 0.0, 0.97))
         assert s.p_lmm == 0.0  # 1 - (1-0)^n

@@ -29,7 +29,7 @@ from sdlb.simkernel import (
     run_system_sim,
 )
 from sdlb.topology import AccessNetworkKind, Topology, build_topology
-from sdlb.validation import validate_against_analytic
+from sdlb.validation import QuantityCheck, validate_against_analytic
 
 UMTS = AccessNetworkKind.UMTS
 
@@ -182,6 +182,19 @@ class TestRunCellMc:
         with pytest.raises(ValueError):
             horizon_for_events(params(lam=0.0), 1000)
 
+    @pytest.mark.parametrize("kw", [
+        # one batch gave NaN standard errors, none a ZeroDivisionError
+        dict(n_batches=1),
+        dict(n_batches=0),
+        # no events per chunk looped forever
+        dict(chunk_size=0),
+        dict(chunk_size=-1),
+    ])
+    def test_too_few_batches_or_events_per_chunk_refused(self, kw):
+        (name,) = kw
+        with pytest.raises(ValueError, match=f"{name} must be >= "):
+            run_cell_mc(params(), horizon=10.0, window=0.1, seed=1, **kw)
+
 
 # ---------------------------------------------------------------------------
 # bit identity of the cell kernel
@@ -269,6 +282,23 @@ def reference_cell_mc(p, horizon, window, seed, n_batches=64, chunk_size=1 << 16
         "events": events,
         "zone_moves": moves,
     }
+
+
+@st.composite
+def lane_cases(draw):
+    """(m, k0, s0, c) for ``_lane_walk``: thresholds at a random load with
+    runs of c = m + 1, over spans from none to several segments."""
+    seg = simkernel._SEG
+    m = draw(st.sampled_from([1, 2, 20, 300]))
+    n = draw(st.one_of(st.integers(0, 2 * seg), st.integers(2 * seg, 7 * seg)))
+    load = draw(st.sampled_from([0.5, 2.0, 10.0, 20.0, 100.0]))
+    unis = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n)
+    c = _arrival_thresholds(unis, np.array([1.0 + j / load for j in range(m + 1)]), 1.0, 1 / load)
+    for lo, length in draw(st.lists(st.tuples(st.integers(0, n), st.integers(1, 3 * seg)),
+                                    max_size=3)):
+        c[lo:lo + length] = m + 1  # arrivals blocked at the cap: the parity flips
+    k0 = draw(st.sampled_from([0, m // 2, m]))
+    return m, k0, draw(st.integers(0, m - 1)), c
 
 
 # SHA-256 of ``report_bytes(run_cell_mc(...))``, recorded from the
@@ -362,6 +392,25 @@ class TestCellKernelBitIdentity:
         got, k_end = _walk(m, np.zeros(0, np.int64), up)
         assert got.size == 0 and k_end == m
 
+    @settings(max_examples=150, deadline=None)
+    @given(case=lane_cases())
+    # slow mixing: the path walks down from 300 and the lanes, started at
+    # 0 and 1, stay there, so segment 1 meets no lane and is walked whole
+    @example(case=(300, 300, 0, np.ones(4 * simkernel._SEG, np.int64)))
+    def test_lane_walk_matches_walk(self, case):
+        m, k0, s0, c = case
+        up = [min(j + 1, m) for j in range(m + 1)]
+        want, k_want = _walk(k0, c, up)
+        got, k_got = simkernel._lane_walk(k0, c.astype(simkernel._lane_dtype(m)), up, s0)
+        assert got.tolist() == want.tolist()
+        assert k_got == k_want
+
+    @pytest.mark.parametrize("m,dtype", [
+        (1, np.int8), (126, np.int8), (127, np.int16), (32766, np.int16), (32767, np.int32),
+    ])
+    def test_lane_dtype_holds_m_plus_one(self, m, dtype):
+        assert simkernel._lane_dtype(m) is dtype
+
     def test_matches_event_by_event_reference(self):
         rnd = random.Random(2024)
         for case in range(40):
@@ -381,6 +430,29 @@ class TestCellKernelBitIdentity:
             got = {**stats.to_jsonable(), "zone_moves": stats.zone_moves}
             want = reference_cell_mc(p, horizon, window, case, n_batches, chunk_size)
             assert {key: got[key] for key in want} == want, (case, p, horizon, window)
+
+    @pytest.mark.parametrize("p,horizon,chunk_size", [
+        # the first chunk's lane span ends at a whole block before the horizon
+        (params(lam=5.0, mu=0.5, m=20, k1=6, k2=16), 4000.0, 1 << 16),
+        # whole chunks of lanes, with a part block and a part segment each
+        (params(lam=5.0, mu=0.5, m=20, k1=6, k2=16), 9000.0, 20_000),
+        # lam/mu = 20, the largest load with lanes: some segments meet neither lane
+        (params(lam=4.0, mu=0.2, m=60, k1=18, k2=48), 6000.0, 40_000),
+        # lam/mu = 200 on m = 3: the load capped at m is what counts
+        (params(lam=20.0, mu=0.1, m=3, k1=1, k2=2), 1500.0, 50_000),
+    ])
+    def test_lane_spans_match_event_by_event_reference(self, monkeypatch, p, horizon,
+                                                        chunk_size):
+        spans = []
+        lane_walk = simkernel._lane_walk
+        monkeypatch.setattr(simkernel, "_lane_walk",
+                            lambda k, c, *args: spans.append(c.size) or lane_walk(k, c, *args))
+        stats = run_cell_mc(p, horizon, 0.1, seed=8, n_batches=7,
+                            chunk_size=chunk_size).per_type[UMTS]
+        assert spans and min(spans) >= simkernel._LANE_MIN
+        got = {**stats.to_jsonable(), "zone_moves": stats.zone_moves}
+        want = reference_cell_mc(p, horizon, 0.1, 8, 7, chunk_size)
+        assert {key: got[key] for key in want} == want
 
 
 # ---------------------------------------------------------------------------
@@ -1101,6 +1173,29 @@ class TestValidateAgainstAnalytic:
         verdict = validate_against_analytic(report, self.p, 0.02)
         assert verdict.passed  # nothing fails...
         assert all(c.status == "insufficient samples" for c in verdict.checks)
+
+    def test_z_of_judged_checks(self):
+        # z is the deviation in units of band / 3: within 3 for a passing
+        # check, beyond it for a failing one
+        passed = validate_against_analytic(self.long_report(), self.p, 0.02)
+        judged = [c for c in passed.checks if c.status == "pass"]
+        assert judged and all(abs(c.z) <= 3 for c in judged)
+        wrong = run_cell_mc(params(lam=1.0, mu=1.5, m=4, k1=1, k2=3), 8e4, 0.02, seed=42)
+        wrong.per_type[UMTS].mu = 1.0
+        failed = validate_against_analytic(wrong, self.p, 0.02).failures
+        assert failed and all(abs(c.z) > 3 for c in failed)
+
+    @pytest.mark.parametrize("observed,expected,band,z", [
+        (0.75, 0.5, 0.75, 1.0),
+        (0.25, 0.5, 0.375, -2.0),
+        (0.3, 0.3, 0.1, 0.0),
+        (0.3, 0.3, 0.0, 0.0),
+        (0.4, 0.3, 0.0, math.inf),
+        (0.2, 0.3, 0.0, -math.inf),
+    ])
+    def test_z(self, observed, expected, band, z):
+        check = QuantityCheck("x", "pass", observed, expected, band)
+        assert check.z == z
 
     def test_format_mentions_verdict(self):
         text = validate_against_analytic(self.long_report(), self.p, 0.02).format()
