@@ -192,7 +192,10 @@ def cmd_validate(cfg: ScenarioConfig) -> int:
         report = None
         if p.lam > 0:
             horizon = horizon_for_events(p, cfg.sim.target_events)
-            report = run_cell_mc(p, horizon, T, seed=cfg.seed + int(kind), kind=kind)
+            try:
+                report = run_cell_mc(p, horizon, T, seed=cfg.seed + int(kind), kind=kind)
+            except ValueError as exc:
+                raise ConfigError(f"types.{kind.name.lower()}: {exc}") from exc
         text, passed = report_section(kind, p, T, report)
         sections.append(text)
         all_pass = all_pass and passed

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
@@ -139,25 +140,31 @@ def _arrival_thresholds(unis, tot, lam, mu):
     tot[j] = lam + j*mu, so the real-arithmetic guess ceil((lam/u - lam)/mu),
     clipped to 0..m+1, is off only by rounding; the predicate is monotone in
     j, so the fix-up steps each guess towards c, re-evaluating the exact
-    expression, and no decision flips.
+    expression, and no decision flips. tot is padded with 0 and NaN, so c
+    stays in 0..m+1: u * 0 < lam always, u * NaN < lam never (inf warns at u = 0).
     """
     m = tot.shape[0] - 1
+    below = np.concatenate(([0.0], tot, [np.nan]))  # below[c] = tot[c - 1]
+    at = below[1:]  # at[c] = tot[c]
     with np.errstate(divide="ignore", over="ignore"):
         c = np.ceil(np.clip((lam / unis - lam) / mu, 0, m + 1)).astype(np.int64)
     while True:
-        up = (c <= m) & (unis * tot[np.minimum(c, m)] < lam)
-        down = (c > 0) & ~(unis * tot[np.maximum(c - 1, 0)] < lam)
+        up = unis * at[c] < lam
+        down = ~(unis * below[c] < lam)
         if not (up.any() or down.any()):
             return c
         c += up
         c -= down
 
 
-def _window_moves(moves, zb, wj, jb, prev_z):
+def _window_moves(moves, zb, tn, inv_w, jb, prev_z):
     """Tally the zone moves at the window boundaries passed by events that
-    spend their interval in zone zb[i] and end in window wj[i], each from
-    the zone at the boundary passed before; returns the new (jb, prev_z)."""
-    cur = zb[wj > np.concatenate(([jb], wj[:-1]))]
+    spend their interval in zone zb[i] and end at tn[i], each from the zone
+    at the boundary passed before; returns the new (jb, prev_z). Runs of one
+    zone are read at their ends: a run's inner boundaries move no zone."""
+    ends = np.append(np.flatnonzero(zb[1:] != zb[:-1]), zb.size - 1)
+    wj = (tn[ends] * inv_w).astype(np.int64)
+    cur = zb[ends[wj > np.concatenate(([jb], wj[:-1]))]]
     if cur.size:
         moves += np.bincount(5 * np.concatenate(([prev_z], cur[:-1])) + cur, minlength=25)
         prev_z = int(cur[-1])
@@ -193,7 +200,8 @@ def _lane_walk(k, c, up, s0):
     the lanes start one apart, so one of them has the true path's. A
     segment whose path meets neither lane is walked to its end, as are
     the first segment, the events after the last whole one, and spans
-    shorter than two segments. The dtype of ``c`` must hold m + 1.
+    shorter than two segments. Python visits only those and the breaks, where
+    a lane ends off its next start. The dtype of ``c`` must hold m + 1.
     """
     n = c.size - c.size % _SEG
     if n < 2 * _SEG:
@@ -218,26 +226,31 @@ def _lane_walk(k, c, up, s0):
         np.minimum(nxt, cap, out=nxt)
 
     seg = lanes[_LEAD:].transpose(2, 1, 0)  # [segment - 1, lane, event]
+    nseg = seg.shape[0]
     starts, ends = lanes[_LEAD].tolist(), lanes[-1].tolist()
-    pick = [0] * seg.shape[0]  # the lane each segment's path meets
+    breaks = [[*np.flatnonzero(lanes[-1, p, :-1] != lanes[_LEAD, p, 1:]).tolist(), nseg - 1]
+              for p in (0, 1)]  # the last segment ends every lane
+    pick = [0] * nseg  # the lane each segment's path meets
     walks = []  # (first event, occupancies walked before meeting it)
-    for s in range(seg.shape[0]):
+    s = 0
+    while s < nseg:
         if k == starts[0][s] or k == starts[1][s]:
-            pick[s] = int(k != starts[0][s])
+            p = int(k != starts[0][s])
+            e = breaks[p][bisect_left(breaks[p], s)]  # the path is lane p up to e
+            pick[s:e + 1], k, s = [p] * (e + 1 - s), ends[p][e], e
         else:
             lo, walked = (s + 1) * _SEG, []
             a, b = seg[s, :, :_SEG].tolist()
             for ai, bi, ci in zip(a, b, segs[s + 1].tolist()):
                 if k == ai or k == bi:
-                    pick[s] = int(k != ai)
+                    p = pick[s] = int(k != ai)
+                    k = ends[p][s]
                     break
                 walked.append(k)
                 k = up[k] if k < ci else k - 1
             walks.append((lo, walked))
-            if len(walked) == _SEG:
-                continue  # k is the segment's end
-        k = ends[pick[s]][s]
-    ks[_SEG:n].reshape(-1, _SEG)[...] = seg[np.arange(len(pick)), pick, :_SEG]
+        s += 1
+    ks[_SEG:n].reshape(-1, _SEG)[...] = seg[np.arange(nseg), pick, :_SEG]
     for lo, walked in walks:
         ks[lo:lo + len(walked)] = walked
     ks[n:], k = _walk(k, c[n:], up)
@@ -287,10 +300,15 @@ def _add_intervals(occ, bt, kb, tp, tn, inv_b, batch_len):
     sees the same sequence of additions as an event-by-event loop.
     """
     last = bt.shape[0] - 1
+    dt = tn - tp
+    b0 = min(int(tp[0] * inv_b), last)
+    if b0 == min(int(tn[-1] * inv_b), last):  # the block lies in one batch
+        np.add.at(occ, kb, dt)
+        np.add.at(bt[b0], kb, dt)
+        return
     bi = np.minimum((tp * inv_b).astype(np.int64), last)
     bj = np.minimum((tn * inv_b).astype(np.int64), last)
     cell = bi * bt.shape[1] + kb
-    dt = tn - tp
     flat = bt.reshape(-1)
     start = 0
     for i in [*np.flatnonzero(bi != bj).tolist(), len(kb)]:
@@ -424,7 +442,8 @@ def run_cell_mc(
     The occupancy walk is read off lanes (``_lane_walk``) where lam/mu,
     capped at m, is at most ``_LANE_LOAD``, over spans of whole blocks that
     surely end before the horizon; elsewhere it is walked block by block.
-    Both give the same occupancies.
+    Both give the same occupancies. Zone moves are read at the ends of
+    runs of one zone; horizon / window must be below 2**63 (int64 indices).
     """
     if horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
@@ -434,6 +453,9 @@ def run_cell_mc(
         raise ValueError(f"n_batches must be >= 2 for a standard error, got {n_batches}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    inv_w = 1.0 / window
+    if not horizon * inv_w < 2**63:  # window indices are int64
+        raise ValueError(f"horizon / window must be < 2**63, got {horizon} / {window}")
 
     rng = np.random.default_rng(seed)
     lam, m = p.lam, p.m
@@ -447,7 +469,6 @@ def run_cell_mc(
     zone = np.array([_zone(j, p.k1, p.k2) for j in range(m + 1)])
     jb = 0  # index of the window boundary last passed
     prev_z = int(zone[0])  # zone at that boundary: the cell starts empty
-    inv_w = 1.0 / window
     batch_len = horizon / n_batches
     inv_b = 1.0 / batch_len
     tot = np.array([lam + j * p.mu for j in range(m + 1)])
@@ -486,9 +507,7 @@ def run_cell_mc(
             if n:
                 tp = np.concatenate(([t], tn[:-1]))
                 _add_intervals(occ_c, bt_c, kb, tp, tn, inv_b, batch_len)
-                jb, prev_z = _window_moves(
-                    moves, zone[kb], (tn * inv_w).astype(np.int64), jb, prev_z
-                )
+                jb, prev_z = _window_moves(moves, zone[kb], tn, inv_w, jb, prev_z)
                 admitted = kb < c
                 arrivals += int(np.count_nonzero(admitted))
                 blocked += int(np.count_nonzero(admitted & (kb == m)))
@@ -502,7 +521,7 @@ def run_cell_mc(
 
     # the tail [t, horizon) at occupancy k
     _add_interval(occ_time, batch_time, k, t, horizon, inv_b, batch_len)
-    jb, _ = _window_moves(moves, zone[[k]], np.array([int(horizon * inv_w)]), jb, prev_z)
+    jb, _ = _window_moves(moves, zone[[k]], np.array([horizon]), inv_w, jb, prev_z)
     moves[::6] = 0  # a boundary in an unchanged zone is no move
 
     stats = CellStats(

@@ -300,6 +300,20 @@ class TestValidate:
         assert capsys.readouterr().err.startswith("config error: types.umts: ")
         assert not (out / "validation_report.txt").exists()
 
+    def test_overflowing_window_index_is_config_error(self, tmp_path, capsys):
+        # horizon / T near 10^305: the int64 window indices would be garbage
+        doc = default_config().to_dict()
+        doc["types"]["wimax"]["lam"] = 1e-300
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "val"
+        code = main(["validate", "--config", str(path), "--out", str(out),
+                     "--target-events", "20000"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: types.wimax: horizon / window must be < 2**63, got ")
+        assert not (out / "validation_report.txt").exists()
+
     def test_tiny_run_reports_insufficient_samples(self, tmp_path):
         doc = default_config().to_dict()
         path = tmp_path / "tiny.json"

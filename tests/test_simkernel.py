@@ -182,6 +182,18 @@ class TestRunCellMc:
         with pytest.raises(ValueError):
             horizon_for_events(params(lam=0.0), 1000)
 
+    @pytest.mark.parametrize("lam,horizon,window", [
+        (1.0, 1e20, 0.1), (1e-300, 2.0**63, 1.0), (1.0, math.inf, 0.1), (1.0, 10.0, math.nan),
+    ])
+    def test_overflowing_window_index_refused(self, lam, horizon, window):
+        # int64 window indices past 2**63 tallied garbage, with a cast warning
+        with pytest.raises(ValueError, match=r"horizon / window must be < 2\*\*63"):
+            run_cell_mc(params(lam=lam), horizon=horizon, window=window, seed=1)
+
+    def test_largest_window_index_counted(self):
+        report = run_cell_mc(params(lam=1e-300), horizon=2.0**62, window=1.0, seed=1)
+        assert report.per_type[UMTS].window_count == 2**62
+
     @pytest.mark.parametrize("kw", [
         # one batch gave NaN standard errors, none a ZeroDivisionError
         dict(n_batches=1),
@@ -284,21 +296,79 @@ def reference_cell_mc(p, horizon, window, seed, n_batches=64, chunk_size=1 << 16
     }
 
 
+def lane_thresholds(m, loads, n, seed, blocked=()):
+    """Thresholds of n events at lam/mu = loads[i] over the i-th of equal
+    parts, then c = m + 1 (arrivals, blocked at the cap) over each
+    (first event, length) of ``blocked``."""
+    rng = np.random.default_rng(seed)
+    c = np.empty(n, np.int64)
+    for part, load in zip(np.array_split(np.arange(n), len(loads)), loads):
+        tot = np.array([1.0 + j / load for j in range(m + 1)])
+        c[part] = _arrival_thresholds(rng.random(part.size), tot, 1.0, 1 / load)
+    for lo, length in blocked:
+        c[lo:lo + length] = m + 1
+    return c
+
+
+def lane_features(k0, c, up, s0):
+    """What ``_lane_walk`` meets on thresholds c, found from ``_walk`` alone:
+    (lane switches, runs of breaks, segments meeting neither lane).
+
+    For each segment after the first, the lane the true path first equals
+    (lane 0 on a tie) is its met lane. A switch is a segment whose met lane
+    is not the previous segment's; a break, a segment whose met lane ends
+    off that lane's start in the next segment; a run, two breaks in a row.
+    """
+    seg, lead = simkernel._SEG, simkernel._LEAD
+    path, _ = _walk(k0, c, up)
+    met, ended, starts = [], [], []
+    for lo in range(seg, c.size - c.size % seg, seg):
+        lanes = [_walk(s0 + q, c[lo - lead:lo + seg], up) for q in (0, 1)]
+        a, b = (ks[lead:] for ks, _ in lanes)
+        hit = np.flatnonzero((path[lo:lo + seg] == a) | (path[lo:lo + seg] == b))
+        met.append(None if hit.size == 0 else int(path[lo + hit[0]] != a[hit[0]]))
+        ended.append(None if hit.size == 0 else lanes[met[-1]][1])
+        starts.append([int(a[0]), int(b[0])])
+    breaks = [p is not None and s + 1 < len(met) and ended[s] != starts[s + 1][p]
+              for s, p in enumerate(met)]
+    return (sum(p is not None and q is not None and p != q for p, q in zip(met, met[1:])),
+            sum(x and y for x, y in zip(breaks, breaks[1:])),
+            met.count(None))
+
+
 @st.composite
 def lane_cases(draw):
-    """(m, k0, s0, c) for ``_lane_walk``: thresholds at a random load with
-    runs of c = m + 1, over spans from none to several segments."""
+    """(m, k0, s0, c) for ``_lane_walk``: thresholds at one to three loads
+    in turn with runs of c = m + 1, over spans from none to several
+    segments. Load changes and blocked runs make the path switch lanes,
+    high loads make runs of breaks and segments that meet neither lane."""
     seg = simkernel._SEG
     m = draw(st.sampled_from([1, 2, 20, 300]))
     n = draw(st.one_of(st.integers(0, 2 * seg), st.integers(2 * seg, 7 * seg)))
-    load = draw(st.sampled_from([0.5, 2.0, 10.0, 20.0, 100.0]))
-    unis = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(n)
-    c = _arrival_thresholds(unis, np.array([1.0 + j / load for j in range(m + 1)]), 1.0, 1 / load)
-    for lo, length in draw(st.lists(st.tuples(st.integers(0, n), st.integers(1, 3 * seg)),
-                                    max_size=3)):
-        c[lo:lo + length] = m + 1  # arrivals blocked at the cap: the parity flips
+    loads = draw(st.lists(st.sampled_from([0.5, 2.0, 10.0, 20.0, 40.0, 100.0]),
+                          min_size=1, max_size=3))
+    blocked = draw(st.lists(st.tuples(st.integers(0, n), st.integers(1, 3 * seg)), max_size=3))
+    c = lane_thresholds(m, loads, n, draw(st.integers(0, 2**32 - 1)), blocked)
     k0 = draw(st.sampled_from([0, m // 2, m]))
     return m, k0, draw(st.integers(0, m - 1)), c
+
+
+@st.composite
+def window_cases(draw):
+    """(zb, tn, inv_w, jb, prev_z) for ``_window_moves``: zones that stay,
+    change at every event or vary at random, end times with repeats, and
+    windows from far longer than the block to far shorter than an event."""
+    n = draw(st.integers(1, 40))
+    pattern = draw(st.sampled_from(["stay", "every", "random"]))
+    zones = [draw(st.integers(0, 4))]
+    for _ in range(n - 1):
+        step = {"stay": 0, "every": draw(st.integers(1, 4)), "random": draw(st.integers(0, 4))}
+        zones.append((zones[-1] + step[pattern]) % 5)
+    t0 = draw(st.floats(0.0, 100.0))
+    gaps = draw(st.lists(st.sampled_from([0.0, 0.01, 0.3, 1.0, 2.5]), min_size=n, max_size=n))
+    tn = t0 + np.cumsum(gaps)
+    inv_w = draw(st.sampled_from([1e-3, 0.5, 1.0, 3.0, 10.0]))
+    return np.array(zones), tn, inv_w, int(t0 * inv_w), draw(st.integers(0, 4))
 
 
 # SHA-256 of ``report_bytes(run_cell_mc(...))``, recorded from the
@@ -339,6 +409,25 @@ GOLDEN = {
     "k1_zero": (
         params(lam=1.0, mu=1.0, m=4, k1=0, k2=2), 5000.0, 0.3, 6,
         "d5e8f34d9cbc78a7f8285ca8eebb4e97b3bb796fc5ddab28a61e6242b08670ca",
+    ),
+    # recorded from the kernel that tallied every event's window index and
+    # batch slice: blocks within one batch slice and lane spans at the
+    # baseline's 10^6 events, frequent zone moves, and loads off the lanes
+    "baseline_wimax_1e6": (
+        params(lam=0.5, mu=0.05, m=20, k1=6, k2=16), 1050982.16903393, 0.1, 44,
+        "d7cde58f93f17def2357174366653848aa0d585a186263b6adcbab956ed5d2d9",
+    ),
+    "zone_rich": (
+        params(lam=2.0, mu=0.2, m=20, k1=9, k2=11), 50000.0, 0.05, 46,
+        "00dc69e8e41414cd56eebb738a0f59bcc00d8dafbda80dc6df476f2d0b4668e6",
+    ),
+    "off_lane_load_40": (
+        params(lam=0.5, mu=0.0125, m=120, k1=30, k2=90), 200000.0, 0.1, 47,
+        "76321d3520096849b4d77dbc6f02f995f3795a85951cbf39685142ecf98f5367",
+    ),
+    "off_lane_load_100": (
+        params(lam=0.5, mu=0.005, m=120, k1=30, k2=90), 200000.0, 0.1, 48,
+        "17627d0dab524764194de75d7c62a3222f0c94c0fd3864062f28559d901acefb",
     ),
 }
 
@@ -404,6 +493,59 @@ class TestCellKernelBitIdentity:
         got, k_got = simkernel._lane_walk(k0, c.astype(simkernel._lane_dtype(m)), up, s0)
         assert got.tolist() == want.tolist()
         assert k_got == k_want
+
+    @pytest.mark.parametrize("m,loads,blocked,seed,meets", [
+        # the path blocks at the cap before the next lanes start: it meets the other lane
+        (20, (10.0,), ((5 * simkernel._SEG, 41),), 1, ["switch"]),
+        # the path meets the lanes late, or never
+        (120, (40.0,), (), 0, ["run of breaks", "miss"]),
+        (60, (20.0,), (), 0, ["run of breaks"]),
+        (300, (2.0, 100.0), (), 0, ["miss"]),
+    ])
+    def test_lane_walk_meets_switches_breaks_and_misses(self, m, loads, blocked, seed, meets):
+        c = lane_thresholds(m, loads, 16 * simkernel._SEG, seed, blocked)
+        up = [min(j + 1, m) for j in range(m + 1)]
+        s0 = int(min(loads[0], m - 1))
+        counts = dict(zip(["switch", "run of breaks", "miss"], lane_features(s0, c, up, s0)))
+        assert all(counts[name] for name in meets), counts
+        want_ks, want_k = _walk(s0, c, up)
+        got_ks, got_k = simkernel._lane_walk(s0, c.astype(simkernel._lane_dtype(m)), up, s0)
+        assert got_ks.tolist() == want_ks.tolist() and got_k == want_k
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=window_cases())
+    # a block past no boundary, one past a boundary at every event
+    @example(case=(np.array([1, 2, 1]), np.array([5.0, 5.5, 6.0]), 1e-3, 0, 3))
+    @example(case=(np.array([0, 4, 0, 4]), np.array([1.0, 2.0, 2.0, 3.0]), 1.0, 0, 2))
+    def test_window_moves_match_event_by_event(self, case):
+        zb, tn, inv_w, jb, prev_z = case
+        want, jb_want, z_want = np.zeros(25, np.int64), jb, prev_z
+        for z, t in zip(zb.tolist(), tn.tolist()):
+            if int(t * inv_w) > jb_want:
+                want[5 * z_want + z] += 1
+                jb_want, z_want = int(t * inv_w), z
+        moves = np.zeros(25, np.int64)
+        assert simkernel._window_moves(moves, zb, tn, inv_w, jb, prev_z) == (jb_want, z_want)
+        moves[::6] = want[::6] = 0  # run_cell_mc keeps no diagonal
+        assert moves.tolist() == want.tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(n_batches=st.sampled_from([2, 7, 64]), t0=st.floats(0.0, 10.0),
+           gaps=st.lists(st.sampled_from([0.0, 1e-3, 0.05, 0.4, 3.0]), min_size=1, max_size=30))
+    # a block within one batch slice; one whose last event alone crosses into the next
+    @example(n_batches=2, t0=1.0, gaps=[1e-3] * 5)
+    @example(n_batches=2, t0=4.0, gaps=[0.05, 0.05, 0.05, 3.0])
+    def test_add_intervals_match_event_by_event(self, n_batches, t0, gaps):
+        batch_len = 10.0 / n_batches  # a horizon of 10
+        tn = t0 + np.cumsum(gaps)
+        tp = np.concatenate(([t0], tn[:-1]))
+        kb = np.arange(tn.size) % 4
+        want_occ, want_bt = np.zeros(4), np.zeros((n_batches, 4))
+        for k, t, t_end in zip(kb.tolist(), tp.tolist(), tn.tolist()):
+            simkernel._add_interval(want_occ, want_bt, k, t, t_end, 1 / batch_len, batch_len)
+        occ, bt = np.zeros(4), np.zeros((n_batches, 4))
+        simkernel._add_intervals(occ, bt, kb, tp, tn, 1 / batch_len, batch_len)
+        assert occ.tobytes() == want_occ.tobytes() and bt.tobytes() == want_bt.tobytes()
 
     @pytest.mark.parametrize("m,dtype", [
         (1, np.int8), (126, np.int8), (127, np.int16), (32766, np.int16), (32767, np.int32),
