@@ -183,7 +183,6 @@ def cmd_figures(cfg: ScenarioConfig) -> int:
 
 
 def cmd_validate(cfg: ScenarioConfig) -> int:
-    out = _outdir(cfg)
     T = cfg.overhead.T
     sections: list[str] = []
     all_pass = True
@@ -195,13 +194,17 @@ def cmd_validate(cfg: ScenarioConfig) -> int:
             try:
                 report = run_cell_mc(p, horizon, T, seed=cfg.seed + int(kind), kind=kind)
             except ValueError as exc:
-                raise ConfigError(f"types.{kind.name.lower()}: {exc}") from exc
+                name = kind.name.lower()
+                raise ConfigError(
+                    f"types.{name}: {exc} (from types.{name}.lam = {p.lam!r}, "
+                    f"sim.target_events = {cfg.sim.target_events}, overhead.T = {T!r})"
+                ) from exc
         text, passed = report_section(kind, p, T, report)
         sections.append(text)
         all_pass = all_pass and passed
 
     text = report_text(sections)
-    report_path = out / "validation_report.txt"
+    report_path = _outdir(cfg) / "validation_report.txt"
     report_path.write_text(text)
     print(text, end="")
     print(f"wrote {report_path}")

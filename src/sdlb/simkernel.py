@@ -28,7 +28,8 @@ mobile-agent policy migrates one session per cell per tick from the most
 over-loaded kind to the least-occupied under-loaded kind. The report tick
 is event-driven: it visits only the streams whose occupancy changed since
 the previous tick, reads their load states off a per-kind zone table,
-counts the reports of all others in bulk and queues the next tick. The
+counts the reports of all others in bulk and queues the next tick; a
+tick with no notice and no cell that can migrate does no more. The
 cells that can migrate, those with an over-loaded and an under-loaded
 kind, are kept as a set that only a tick's notices change. What the
 LMMs' liveness decides, the answered grids and a heartbeat round's
@@ -46,9 +47,10 @@ Determinism: one RNG stream per (cell, kind), the PCG64 stream of
 ``SeedSequence(seed, spawn_key=(cell, kind))``, so adding cells never
 perturbs existing streams; the seed states of all streams are hashed in
 one vectorised pass (``sdlb.streams``). Draws come in buffered blocks
-that equal the scalar draws bit for bit. The event queue breaks time
-ties by event-kind rank, then ids. Identical inputs give byte-identical
-reports.
+that equal the scalar draws bit for bit; a stream's first block is sized
+from the draws it is expected to make by the horizon, so most streams
+refill once. The event queue breaks time ties by event-kind rank, then
+ids. Identical inputs give byte-identical reports.
 """
 from __future__ import annotations
 
@@ -481,7 +483,7 @@ def run_cell_mc(
     # event-by-event loop would, so reports are bit-identical to it.
     done = lam <= 0
     while not done:
-        exps = rng.exponential(size=chunk_size)
+        exps = rng.standard_exponential(size=chunk_size)
         unis = rng.random(size=chunk_size)
         # per-chunk partial sums, added to the totals once per chunk
         occ_c = np.zeros(m + 1)
@@ -608,15 +610,16 @@ class _Draws:
     ``exponential(scale)`` is ``scale * standard_exponential()``, and a
     block of n standard draws is the next n scalar ones, so ``scale *
     draw(s)`` is bit for bit what ``rngs[s].exponential(scale)`` would
-    return. Buffers are reversed for ``pop()``. Blocks start at 4 draws
-    and double up to 64, so a stream that draws little holds little.
-    Hot loops inline ``draw``: ``buf.pop() if buf else refill(s)``.
+    return. Buffers are reversed for ``pop()``. Stream s's first block is
+    ``first[s]`` draws; blocks then double up to 64, so a stream that
+    draws little holds little. Hot loops inline ``draw``: ``buf.pop() if
+    buf else refill(s)``.
     """
 
-    def __init__(self, rngs: list[np.random.Generator]):
+    def __init__(self, rngs: list[np.random.Generator], first: list[int]):
         self.rngs = rngs
         self.bufs: list[list[float]] = [[] for _ in rngs]
-        self.block = [4] * len(rngs)
+        self.block = first
 
     def refill(self, s: int) -> float:
         """Refill stream s's empty buffer and take its first draw."""
@@ -680,7 +683,16 @@ def run_system_sim(
     # imported here: it loads numpy.random, which the other commands never need
     from .streams import stream_rngs
 
-    draws = _Draws(stream_rngs(seed, n_cells, n_kinds))
+    # a stream draws about 2*lam*horizon + 1 times (an arrival and a
+    # service per admission, plus the first arrival): its first block is
+    # the power of two in 4..64 that covers that, so most refill once
+    first = []
+    for p in params:
+        n = 4
+        while n < 64 and n < 2 * p.lam * horizon + 1:
+            n *= 2
+        first.append(n)
+    draws = _Draws(stream_rngs(seed, n_cells, n_kinds), first * n_cells)
     bufs, refill = draws.bufs, draws.refill
     arr_scale = [1.0 / p.lam if p.lam > 0 else None for p in params] * n_cells
     svc_scale = [1.0 / p.mu for p in params] * n_cells
@@ -714,6 +726,8 @@ def run_system_sim(
     moves = [[0] * 25 for _ in range(n_kinds)]
     moves_row = moves * n_cells
     ticks = 0
+    # the per-tick and per-round tallies are locals; the rare kinds count here
+    n_balance = n_notices = n_beats = 0
     counters: Counter[str] = Counter()
     failover: list[float] = []
 
@@ -759,19 +773,22 @@ def run_system_sim(
         """The first fault time after t: what ``alive`` says at t holds until then."""
         return min((f for f in fail_time.values() if f > t), default=math.inf)
 
-    # initial events
+    # initial events, heapified once: the keys are unique, so the pops come
+    # in the same order as from pushes
     for s in range(n_streams):
         if arr_scale[s] is not None:
             ta = arr_scale[s] * draws.draw(s)
             if ta <= horizon:
-                push(heap, (ta, ARRIVAL, s, 0))
+                heap.append((ta, ARRIVAL, s, 0))
     # one report tick on the queue at a time: tick i pushes tick i + 1
     if n_ticks:
-        push(heap, (window, REPORT_TICK, 1, 0))
+        heap.append((window, REPORT_TICK, 1, 0))
     if scenario.heartbeat_period <= horizon:
-        push(heap, (scenario.heartbeat_period, HEARTBEAT, 0, 0))
+        heap.append((scenario.heartbeat_period, HEARTBEAT, 0, 0))
     for tr in border_cells:
-        push(heap, (tr, BORDER, 0, 0))
+        heap.append((tr, BORDER, 0, 0))
+    heapq.heapify(heap)
+    balancing = scenario.balancing_enabled
 
     def migrate_one(c: int, t: float):
         nonlocal next_sid
@@ -801,9 +818,9 @@ def run_system_sim(
         mig_out[src] += 1
         mig_in[dst] += 1
         buf = bufs[d]
-        svc = svc_scale[d] * (buf.pop() if buf else refill(d))
-        if t + svc <= horizon:
-            push(heap, (t + svc, DEPARTURE, d, new_sid))
+        td = t + svc_scale[d] * (buf.pop() if buf else refill(d))
+        if td <= horizon:
+            push(heap, (td, DEPARTURE, d, new_sid))
 
     while heap and heap[0][0] <= cutoff:
         t, ekind, s, sid = pop(heap)
@@ -814,6 +831,7 @@ def run_system_sim(
                 c, ki = divmod(s, n_kinds)
                 emit(t, "Arrival", "mn", f"cell{c}.{names[ki]}")
             k = occ[s]
+            buf = bufs[s]  # refill extends this list in place
             if k >= cap[s]:
                 blocked[s] += 1
             else:
@@ -822,12 +840,10 @@ def run_system_sim(
                 occ[s] = k + 1
                 dirty.add(s)
                 live[s][next_sid] = None
-                buf = bufs[s]
-                svc = svc_scale[s] * (buf.pop() if buf else refill(s))
-                if t + svc <= horizon:
-                    push(heap, (t + svc, DEPARTURE, s, next_sid))
+                td = t + svc_scale[s] * (buf.pop() if buf else refill(s))
+                if td <= horizon:
+                    push(heap, (td, DEPARTURE, s, next_sid))
                 next_sid += 1
-            buf = bufs[s]
             ta = t + arr_scale[s] * (buf.pop() if buf else refill(s))
             if ta <= horizon:
                 push(heap, (ta, ARRIVAL, s, 0))
@@ -856,7 +872,7 @@ def run_system_sim(
                 answered = [alive(lmm, t) for lmm in serving]
                 n_answered = cells_per_grid * sum(answered)
                 recount_at = next_fault(t)
-            counters["BalanceInfo"] += n_answered
+            n_balance += n_answered
             if trace is not None:
                 for c in range(n_cells):
                     lmm = serving[grid_of_cell[c]]
@@ -875,26 +891,27 @@ def run_system_sim(
                     if fires[move]:
                         notices.append(s)
             dirty.clear()
-            notices.sort()  # (cell, kind) order is the notice order
             # A cell migrates when it has both an over-loaded and an
             # under-loaded kind, which zones rising with occupancy put on top
             # and at the bottom. Only a notice changes that, so only the
             # cells of notices are re-read. Session ids are global, so cells
             # go in order
-            if scenario.balancing_enabled:
-                for c in {s // n_kinds for s in notices}:
-                    zs = zone_at_tick[c * n_kinds:(c + 1) * n_kinds]
-                    if zone_state[max(zs)] is OVER and zone_state[min(zs)] is UNDER:
-                        both.add(c)
-                    else:
-                        both.discard(c)
+            if notices:
+                notices.sort()  # (cell, kind) order is the notice order
+                n_notices += len(notices)
+                if balancing:
+                    for c in {s // n_kinds for s in notices}:
+                        zs = zone_at_tick[c * n_kinds:(c + 1) * n_kinds]
+                        if zone_state[max(zs)] is OVER and zone_state[min(zs)] is UNDER:
+                            both.add(c)
+                        else:
+                            both.discard(c)
+            if both:
                 for c in sorted(both):
                     migrate_one(c, t)
             # the zero-delay notices, in (cell, kind) order, then their
             # replicas, in (cell, kind, backup) order: queued at t they
             # would come right after the tick, before any other event at t
-            counters["StateChangeNotice"] += len(notices)
-            counters["BBReplicate"] += len(notices) * len(topo.bb_backups)
             if trace is not None:
                 for s in notices:
                     emit(t, "StateChangeNotice", f"lmm{serving[grid_of_cell[s // n_kinds]]}", bb)
@@ -909,7 +926,7 @@ def run_system_sim(
                 beats = [(lmm, backup) for lmm in range(n_lmm) if alive(lmm, t)
                          and (backup := live_backup(lmm, t)) is not None]
                 rebuild_at = next_fault(t)
-            counters["Heartbeat"] += len(beats)
+            n_beats += len(beats)
             if trace is not None:
                 for lmm, backup in beats:
                     emit(t, "Heartbeat", f"lmm{lmm}", f"lmm{backup}")
@@ -981,7 +998,9 @@ def run_system_sim(
             window=window,
         )
 
-    counters["LoadReport"] = ticks * n_cells
+    counters.update(BalanceInfo=n_balance, StateChangeNotice=n_notices,
+                    BBReplicate=n_notices * len(topo.bb_backups), Heartbeat=n_beats,
+                    LoadReport=ticks * n_cells)
     return SimReport(
         per_type=per_type,
         # a message kind is listed once it has been sent

@@ -299,6 +299,7 @@ class TestValidate:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: types.umts: ")
         assert not (out / "validation_report.txt").exists()
+        assert not out.exists()
 
     def test_overflowing_window_index_is_config_error(self, tmp_path, capsys):
         # horizon / T near 10^305: the int64 window indices would be garbage
@@ -310,9 +311,14 @@ class TestValidate:
         code = main(["validate", "--config", str(path), "--out", str(out),
                      "--target-events", "20000"])
         assert code == 2
-        assert capsys.readouterr().err.startswith(
+        err = capsys.readouterr().err
+        assert err.startswith(
             "config error: types.wimax: horizon / window must be < 2**63, got ")
+        # the derived horizon is named together with the settings it comes from
+        assert err.endswith(
+            "(from types.wimax.lam = 1e-300, sim.target_events = 20000, overhead.T = 0.1)\n")
         assert not (out / "validation_report.txt").exists()
+        assert not out.exists()
 
     def test_tiny_run_reports_insufficient_samples(self, tmp_path):
         doc = default_config().to_dict()

@@ -904,13 +904,16 @@ class TestHeartbeatScaling:
 
 
 class TestPerStreamState:
+    @pytest.mark.parametrize("first", [4, 16, 64])
     @pytest.mark.parametrize("seed", [0, 7, 2012])
-    def test_buffered_draws_equal_scalar_draws(self, seed):
+    def test_buffered_draws_equal_scalar_draws(self, seed, first):
         # one stream alternates scales, as its arrivals and services do;
-        # refills come at draws 0, 4, 12, 28, 60, 124, 188 and 252, so the
-        # blocks of 4, 8, 16, 32 and 64 and two refills at 64 are all crossed
+        # from a first block of 4, refills come at draws 0, 4, 12, 28, 60,
+        # 124, 188 and 252, so the blocks of 4, 8, 16, 32 and 64 and two
+        # refills at 64 are all crossed; from 16 at 0, 16, 48, 112, 176 and
+        # 240, from 64 at 0, 64, 128, 192 and 256
         scales = [2.0, 1 / 3, 1e-3, 0.05, 7.5, 1e12]
-        draws = simkernel._Draws([np.random.default_rng(np.random.SeedSequence(seed))])
+        draws = simkernel._Draws([np.random.default_rng(np.random.SeedSequence(seed))], [first])
         scalar = np.random.default_rng(np.random.SeedSequence(seed))
         got, want = [], []
         for i in range(300):
@@ -919,6 +922,24 @@ class TestPerStreamState:
             want.append(scalar.exponential(scale))
         assert draws.block == [64]
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_first_block_covers_a_short_run(self, monkeypatch):
+        # 700 cells x 10 s of baseline traffic: a stream draws about 11
+        # times, so a first block of 16 refills about 1.1 times per stream;
+        # blocks of 4, 8, 16 from the start refill about 2.3 times
+        calls = [0]
+        refill = simkernel._Draws.refill
+
+        def counted(self, s):
+            calls[0] += 1
+            return refill(self, s)
+
+        monkeypatch.setattr(simkernel._Draws, "refill", counted)
+        topo = build_topology(100, 7)
+        report = run_system_sim(topo, small_types(), SimScenario(), 10.0, 3)
+        streams_ = topo.cell_count * len(AccessNetworkKind)
+        assert sum(s.arrivals for s in report.per_type.values()) > 2 * streams_
+        assert calls[0] <= 1.3 * streams_
 
     def test_memory_does_not_grow_with_the_horizon(self):
         # about 90 live sessions at any time and no over-loaded cell, so no
