@@ -34,8 +34,8 @@ cells that can migrate, those with an over-loaded and an under-loaded
 kind, are kept as a set that only a tick's notices change. What the
 LMMs' liveness decides, the answered grids and a heartbeat round's
 beats, is recomputed only when a fault time has passed (the grids also
-after a takeover). The queue holds only events due at their own time:
-zero-delay follow-ups (a tick's notices and replicas, an instant's
+after a takeover). The control queue holds only events due at their own
+time: zero-delay follow-ups (a tick's notices and replicas, an instant's
 border grants) are emitted inline, in the order their ranks would give
 them on it.
 
@@ -49,13 +49,20 @@ perturbs existing streams; the seed states of all streams are hashed in
 one vectorised pass (``sdlb.streams``). Draws come in buffered blocks
 that equal the scalar draws bit for bit; a stream's first block is sized
 from the draws it is expected to make by the horizon, so most streams
-refill once. The event queue breaks time ties by event-kind rank, then
-ids. Identical inputs give byte-identical reports.
+refill once. Events wait in three queues: each stream's next arrival
+(time, stream), the departures (time, stream, session id), and the
+control events, ticks, heartbeat rounds, takeovers and border instants
+(time, rank, tick number or LMM id). The loop takes the earliest head;
+at equal times an arrival goes first, then a departure, then the
+control events by rank, which is the order of the ``SimEventKind``
+ranks, and within a queue ties break by ids. Identical inputs give
+byte-identical reports.
 """
 from __future__ import annotations
 
 import heapq
 import math
+import sys
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -92,7 +99,13 @@ __all__ = [
 
 
 class SimEventKind(IntEnum):
-    """Event kinds; the integer value is the same-time processing rank."""
+    """Event kinds; the integer value is the same-time processing rank.
+
+    Arrivals, departures and the other four kinds wait in three queues,
+    and their heads merge in this rank at equal times: an arrival, then a
+    departure, then the control events, which share one queue keyed by
+    (time, rank, ...).
+    """
 
     ARRIVAL = 0
     DEPARTURE = 1
@@ -564,6 +577,8 @@ class _Scheduled:
     time: float
 
     def __post_init__(self):
+        if not math.isfinite(self.time):
+            raise ValueError(f"time must be finite, got {self.time}")
         if self.time < 0:
             raise ValueError(f"time must be >= 0, got {self.time}")
 
@@ -590,6 +605,9 @@ class SimScenario:
     borders: tuple[BorderEvent, ...] = ()
 
     def __post_init__(self):
+        for name in ("window", "heartbeat_period", "heartbeat_timeout"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.window <= 0:
             raise ValueError(f"window must be > 0, got {self.window}")
         if self.heartbeat_period <= 0:
@@ -649,6 +667,8 @@ def run_system_sim(
     the three signalling flows. The trace sink, when given, receives one
     ``time,kind,src,dst`` line per message.
     """
+    if not math.isfinite(horizon):
+        raise ValueError(f"horizon must be finite, got {horizon}")
     if horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
     for kind in _KIND_ORDER:
@@ -669,7 +689,8 @@ def run_system_sim(
 
     window = scenario.window
     n_ticks = int(horizon / window + 1e-9)
-    cutoff = horizon + window * 1e-9
+    # kept finite: the stop entry at the cutoff must sort before the infinite sentinels
+    cutoff = min(horizon + window * 1e-9, sys.float_info.max)
 
     cells_per_grid = topo.cells_per_grid
     grid_of_cell = [c // cells_per_grid for c in range(n_cells)]
@@ -749,12 +770,23 @@ def run_system_sim(
             border_cells.setdefault(border.time, []).append(border.cell_id)
     bb = f"bb{topo.bb_primary}"
     # locals: an enum attribute lookup costs several int compares
-    ARRIVAL, DEPARTURE, REPORT_TICK, HEARTBEAT, TAKEOVER, BORDER = map(int, SimEventKind)
+    REPORT_TICK, HEARTBEAT, TAKEOVER, BORDER = map(int, tuple(SimEventKind)[2:])
     OVER, UNDER = LoadState.OVER_LOADED, LoadState.UNDER_LOADED
 
-    heap: list[tuple[float, int, int, int]] = []
+    # Three queues, merged by their heads: ``arr`` holds each stream's next
+    # arrival (time, s), ``dep`` the departures (time, s, sid), ``ctl`` the
+    # control events (time, rank, i), i a tick's number or a takeover's LMM
+    # id, else 0; no two entries of a queue share a key. Arrivals and
+    # departures are queued only up to the horizon; ``ctl`` ends with a
+    # stop entry at the cutoff, ranked after every kind, so its head time
+    # never passes the cutoff and the infinite sentinels of the other two
+    # never pop.
+    arr: list[tuple[float, int]] = [(math.inf, n_streams)]
+    dep: list[tuple[float, int, int]] = [(math.inf, n_streams, 0)]
+    ctl: list[tuple[float, int, int]] = [(cutoff, len(SimEventKind), 0)]
     push = heapq.heappush
     pop = heapq.heappop
+    replace = heapq.heapreplace
 
     def emit(t: float, kind: str, src: str, dst: str):
         trace.write(f"{t!r},{kind},{src},{dst}\n")
@@ -779,15 +811,17 @@ def run_system_sim(
         if arr_scale[s] is not None:
             ta = arr_scale[s] * draws.draw(s)
             if ta <= horizon:
-                heap.append((ta, ARRIVAL, s, 0))
+                arr.append((ta, s))
     # one report tick on the queue at a time: tick i pushes tick i + 1
     if n_ticks:
-        heap.append((window, REPORT_TICK, 1, 0))
+        ctl.append((window, REPORT_TICK, 1))
     if scenario.heartbeat_period <= horizon:
-        heap.append((scenario.heartbeat_period, HEARTBEAT, 0, 0))
+        ctl.append((scenario.heartbeat_period, HEARTBEAT, 0))
     for tr in border_cells:
-        heap.append((tr, BORDER, 0, 0))
-    heapq.heapify(heap)
+        ctl.append((tr, BORDER, 0))
+    heapq.heapify(arr)
+    heapq.heapify(ctl)
+    next_ctl = ctl[0][0]
     balancing = scenario.balancing_enabled
 
     def migrate_one(c: int, t: float):
@@ -820,12 +854,13 @@ def run_system_sim(
         buf = bufs[d]
         td = t + svc_scale[d] * (buf.pop() if buf else refill(d))
         if td <= horizon:
-            push(heap, (td, DEPARTURE, d, new_sid))
+            push(dep, (td, d, new_sid))
 
-    while heap and heap[0][0] <= cutoff:
-        t, ekind, s, sid = pop(heap)
-
-        if ekind == ARRIVAL:
+    # At equal times an arrival comes first, then a departure, then the
+    # control events by rank: the order of SimEventKind
+    while True:
+        t, s = arr[0]
+        if t <= dep[0][0] and t <= next_ctl:
             arrivals[s] += 1
             if trace is not None:
                 c, ki = divmod(s, n_kinds)
@@ -842,17 +877,21 @@ def run_system_sim(
                 live[s][next_sid] = None
                 td = t + svc_scale[s] * (buf.pop() if buf else refill(s))
                 if td <= horizon:
-                    push(heap, (td, DEPARTURE, s, next_sid))
+                    push(dep, (td, s, next_sid))
                 next_sid += 1
             ta = t + arr_scale[s] * (buf.pop() if buf else refill(s))
             if ta <= horizon:
-                push(heap, (ta, ARRIVAL, s, 0))
+                replace(arr, (ta, s))
+            else:
+                pop(arr)
+            continue
 
-        elif ekind == DEPARTURE:
-            sessions = live[s]
-            if sid not in sessions:
+        if dep[0][0] <= next_ctl:
+            t, s, sid = pop(dep)
+            try:
+                del live[s][sid]
+            except KeyError:
                 continue  # stale: the session migrated kinds
-            del sessions[sid]
             k = occ[s]
             occ_row[s][k] += t - last_t[s]
             last_t[s] = t
@@ -862,12 +901,14 @@ def run_system_sim(
             if trace is not None:
                 c, ki = divmod(s, n_kinds)
                 emit(t, "Departure", f"cell{c}.{names[ki]}", "mn")
+            continue
 
-        elif ekind == REPORT_TICK:
+        t, ekind, s = pop(ctl)
+        if ekind == REPORT_TICK:
             # every cell reports; a grid whose serving LMM is dead is not answered
             ticks += 1
             if s < n_ticks:
-                push(heap, ((s + 1) * window, REPORT_TICK, s + 1, 0))
+                push(ctl, ((s + 1) * window, REPORT_TICK, s + 1))
             if t >= recount_at:
                 answered = [alive(lmm, t) for lmm in serving]
                 n_answered = cells_per_grid * sum(answered)
@@ -934,25 +975,24 @@ def run_system_sim(
             # no later beat resets the timeout that beat started
             while unseen and unseen[-1][0] <= t:
                 takeover = last_round + scenario.heartbeat_timeout
-                push(heap, (takeover, TAKEOVER, unseen.pop()[1], 0))
+                push(ctl, (takeover, TAKEOVER, unseen.pop()[1]))
             last_round = t
             tb = t + scenario.heartbeat_period
             if tb <= horizon:
-                push(heap, (tb, HEARTBEAT, 0, 0))
+                push(ctl, (tb, HEARTBEAT, 0))
 
         elif ekind == TAKEOVER:
             # the first live backup inherits every grid the dead LMM serves,
             # inherited ones too; with none alive they stay unanswered
             lmm = s
             backup = live_backup(lmm, t)
-            if backup is None:
-                continue
-            counters["Takeover"] += 1
-            if trace is not None:
-                emit(t, "Takeover", f"lmm{backup}", f"lmm{lmm}")
-            failover.append(t - fail_time[lmm])
-            serving = [backup if g == lmm else g for g in serving]
-            recount_at = -math.inf
+            if backup is not None:
+                counters["Takeover"] += 1
+                if trace is not None:
+                    emit(t, "Takeover", f"lmm{backup}", f"lmm{lmm}")
+                failover.append(t - fail_time[lmm])
+                serving = [backup if g == lmm else g for g in serving]
+                recount_at = -math.inf
 
         elif ekind == BORDER:
             # all requests and consults at t, then all grants, each in cell
@@ -968,6 +1008,10 @@ def run_system_sim(
                     emit(t, "NeighborConsult", f"lmm{serving[g]}", f"lmm{serving[(g + 1) % n_lmm]}")
                 for c in cells_at:
                     emit(t, "BorderGrant", f"lmm{serving[(grid_of_cell[c] + 1) % n_lmm]}", f"ma{c}")
+
+        else:
+            break  # the stop entry: every event up to the cutoff is done
+        next_ctl = ctl[0][0]
 
     # close out occupancy accounting at the horizon
     for s in range(n_streams):

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import random
+import sys
 import tracemalloc
 from collections import Counter, defaultdict
 
@@ -753,6 +754,29 @@ SYSTEM_GOLDEN = {
         "161a0dd218c2b65b1a64e5b596ef2fb4b3dcaeb8671669008ca3f77cba0898f3",
         "81f93afafea48e0d17c75ffb85df742c332d9f3ff29ae10b68c276344de0d652",
     ),
+    # WiMax has no arrivals, so fewer streams wait on an arrival than hold
+    # departures: its only sessions are the 138 that migrate in and leave;
+    # this and the next entry were recorded from the single event heap
+    "one_kind_idle": (
+        BASELINE_TOPO,
+        {AccessNetworkKind.UMTS: SystemTypeParams(lam=2.0, mu=1.0, m=4, k1=1, k2=3),
+         AccessNetworkKind.WIMAX: SystemTypeParams(lam=0.0, mu=1.0, m=4, k1=1, k2=3),
+         AccessNetworkKind.WLAN: SystemTypeParams(lam=3.0, mu=1.5, m=6, k1=2, k2=4)},
+        dict(faults=(LmmFault(time=2.0, lmm_id=0),), borders=(BorderEvent(time=1.0, cell_id=5),)),
+        10.0, 14,
+        "2011f0a944f56c7195a897d8ee97453dd22cfdfbb46746f49a7cdbf06709bf36",
+        "312d82ea6d791dac50092a92687469779d18695e7e032499649db8dd124ee13f",
+    ),
+    # the run ends before the first tick, heartbeat and border: no control
+    # event falls inside it, and only arrivals and departures are traced
+    "horizon_inside_first_window": (
+        BASELINE_TOPO,
+        uniform_types(40.0, 20.0, 4, 1, 3),
+        dict(faults=(LmmFault(time=0.01, lmm_id=1),), borders=(BorderEvent(time=0.2, cell_id=2),)),
+        0.05, 15,
+        "384c58780532199b1a5ff0fcc8bb0c983c69637f453d031f75f77b3879fa2ea8",
+        "4c495ec24d679521f84a4208a08da06ad90fda9503ed59a15ec666e67dd383fb",
+    ),
 }
 
 
@@ -1118,6 +1142,36 @@ class TestRunSystemSim:
         with pytest.raises(ValueError, match="unknown cell id"):
             self.run(borders=(BorderEvent(time=1.0, cell_id=99),))
 
+    @pytest.mark.parametrize("field,build", [
+        # a NaN fault time killed its LMM from t = 0 and was never taken over
+        pytest.param("time", lambda x: LmmFault(time=x, lmm_id=1), id="fault"),
+        # a NaN border time was silently dropped
+        pytest.param("time", lambda x: BorderEvent(time=x, cell_id=1), id="border"),
+        pytest.param("window", lambda x: SimScenario(window=x), id="window"),
+        # a NaN period ran with no heartbeats
+        pytest.param("heartbeat_period", lambda x: SimScenario(heartbeat_period=x),
+                     id="heartbeat_period"),
+        pytest.param("heartbeat_timeout", lambda x: SimScenario(heartbeat_timeout=x),
+                     id="heartbeat_timeout"),
+        # NaN failed converting the tick count to an int, inf overflowed
+        pytest.param("horizon", lambda x: run_system_sim(BASELINE_TOPO, small_types(),
+                                                         SimScenario(), x, 1), id="horizon"),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_setting_refused(self, field, build, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            build(value)
+
+    def test_horizon_at_float_max_ends(self):
+        # horizon + window * 1e-9 overflows: the run still stops at the horizon
+        types = uniform_types(0.0, 1.0, 4, 1, 3)
+        scenario = SimScenario(window=1e305, heartbeat_period=1e307, heartbeat_timeout=1.5e307,
+                               faults=(LmmFault(time=1e306, lmm_id=1),))
+        with np.errstate(invalid="ignore"):  # occupancy time / (cells * horizon) is inf / inf
+            report = run_system_sim(BASELINE_TOPO, types, scenario, sys.float_info.max, 1)
+        assert report.message_counts["LoadReport"] == 21 * 1797
+        assert report.message_counts["Takeover"] == 1
+
     def test_border_exchange_counts(self):
         report = self.run(
             borders=(BorderEvent(time=5.0, cell_id=0), BorderEvent(time=9.0, cell_id=4))
@@ -1168,13 +1222,24 @@ class TestRunSystemSim:
             assert (np.abs(stats.occupancy_freq - ana) <= band).all()
 
     def test_trace_times_non_decreasing(self):
+        # and at equal times the lines follow the rank of the event behind them
+        rank = {"Arrival": 0, "Departure": 1, "LoadReport": 2, "BalanceInfo": 2,
+                "StateChangeNotice": 2, "BBReplicate": 2, "Heartbeat": 3, "Takeover": 4,
+                "BorderRequest": 5, "NeighborConsult": 5, "BorderGrant": 5}
         buf = io.StringIO()
         self.run(horizon=50.0, trace=buf,
                  faults=(LmmFault(time=20.0, lmm_id=1),),
                  borders=(BorderEvent(time=5.0, cell_id=1),))
-        times = [float(line.split(",")[0]) for line in buf.getvalue().splitlines()]
-        assert times, "trace should not be empty"
-        assert all(b >= a for a, b in zip(times, times[1:]))
+        keys = [(float(t), rank[kind]) for t, kind, *_ in
+                (line.split(",") for line in buf.getvalue().splitlines())]
+        assert keys, "trace should not be empty"
+        assert all(b >= a for a, b in zip(keys, keys[1:]))
+        # 5.0 s holds a tick, a heartbeat round and the border; 21.0 s a tick,
+        # a round and the takeover of LMM 1 (last beat 19.5 s)
+        at = defaultdict(set)
+        for t, r in keys:
+            at[t].add(r)
+        assert {2, 3, 5} <= at[5.0] and {2, 3, 4} <= at[21.0]
 
     def test_heartbeats_without_fault_cause_no_takeover(self):
         report = self.run(horizon=100.0)
