@@ -1,6 +1,10 @@
 """Semi-distributed load balancing for heterogeneous wireless networks:
 closed-form overhead/timing/reliability models, a seeded discrete-event
-simulator of the underlying protocol, and figure-reproduction sweeps."""
+simulator of the underlying protocol, and figure-reproduction sweeps.
+
+The simulator's names are looked up in ``sdlb.simkernel`` on first use
+(PEP 562), so ``import sdlb`` and parsing a scenario document do not load
+NumPy."""
 
 from .config import ConfigError, ScenarioConfig, default_config, load_config
 from .overhead import (
@@ -29,16 +33,6 @@ from .reliability import (
     scenario_probabilities,
     uniform_reliability_params,
 )
-from .simkernel import (
-    BorderEvent,
-    CellStats,
-    LmmFault,
-    SimReport,
-    SimScenario,
-    horizon_for_events,
-    run_cell_mc,
-    run_system_sim,
-)
 from .timing import (
     HscaTimingParams,
     TimingParams,
@@ -48,6 +42,9 @@ from .timing import (
 )
 from .topology import (
     AccessNetworkKind,
+    BorderEvent,
+    LmmFault,
+    SimScenario,
     Topology,
     build_topology,
     max_junction_lines,
@@ -55,3 +52,13 @@ from .topology import (
 from .validation import ValidationVerdict, validate_against_analytic
 
 __version__ = "0.1.0"
+
+_SIMKERNEL_NAMES = {"CellStats", "SimReport", "horizon_for_events", "run_cell_mc", "run_system_sim"}
+
+
+def __getattr__(name: str):
+    if name in _SIMKERNEL_NAMES:
+        from . import simkernel
+
+        return getattr(simkernel, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -28,7 +28,7 @@ from .config import ConfigError, ScenarioConfig, default_config, load_config
 from .overhead import nonperiodic_overhead, periodic_overhead
 from .queueing import FirstOrderValidityError, OccupancyOverflowError
 from .simkernel import horizon_for_events, run_cell_mc, run_system_sim
-from .timing import check_swept_rates, swept_processing_times
+from .timing import HscaTimingParams, TimingParams, check_swept_rates, swept_processing_times
 from .topology import AccessNetworkKind
 from .validation import report_section, report_text
 
@@ -116,6 +116,20 @@ def _swept(name: str, values, fn) -> list:
         raise
 
 
+def _processing_times_ms(p: TimingParams, h: HscaTimingParams, rates) -> tuple[list, list]:
+    """Both processing times (ms) at each rate of ``rates``, which pass
+    ``check_swept_rates``; a time past the float range raises a
+    ValueError naming the section its parameters come from."""
+    with np.errstate(over="ignore", divide="ignore"):
+        sda, hsca = swept_processing_times(p, h, np.array(rates))
+        times = {"timing": sda * 1e3, "hsca_timing": hsca * 1e3}
+    for section, ms in times.items():
+        if not np.isfinite(ms).all():
+            raise ValueError(f"processing time from {section} must be finite in ms, "
+                             f"got {ms.max()}")
+    return times["timing"].tolist(), times["hsca_timing"].tolist()
+
+
 def cmd_figures(cfg: ScenarioConfig) -> int:
     # every series is evaluated before anything is written, so a failing
     # sweep leaves the output directory as it was
@@ -145,9 +159,10 @@ def cmd_figures(cfg: ScenarioConfig) -> int:
     rates = cfg.sweeps.arrival_rates
     _swept("arrival_rates", rates,
            functools.partial(check_swept_rates, cfg.timing, cfg.hsca_timing))
-    sda, hsca = swept_processing_times(cfg.timing, cfg.hsca_timing, np.array(rates))
+    times_ms = _swept("arrival_rates", rates,
+                      functools.partial(_processing_times_ms, cfg.timing, cfg.hsca_timing))
     rows7: list[tuple[float, str, float]] = []
-    for rate, sda_ms, hsca_ms in zip(rates, (sda * 1e3).tolist(), (hsca * 1e3).tolist()):
+    for rate, sda_ms, hsca_ms in zip(rates, *times_ms):
         rows7.append((rate, "processing_time_sda_ms", sda_ms))
         rows7.append((rate, "processing_time_hsca_ms", hsca_ms))
     fig7 = MetricSeries(

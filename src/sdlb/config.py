@@ -30,9 +30,16 @@ from .reliability import (
     swept_integrated_reliability,
     uniform_reliability_params,
 )
-from .simkernel import BorderEvent, LmmFault, SimScenario
 from .timing import HscaTimingParams, TimingParams
-from .topology import AccessNetworkKind, Topology, build_topology, check_topology
+from .topology import (
+    AccessNetworkKind,
+    BorderEvent,
+    LmmFault,
+    SimScenario,
+    Topology,
+    build_topology,
+    check_topology,
+)
 
 __all__ = ["ConfigError", "OverheadSpec", "ReliabilitySpec", "ScenarioConfig", "SimSpec",
            "SweepSpec", "TopologySpec", "default_config", "load_config"]

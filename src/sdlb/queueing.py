@@ -26,6 +26,13 @@ when a threshold touches the boundary (e.g. the down-cross of k2 is 0 when
 k2 = m, and the up-cross of k1 is 0 when k1 = 0). The linearisation is only
 meaningful while lam*T < 1 and (k2+1)*mu*T < 1; violations raise
 FirstOrderValidityError instead of silently clamping.
+
+``exact_zone_moves`` and ``exact_transition_probability`` give the same
+window quantities without the linearisation, from the chain's transient
+law by uniformization; the figures keep the first-order formulas.
+
+NumPy is imported by the functions that compute with it, so importing
+this module (and parsing a scenario document) does not load it.
 """
 from __future__ import annotations
 
@@ -33,8 +40,10 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # only for annotations
+    import numpy as np
 
 __all__ = [
     "FirstOrderValidityError",
@@ -45,6 +54,8 @@ __all__ = [
     "TransitionKind",
     "bb_update_probability",
     "classify_load",
+    "exact_transition_probability",
+    "exact_zone_moves",
     "prob_bb_update",
     "prob_state_change",
     "state_probabilities",
@@ -54,6 +65,11 @@ __all__ = [
 # rescale threshold for the recurrence accumulator; far below float max so
 # the running sum cannot overflow either
 _RESCALE_LIMIT = 1e280
+# uniformization: the most Poisson mean (rate * time) one series covers, so
+# that its first weight exp(-mean) stays a normal float; and the bound on
+# the Poisson tail each series drops
+_UNIFORM_MEAN = 256.0
+_POISSON_TAIL = 1e-18
 
 
 class FirstOrderValidityError(ValueError):
@@ -139,6 +155,27 @@ class TransitionKind(Enum):
     BALANCED_TO_UNDER = "B->U"
 
 
+def _crossings(prev, cur, k1, k2):
+    """Directed threshold crossings from occupancy or zone ``prev`` to ``cur``.
+
+    Returns (U->B, B->O, O->B, B->U), the order of ``TransitionKind``, as
+    bools; ``exact_transition_probability`` and
+    ``CellStats.transition_counts`` call it on zones (ints).
+    """
+    return (
+        (prev < k1) & (k1 <= cur),
+        (prev < k2) & (k2 <= cur),
+        (prev > k2) & (k2 >= cur),
+        (prev > k1) & (k1 >= cur),
+    )
+
+
+def _zone(k, k1, k2):
+    """0 below k1, 1 at k1, 2 between, 3 at k2, 4 above k2: ``classify_load``
+    and ``_crossings`` on zones with k1 = 1, k2 = 3 equal those on occupancies."""
+    return (k >= k1) + (k > k1) + (k >= k2) + (k > k2)
+
+
 @dataclass(frozen=True)
 class StateDistribution:
     """Stationary occupancy distribution; probs[k] for k in 0..m."""
@@ -172,6 +209,8 @@ def state_probabilities(p: SystemTypeParams) -> StateDistribution:
     and every probability would be nan; that case raises
     OccupancyOverflowError.
     """
+    import numpy as np
+
     factors = p.lam / p.mu / np.arange(1, p.m + 1)
     terms = np.empty(p.m + 1)
     terms[0] = 1.0
@@ -229,6 +268,75 @@ def transition_probability(
     """First-order probability of one directed load-state transition in T."""
     _check_first_order(p, T)
     return _transition(p, T, kind, state_probabilities(p))
+
+
+def exact_zone_moves(p: SystemTypeParams, T: float) -> list[float]:
+    """Exact probability of each zone move over a window T, in steady state.
+
+    Entry 5*a + b is the probability that the occupancy sits in zone a
+    (``_zone``) at a window's start and in zone b at its end: pi
+    restricted to zone a, stepped by the transition matrix P(T), summed
+    over zone b. That is the layout of ``CellStats.zone_moves``, but the
+    diagonal here holds the probability of ending in the starting zone
+    (the simulators tally it as 0), so the 25 entries sum to 1.
+
+    P(T) comes by uniformization (Jensen 1953; Stewart 1994, ch. 8): with
+    r = lam + m*mu and U = I + Q/r, P(t) = sum_j e^{-rt} (rt)^j / j! U^j,
+    a sum of non-negative terms. The five restricted rows of pi are
+    stepped through U together, one tridiagonal product per term. T is
+    split into pieces with r*t at most ``_UNIFORM_MEAN``; each piece's
+    series runs past 2*r*t terms and stops once the Poisson mass it
+    drops is below ``_POISSON_TAIL``, so an entry is low by at most that
+    much per piece.
+    """
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be finite and > 0, got {T}")
+    m, lam, mu = p.m, p.lam, p.mu
+    rate = lam + m * mu
+    if not rate * T < math.inf:
+        raise ValueError(f"(lam + m*mu) * T must be finite, got {rate * T}")
+    import numpy as np
+
+    k = np.arange(m + 1)
+    zones = np.array([_zone(j, p.k1, p.k2) for j in range(m + 1)])
+    rows = np.zeros((5, m + 1))
+    rows[zones, k] = state_probabilities(p).probs
+    # U's diagonals: up from k < m, down from k > 0, and the rest stays;
+    # each exit rate rounds to at most rate, so stay >= 0
+    up, down = lam / rate, k[1:] * mu / rate
+    stay = 1.0 - (np.where(k < m, lam, 0.0) + k * mu) / rate
+    pieces = max(1, math.ceil(rate * T / _UNIFORM_MEAN))
+    mean = rate * T / pieces
+    for _ in range(pieces):
+        weight = math.exp(-mean)
+        term, out, j = rows, weight * rows, 0
+        # past j + 1 > 2 * mean the weights fall by half or more per term,
+        # so the mass after term j is at most 2 * weight
+        while not (j + 1 > 2 * mean and 2 * weight < _POISSON_TAIL):
+            nxt = term * stay
+            nxt[:, 1:] += term[:, :-1] * up
+            nxt[:, :-1] += term[:, 1:] * down
+            j += 1
+            weight *= mean / j
+            term = nxt
+            out += weight * term
+        rows = out
+    moves = np.stack([rows[:, zones == b].sum(axis=1) for b in range(5)], axis=1)
+    return moves.ravel().tolist()
+
+
+def exact_transition_probability(
+    p: SystemTypeParams, T: float, kind: TransitionKind
+) -> float:
+    """Exact steady-state probability of one directed threshold crossing
+    over a window T: the zone moves of ``exact_zone_moves`` that
+    ``_crossings`` counts as ``kind``. Like the simulators' tallies, it
+    compares the window's two ends, so flips that cancel within it are
+    not counted. The first-order ``transition_probability`` tends to it
+    as T -> 0."""
+    i = list(TransitionKind).index(kind)
+    moves = exact_zone_moves(p, T)
+    return math.fsum(x for move, x in enumerate(moves) if _crossings(*divmod(move, 5), 1, 3)[i])
 
 
 def prob_state_change(p: SystemTypeParams, T: float) -> float:

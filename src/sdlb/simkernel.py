@@ -76,10 +76,12 @@ from .queueing import (
     LoadState,
     SystemTypeParams,
     TransitionKind,
+    _crossings,
+    _zone,
     classify_load,
     state_probabilities,
 )
-from .topology import AccessNetworkKind, Topology
+from .topology import AccessNetworkKind, BorderEvent, LmmFault, SimScenario, Topology
 # the judge is sdlb.validation's; its public names stay importable here
 # because perfbench/tracing.py times validate_against_analytic as part of
 # the simkernel layer and looks it up in this module
@@ -127,26 +129,6 @@ _LEAD = 64  # events a segment's lanes run before the segment starts
 # long enough to repay its lockstep, whose cost is per step, not per event.
 _LANE_LOAD = 20
 _LANE_MIN = 2 * _BLOCK
-
-
-def _crossings(prev, cur, k1, k2):
-    """Directed threshold crossings from occupancy or zone ``prev`` to ``cur``.
-
-    Returns (U->B, B->O, O->B, B->U), the order of ``TransitionKind``, as
-    bools; ``CellStats.transition_counts`` calls it on zones (ints).
-    """
-    return (
-        (prev < k1) & (k1 <= cur),
-        (prev < k2) & (k2 <= cur),
-        (prev > k2) & (k2 >= cur),
-        (prev > k1) & (k1 >= cur),
-    )
-
-
-def _zone(k, k1, k2):
-    """0 below k1, 1 at k1, 2 between, 3 at k2, 4 above k2: ``classify_load``
-    and ``_crossings`` on zones with k1 = 1, k2 = 3 equal those on occupancies."""
-    return (k >= k1) + (k > k1) + (k >= k2) + (k > k2)
 
 
 def _arrival_thresholds(unis, tot, lam, mu):
@@ -569,56 +551,6 @@ def run_cell_mc(
 # full-system protocol simulation
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class _Scheduled:
-    """An entry of a fault or border schedule, ``time`` seconds into the run."""
-
-    time: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.time):
-            raise ValueError(f"time must be finite, got {self.time}")
-        if self.time < 0:
-            raise ValueError(f"time must be >= 0, got {self.time}")
-
-
-@dataclass(frozen=True)
-class LmmFault(_Scheduled):
-    lmm_id: int
-
-
-@dataclass(frozen=True)
-class BorderEvent(_Scheduled):
-    cell_id: int
-
-
-@dataclass(frozen=True)
-class SimScenario:
-    """Protocol knobs plus the fault and border schedules."""
-
-    window: float = 0.1
-    heartbeat_period: float = 0.5
-    heartbeat_timeout: float = 1.5
-    balancing_enabled: bool = True
-    faults: tuple[LmmFault, ...] = ()
-    borders: tuple[BorderEvent, ...] = ()
-
-    def __post_init__(self):
-        for name in ("window", "heartbeat_period", "heartbeat_timeout"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.window <= 0:
-            raise ValueError(f"window must be > 0, got {self.window}")
-        if self.heartbeat_period <= 0:
-            raise ValueError(f"heartbeat_period must be > 0, got {self.heartbeat_period}")
-        if self.heartbeat_timeout <= self.heartbeat_period:
-            raise ValueError(
-                "heartbeat_timeout must exceed heartbeat_period, got "
-                f"{self.heartbeat_timeout} <= {self.heartbeat_period}"
-            )
-
-
 _KIND_ORDER = tuple(AccessNetworkKind)
 
 
@@ -688,6 +620,8 @@ def run_system_sim(
             raise ValueError(f"border schedule references unknown cell id {border.cell_id}")
 
     window = scenario.window
+    if not horizon / window < 2**63:  # as run_cell_mc's window indices
+        raise ValueError(f"horizon / window must be < 2**63, got {horizon} / {window}")
     n_ticks = int(horizon / window + 1e-9)
     # kept finite: the stop entry at the cutoff must sort before the infinite sentinels
     cutoff = min(horizon + window * 1e-9, sys.float_info.max)

@@ -24,13 +24,16 @@ makes each hop 1 ms).
 
 Both formulas use only + - * /, so applied to an array of utilisations
 (``swept_processing_times``) each element rounds exactly as the scalar
-evaluation does.
+evaluation does. NumPy is imported by ``check_swept_rates`` only, so
+importing this module does not load it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # only for annotations
+    import numpy as np
 
 __all__ = [
     "HscaTimingParams",
@@ -173,6 +176,8 @@ def check_swept_rates(p: TimingParams, h: HscaTimingParams, rates):
     monotone. So all pass when the least and the greatest do. NaN fails
     every check, and NumPy's ``min``/``max`` carry it to both ends.
     """
+    import numpy as np
+
     rates = np.asarray(rates)
     if rates.size:
         check_swept_rate(p, h, rates.min().item())

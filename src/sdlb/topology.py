@@ -9,15 +9,24 @@ replicas on two others. Junction lines are the inter-LMM links; at most
 
 Everything here is immutable after construction and free of randomness:
 the same inputs always produce the same topology.
+
+The protocol simulation's knobs and schedules (``SimScenario`` with its
+``LmmFault`` and ``BorderEvent`` entries) live here too, beside the LMM
+and cell ids they name, so that parsing a scenario document loads no
+simulator and no NumPy; ``sdlb.simkernel`` re-exports them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import ClassVar
 
 __all__ = [
     "AccessNetworkKind",
+    "BorderEvent",
+    "LmmFault",
+    "SimScenario",
     "Topology",
     "build_topology",
     "check_topology",
@@ -84,3 +93,52 @@ def build_topology(grid_count: int, cells_per_grid: int) -> Topology:
     where ``check_topology`` does."""
     check_topology(grid_count, cells_per_grid)
     return Topology(lmm_count=grid_count, cells_per_grid=cells_per_grid)
+
+
+@dataclass(frozen=True)
+class _Scheduled:
+    """An entry of a fault or border schedule, ``time`` seconds into the run."""
+
+    time: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.time):
+            raise ValueError(f"time must be finite, got {self.time}")
+        if self.time < 0:
+            raise ValueError(f"time must be >= 0, got {self.time}")
+
+
+@dataclass(frozen=True)
+class LmmFault(_Scheduled):
+    lmm_id: int
+
+
+@dataclass(frozen=True)
+class BorderEvent(_Scheduled):
+    cell_id: int
+
+
+@dataclass(frozen=True)
+class SimScenario:
+    """Protocol knobs plus the fault and border schedules."""
+
+    window: float = 0.1
+    heartbeat_period: float = 0.5
+    heartbeat_timeout: float = 1.5
+    balancing_enabled: bool = True
+    faults: tuple[LmmFault, ...] = ()
+    borders: tuple[BorderEvent, ...] = ()
+
+    def __post_init__(self):
+        for name in ("window", "heartbeat_period", "heartbeat_timeout"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.window <= 0:
+            raise ValueError(f"window must be > 0, got {self.window}")
+        if self.heartbeat_period <= 0:
+            raise ValueError(f"heartbeat_period must be > 0, got {self.heartbeat_period}")
+        if self.heartbeat_timeout <= self.heartbeat_period:
+            raise ValueError(
+                "heartbeat_timeout must exceed heartbeat_period, got "
+                f"{self.heartbeat_timeout} <= {self.heartbeat_period}"
+            )

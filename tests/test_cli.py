@@ -185,6 +185,15 @@ def _overflowing_traffic(doc):
     doc["reliability"].update(c_uniform=1e308, b_uniform=1e308)
 
 
+def _overflowing_sda_time(doc):
+    # t1 is finite, but t1 in ms overflows a float
+    doc["timing"]["t1"] = 1.7e308
+
+
+def _overflowing_hsca_time(doc):
+    doc["hsca_timing"]["t1"] = 1.7e308
+
+
 def _coarse_umts(doc):
     doc["types"]["umts"]["lam"] = 20.0  # lam*T = 2
 
@@ -204,6 +213,16 @@ class TestFailedFiguresWriteNothing:
             _unstable_rate,
             "config error: sweeps.arrival_rates value 1000.0: "
             "utilisation must satisfy 0 <= rho < 1, got rho=1\n",
+        ),
+        "fig7_overflowing_sda_time": (
+            _overflowing_sda_time,
+            "config error: sweeps.arrival_rates value 100.0: "
+            "processing time from timing must be finite in ms, got inf\n",
+        ),
+        "fig7_overflowing_hsca_time": (
+            _overflowing_hsca_time,
+            "config error: sweeps.arrival_rates value 100.0: "
+            "processing time from hsca_timing must be finite in ms, got inf\n",
         ),
         "fig8_lost_lines": (
             _too_many_lost_lines,

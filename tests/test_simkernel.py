@@ -17,7 +17,10 @@ from sdlb.queueing import (
     SystemTypeParams,
     TransitionKind,
     classify_load,
+    exact_transition_probability,
+    exact_zone_moves,
     state_probabilities,
+    transition_probability,
 )
 from sdlb.simkernel import (
     BorderEvent,
@@ -76,6 +79,81 @@ def exact_crossing_probs(p, T):
         TransitionKind.OVER_TO_BALANCED: joint[k2 + 1:, : k2 + 1].sum(),
         TransitionKind.BALANCED_TO_UNDER: joint[k1 + 1:, : k1 + 1].sum(),
     }
+
+
+# (lam, mu, m, k1, k2, T); rate * T runs from 0.01 to 560, past the
+# 256 that one uniformization series covers
+ORACLE_CASES = [
+    (1.0, 1.0, 4, 1, 3, 0.02),
+    (2.0, 0.5, 6, 2, 4, 0.3),
+    (0.5, 0.05, 12, 3, 9, 0.1),
+    (5.0, 1.0, 8, 0, 8, 1.0),
+    (0.0, 1.0, 5, 1, 3, 0.5),
+    (3.0, 2.0, 10, 4, 5, 0.0005),
+    (100.0, 50.0, 6, 2, 5, 1.4),
+]
+
+
+class TestExactOracle:
+    """exact_zone_moves against the dense uniformized e^(QT) above."""
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_zone_moves_match_dense_reference(self, case):
+        *rest, T = case
+        p = params(*rest)
+        joint = state_probabilities(p).probs[:, None] * transition_matrix(p.lam, p.mu, p.m, T)
+        zones = np.array([simkernel._zone(k, p.k1, p.k2) for k in range(p.m + 1)])
+        moves = exact_zone_moves(p, T)
+        assert len(moves) == 25
+        assert math.fsum(moves) == pytest.approx(1.0, abs=1e-13)
+        for a in range(5):
+            for b in range(5):
+                want = joint[np.ix_(zones == a, zones == b)].sum()
+                assert moves[5 * a + b] == pytest.approx(want, rel=1e-11, abs=1e-15), (a, b)
+
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_crossings_match_dense_reference(self, case):
+        *rest, T = case
+        p = params(*rest)
+        for kind, want in exact_crossing_probs(p, T).items():
+            got = exact_transition_probability(p, T, kind)
+            assert got == pytest.approx(want, rel=1e-11, abs=1e-15), kind
+
+    def test_long_window_forgets_its_start(self):
+        # r*T = 900: one series' first weight e^-900 is 0 in floats, so this
+        # needs the split into pieces. At mu = 100 the chain forgets its
+        # start within the window: each move is the product of two zone masses
+        p = params(200.0, 100.0, 6, 2, 5)
+        pi = state_probabilities(p).probs
+        zones = np.array([simkernel._zone(k, p.k1, p.k2) for k in range(p.m + 1)])
+        mass = [pi[zones == a].sum() for a in range(5)]
+        moves = exact_zone_moves(p, 1.125)
+        for a in range(5):
+            for b in range(5):
+                assert moves[5 * a + b] == pytest.approx(mass[a] * mass[b], rel=1e-12), (a, b)
+
+    @pytest.mark.parametrize("kind", list(TransitionKind))
+    def test_first_order_ratio_tends_to_one(self, kind):
+        # the first-order formula is off by O(T): the gap shrinks tenfold
+        # with T
+        p = params(lam=2.0, mu=0.5, m=8, k1=2, k2=5)
+        gaps = []
+        for T in (1e-2, 1e-3, 1e-4, 1e-5):
+            ratio = transition_probability(p, T, kind) / exact_transition_probability(p, T, kind)
+            gaps.append(abs(ratio - 1.0))
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert fine < 0.2 * coarse
+        assert gaps[-1] < 1e-4
+
+    @pytest.mark.parametrize("T", [0.0, -0.1, math.inf, math.nan])
+    def test_bad_window_is_refused(self, T):
+        with pytest.raises(ValueError, match="^T must be finite and > 0, got "):
+            exact_zone_moves(params(), T)
+
+    def test_overflowing_uniformization_rate_is_refused(self):
+        # m * mu overflows a float
+        with pytest.raises(ValueError, match=r"^\(lam \+ m\*mu\) \* T must be finite, got inf$"):
+            exact_zone_moves(params(mu=1e308), 0.1)
 
 
 def report_bytes(report):
@@ -1161,6 +1239,11 @@ class TestRunSystemSim:
     def test_non_finite_setting_refused(self, field, build, value):
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
             build(value)
+
+    def test_overflowing_tick_count_refused(self):
+        # 10 / 1e-320 is inf, which int() refused with a bare OverflowError
+        with pytest.raises(ValueError, match=r"^horizon / window must be < 2\*\*63, got 10.0 / 1e-320$"):
+            run_system_sim(build_topology(3, 7), small_types(), SimScenario(window=1e-320), 10.0, 1)
 
     def test_horizon_at_float_max_ends(self):
         # horizon + window * 1e-9 overflows: the run still stops at the horizon
