@@ -3,7 +3,9 @@
 Subcommands:
   figures   - evaluate the closed-form sweeps and write fig5..fig8 CSVs
   validate  - run the cell-level Monte Carlo per access-network kind and
-              check it against the closed forms; exit 1 on any failure
+              check it against the closed forms; exit 1 on any failure.
+              Also writes each judged crossing's observed rate beside its
+              first-order and exact probabilities (crossings.csv)
   scenario  - run the full protocol simulation and write its counters
 
 Every CSV starts with '#'-prefixed provenance lines naming the formula
@@ -24,13 +26,17 @@ from pathlib import Path
 
 import numpy as np
 
+# every model is loaded here, before any command runs, so a command's time
+# holds no import; ``config`` loads ``overhead`` and ``reliability`` only
+# when a method calls them
+from . import reliability  # noqa: F401
 from .config import ConfigError, ScenarioConfig, default_config, load_config
 from .overhead import nonperiodic_overhead, periodic_overhead
 from .queueing import FirstOrderValidityError, OccupancyOverflowError
 from .simkernel import horizon_for_events, run_cell_mc, run_system_sim
 from .timing import HscaTimingParams, TimingParams, check_swept_rates, swept_processing_times
 from .topology import AccessNetworkKind
-from .validation import report_section, report_text
+from .validation import crossing_rows, crossings_text, report_section, report_text
 
 
 @dataclass
@@ -200,6 +206,7 @@ def cmd_figures(cfg: ScenarioConfig) -> int:
 def cmd_validate(cfg: ScenarioConfig) -> int:
     T = cfg.overhead.T
     sections: list[str] = []
+    crossings: list[str] = []
     all_pass = True
     for kind in AccessNetworkKind:
         p = cfg.types[kind]
@@ -216,13 +223,17 @@ def cmd_validate(cfg: ScenarioConfig) -> int:
                 ) from exc
         text, passed = report_section(kind, p, T, report)
         sections.append(text)
+        crossings += crossing_rows(kind, p, T, report)
         all_pass = all_pass and passed
 
     text = report_text(sections)
-    report_path = _outdir(cfg) / "validation_report.txt"
+    out = _outdir(cfg)
+    report_path, crossings_path = out / "validation_report.txt", out / "crossings.csv"
     report_path.write_text(text)
+    crossings_path.write_text(crossings_text(crossings))
     print(text, end="")
     print(f"wrote {report_path}")
+    print(f"wrote {crossings_path}")
     return 0 if all_pass else 1
 
 

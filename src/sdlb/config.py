@@ -9,6 +9,9 @@ default. Range rules live in the ``__post_init__`` of the dataclass that
 owns the value; the codec reports them, like any bad value, as a
 path-qualified ConfigError such as ``types.umts.mu: must be > 0, got
 -1.0``. Parse -> serialize -> parse is the identity.
+
+Parsing needs only the parameter types (``sdlb.params``) and the
+topology; the methods that evaluate a model import it when called.
 """
 from __future__ import annotations
 
@@ -19,18 +22,16 @@ from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Any, Callable, get_args, get_origin, get_type_hints
 
-from .overhead import OverheadParams, check_period_and_cost
-from .queueing import SystemTypeParams
-from .reliability import (
-    ReliabilityParams,
+from .params import (
+    HscaTimingParams,
+    SystemTypeParams,
+    TimingParams,
+    check_period_and_cost,
     check_reliabilities,
     check_weights,
-    swept_integrated_reliability,
-    uniform_reliability_params,
 )
-from .timing import HscaTimingParams, TimingParams
 from .topology import (
     AccessNetworkKind,
     BorderEvent,
@@ -40,6 +41,10 @@ from .topology import (
     build_topology,
     check_topology,
 )
+
+if TYPE_CHECKING:  # only for annotations
+    from .overhead import OverheadParams
+    from .reliability import ReliabilityParams
 
 __all__ = ["ConfigError", "OverheadSpec", "ReliabilitySpec", "ScenarioConfig", "SimSpec",
            "SweepSpec", "TopologySpec", "default_config", "load_config"]
@@ -55,6 +60,13 @@ _KIND_KEYS = frozenset(_KINDS)
 # sim.target_events for each kind with traffic. The baseline asks for
 # 2.8e5 and 3e6 units.
 WORK_CAP = 10**9
+
+# The most memory one kind's tallies may take, so that every valid document
+# runs in bounded memory. The cell kernel (``run_cell_mc``) keeps two
+# 64 x (m + 1) float64 arrays of batch times, the totals and one chunk's,
+# so a capacity m may be at most MAX_CAPACITY = 262 143.
+MEMORY_BUDGET = 256 * 2**20
+MAX_CAPACITY = MEMORY_BUDGET // (2 * 64 * 8) - 1
 
 
 class ConfigError(ValueError):
@@ -98,11 +110,15 @@ class ReliabilitySpec:
         check_weights(c_uniform=self.c_uniform, b_uniform=self.b_uniform)
 
     def params_for(self, n: int) -> ReliabilityParams:
+        from .reliability import uniform_reliability_params
+
         return uniform_reliability_params(n, *self._uniform_args())
 
     def swept_integrated_reliability(self, ns: Sequence[int]) -> list[float]:
         """``integrated_reliability(self.params_for(n))`` for each n of ``ns``,
         without the params."""
+        from .reliability import swept_integrated_reliability
+
         return swept_integrated_reliability(ns, *self._uniform_args())
 
     def _uniform_args(self) -> tuple:
@@ -183,6 +199,13 @@ class ScenarioConfig:
             if (first := lmm_ids.index(v)) < i:
                 raise ValueError(f"sim.faults[{i}].lmm_id must not repeat "
                                  f"sim.faults[{first}].lmm_id, got {v}")
+        for kind, p in self.types.items():
+            if p.m > MAX_CAPACITY:
+                raise ValueError(
+                    f"types.{kind.name.lower()}.m must be <= {MAX_CAPACITY}, so that the cell "
+                    f"kernel's 2 * 64 * (m + 1) float64 tallies fit in "
+                    f"{MEMORY_BUDGET // 2**20} MiB, got {p.m}"
+                )
         sim, kinds = self.sim, self.types.values()
         cell_rate = sum(2.0 * p.lam for p in kinds) + 1.0 / self.overhead.T
         scenario_work = sim.horizon * (n_cells * cell_rate + n_lmm / sim.heartbeat_period)
@@ -195,6 +218,8 @@ class ScenarioConfig:
                 )
 
     def overhead_params(self) -> OverheadParams:
+        from .overhead import OverheadParams
+
         ordered = tuple(self.types[kind] for kind in AccessNetworkKind)
         return OverheadParams(T=self.overhead.T, d=self.overhead.d, types=ordered)
 

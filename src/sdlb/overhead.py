@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .queueing import SystemTypeParams, bb_update_probability, prob_state_change
+from .params import SystemTypeParams, check_period_and_cost
+from .queueing import bb_update_probability, prob_state_change
 
 __all__ = [
     "OverheadBreakdown",
@@ -34,15 +35,6 @@ __all__ = [
     "nonperiodic_overhead",
     "periodic_overhead",
 ]
-
-
-def check_period_and_cost(T: float, d: float):
-    """The rules every overhead model puts on the report period and the
-    LMM-to-backup copy cost."""
-    if T <= 0:
-        raise ValueError(f"T must be > 0, got {T}")
-    if d < 0:
-        raise ValueError(f"d must be >= 0, got {d}")
 
 
 @dataclass(frozen=True)

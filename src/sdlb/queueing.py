@@ -31,8 +31,9 @@ FirstOrderValidityError instead of silently clamping.
 window quantities without the linearisation, from the chain's transient
 law by uniformization; the figures keep the first-order formulas.
 
-NumPy is imported by the functions that compute with it, so importing
-this module (and parsing a scenario document) does not load it.
+``SystemTypeParams`` is defined in ``sdlb.params``, so that parsing a
+scenario document does not load this module. NumPy is imported by the
+functions that compute with it, so importing this module does not load it.
 """
 from __future__ import annotations
 
@@ -41,6 +42,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
+
+from .params import SystemTypeParams
 
 if TYPE_CHECKING:  # only for annotations
     import numpy as np
@@ -54,6 +57,7 @@ __all__ = [
     "TransitionKind",
     "bb_update_probability",
     "classify_load",
+    "crossing_probabilities",
     "exact_transition_probability",
     "exact_zone_moves",
     "prob_bb_update",
@@ -91,42 +95,6 @@ class OccupancyOverflowError(ValueError):
             f"overflows float at m = {params.m}"
         )
         self.params = params
-
-
-@dataclass(frozen=True)
-class SystemTypeParams:
-    """Per-access-network-type parameters.
-
-    lam: arrival rate (1/s), mu: per-server service rate (1/s), m: cell
-    capacity in servers, k1/k2: lower/upper load thresholds with
-    0 <= k1 < k2 <= m, ap_count: number of APs of this type, report_cost:
-    signalling cost of one load report.
-    """
-
-    lam: float
-    mu: float
-    m: int
-    k1: int
-    k2: int
-    ap_count: int = 0
-    report_cost: float = 1.0
-
-    def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.mu <= 0:
-            raise ValueError(f"mu must be > 0, got {self.mu}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if not 0 <= self.k1 < self.k2 <= self.m:
-            raise ValueError(
-                f"thresholds must satisfy 0 <= k1 < k2 <= m, got k1={self.k1}, "
-                f"k2={self.k2}, m={self.m}"
-            )
-        if self.ap_count < 0:
-            raise ValueError(f"ap_count must be >= 0, got {self.ap_count}")
-        if self.report_cost < 0:
-            raise ValueError(f"report_cost must be >= 0, got {self.report_cost}")
 
 
 class LoadState(Enum):
@@ -334,9 +302,16 @@ def exact_transition_probability(
     compares the window's two ends, so flips that cancel within it are
     not counted. The first-order ``transition_probability`` tends to it
     as T -> 0."""
-    i = list(TransitionKind).index(kind)
-    moves = exact_zone_moves(p, T)
-    return math.fsum(x for move, x in enumerate(moves) if _crossings(*divmod(move, 5), 1, 3)[i])
+    return crossing_probabilities(exact_zone_moves(p, T))[list(TransitionKind).index(kind)]
+
+
+def crossing_probabilities(moves: Sequence[float]) -> list[float]:
+    """The probability of each directed threshold crossing, in the order
+    of ``TransitionKind``, from the 25 zone moves of ``exact_zone_moves``."""
+    return [
+        math.fsum(x for move, x in enumerate(moves) if _crossings(*divmod(move, 5), 1, 3)[i])
+        for i in range(len(TransitionKind))
+    ]
 
 
 def prob_state_change(p: SystemTypeParams, T: float) -> float:

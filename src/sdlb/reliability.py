@@ -48,6 +48,7 @@ import math
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
+from .params import check_reliabilities, check_weights
 from .topology import max_junction_lines
 
 __all__ = [
@@ -99,13 +100,6 @@ def binomial_pmf(trials: int, failures: int, fail_prob: float) -> float:
     return math.exp(logp)
 
 
-def check_reliabilities(r_lmm: float, r_c: float):
-    """Both reliabilities are probabilities."""
-    for name, v in (("r_lmm", r_lmm), ("r_c", r_c)):
-        if not 0.0 <= v <= 1.0:
-            raise ValueError(f"{name} must be in [0, 1], got {v}")
-
-
 def _check_failures(n: int, k1_lines: int, k2_lmms: int) -> int:
     """n' for n managers, once n is at most MAX_LMMS, K1 fits n' and K2
     fits n."""
@@ -119,13 +113,6 @@ def _check_failures(n: int, k1_lines: int, k2_lmms: int) -> int:
     if not 1 <= k2_lmms <= n:
         raise ValueError(f"k2_lmms must be in 1..{n}, got {k2_lmms}")
     return n_lines
-
-
-def check_weights(**lowest: float):
-    """Each traffic intensity, named with its lowest value, must be >= 0."""
-    for name, low in lowest.items():
-        if low < 0:
-            raise ValueError(f"{name} must be >= 0, got {low}")
 
 
 @dataclass(frozen=True)

@@ -615,6 +615,8 @@ def run_system_sim(
             raise ValueError(f"fault schedule names LMM id {fault.lmm_id} twice")
         fail_time[fault.lmm_id] = fault.time
     n_cells = topo.cell_count
+    if not n_cells * horizon < math.inf:  # the occupancy frequencies' denominator
+        raise ValueError(f"cells * horizon must be finite, got {n_cells} * {horizon}")
     for border in scenario.borders:
         if not 0 <= border.cell_id < n_cells:
             raise ValueError(f"border schedule references unknown cell id {border.cell_id}")

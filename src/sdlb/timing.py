@@ -25,12 +25,21 @@ makes each hop 1 ms).
 Both formulas use only + - * /, so applied to an array of utilisations
 (``swept_processing_times``) each element rounds exactly as the scalar
 evaluation does. NumPy is imported by ``check_swept_rates`` only, so
-importing this module does not load it.
+importing this module does not load it. Both parameter sets are defined
+in ``sdlb.params``, so that parsing a scenario document does not load
+this module.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from .params import (
+    HscaTimingParams,
+    TimingParams,
+    _check_nonneg,
+    _check_rho,
+    _check_utilisation,
+)
 
 if TYPE_CHECKING:  # only for annotations
     import numpy as np
@@ -45,82 +54,6 @@ __all__ = [
     "total_processing_time_hsca",
     "total_processing_time_sda",
 ]
-
-
-def _check_speed(name: str, value: float):
-    if value <= 0:
-        raise ValueError(f"{name} must be > 0, got {value}")
-
-
-def _check_nonneg(name: str, value: float):
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
-
-
-def _check_utilisation(rho: float):
-    if not 0 <= rho < 1:
-        raise ValueError(f"utilisation must satisfy 0 <= rho < 1, got rho={rho:g}")
-
-
-def _check_rho(name: str, rho: float):
-    if not 0 <= rho < 1:
-        raise ValueError(f"{name} must satisfy 0 <= rho < 1, got {rho:g}")
-
-
-@dataclass(frozen=True)
-class TimingParams:
-    """t1: inventory collect/store time (s); d_rl, d_ll: link lengths;
-    s_rl, s_ll: link speeds; lambda_report / mu_serve: report arrival and
-    service rates at the manager stages (rho = lambda_report/mu_serve)."""
-
-    t1: float
-    d_rl: float
-    s_rl: float
-    d_ll: float
-    s_ll: float
-    lambda_report: float
-    mu_serve: float
-
-    def __post_init__(self):
-        _check_nonneg("t1", self.t1)
-        _check_nonneg("d_rl", self.d_rl)
-        _check_nonneg("d_ll", self.d_ll)
-        _check_speed("s_rl", self.s_rl)
-        _check_speed("s_ll", self.s_ll)
-        _check_nonneg("lambda_report", self.lambda_report)
-        _check_speed("mu_serve", self.mu_serve)
-        _check_utilisation(self.rho)
-
-    @property
-    def rho(self) -> float:
-        return self.lambda_report / self.mu_serve
-
-
-@dataclass(frozen=True)
-class HscaTimingParams:
-    """Baseline-architecture parameters: three links (statistics-allotter,
-    allotter-server, server-backup) and two utilisations (allotter rho_ra,
-    information server rho_is) sharing one service rate mu."""
-
-    t1: float
-    d_rr: float
-    s_rr: float
-    d_ris: float
-    s_ris: float
-    d_ibi: float
-    s_ibi: float
-    rho_ra: float
-    rho_is: float
-    mu: float
-
-    def __post_init__(self):
-        _check_nonneg("t1", self.t1)
-        for name in ("d_rr", "d_ris", "d_ibi"):
-            _check_nonneg(name, getattr(self, name))
-        for name in ("s_rr", "s_ris", "s_ibi", "mu"):
-            _check_speed(name, getattr(self, name))
-        for name in ("rho_ra", "rho_is"):
-            _check_rho(name, getattr(self, name))
 
 
 def mm1_delay(rho: float, mu: float) -> tuple[float, float]:

@@ -6,8 +6,10 @@ first-order transition probabilities, one ``QuantityCheck`` per quantity.
 ``report_section`` writes one kind's part of ``validation_report.txt``: a
 header line with the kind's parameters, then its checks and verdict, or
 a line saying that it had no traffic or that the comparison was refused.
-``report_text`` joins the sections into the file's text. Every line of
-that file is written here; the kernels are run by the caller.
+``report_text`` joins the sections into the file's text. ``crossing_rows``
+and ``crossings_text`` write ``crossings.csv``: each judged crossing's
+observed rate beside its first-order and exact probabilities. Every line
+of both files is written here; the kernels are run by the caller.
 """
 from __future__ import annotations
 
@@ -19,6 +21,8 @@ from .queueing import (
     FirstOrderValidityError,
     SystemTypeParams,
     TransitionKind,
+    crossing_probabilities,
+    exact_zone_moves,
     state_probabilities,
     transition_probability,
 )
@@ -30,6 +34,8 @@ if TYPE_CHECKING:  # only for annotations: simkernel imports this module
 __all__ = [
     "QuantityCheck",
     "ValidationVerdict",
+    "crossing_rows",
+    "crossings_text",
     "report_section",
     "report_text",
     "validate_against_analytic",
@@ -100,16 +106,19 @@ def _judge(
     return QuantityCheck(name=name, status=status, observed=emp, expected=ana, band=band)
 
 
-def _matches(stats: CellStats, p: SystemTypeParams, window: float) -> bool:
-    """Whether ``stats`` was simulated under ``p`` with windows of ``window``."""
-    return (
-        stats.lam == p.lam
-        and stats.mu == p.mu
-        and stats.m == p.m
-        and stats.k1 == p.k1
-        and stats.k2 == p.k2
-        and stats.window == window
-    )
+def _matching_stats(report: SimReport, p: SystemTypeParams, window: float) -> CellStats:
+    """The series of ``report`` simulated under ``p`` with windows of ``window``."""
+    for stats in report.per_type.values():
+        if (stats.lam == p.lam and stats.mu == p.mu and stats.m == p.m and stats.k1 == p.k1
+                and stats.k2 == p.k2 and stats.window == window):
+            return stats
+    raise ValueError("refusing comparison: no simulated series matches the analytic parameters")
+
+
+def _window_rate(stats: CellStats, kind: TransitionKind) -> float:
+    """Crossings of ``kind`` per report window."""
+    nwin = stats.window_count
+    return stats.transition_counts[kind] / nwin if nwin else 0.0
 
 
 def validate_against_analytic(
@@ -124,11 +133,7 @@ def validate_against_analytic(
     Raises if no simulated series matches the analytic parameters, and
     propagates the first-order validity error for a too-coarse T.
     """
-    stats = next((s for s in report.per_type.values() if _matches(s, p, T)), None)
-    if stats is None:
-        raise ValueError(
-            "refusing comparison: no simulated series matches the analytic parameters"
-        )
+    stats = _matching_stats(report, p, T)
 
     # raises FirstOrderValidityError before any comparison if T is too coarse
     analytic_tr = {
@@ -151,9 +156,8 @@ def validate_against_analytic(
     crossed = stats.transition_counts
     for kind in TransitionKind:
         ana = analytic_tr[kind]
-        count = crossed[kind]
-        checks.append(_judge(f"transition[{kind.value}]", count / nwin if nwin else 0.0,
-                             ana, nwin, count, CROSSING_TOL * ana, too_few))
+        checks.append(_judge(f"transition[{kind.value}]", _window_rate(stats, kind),
+                             ana, nwin, crossed[kind], CROSSING_TOL * ana, too_few))
     return ValidationVerdict(checks=checks)
 
 
@@ -178,3 +182,38 @@ def report_section(
 def report_text(sections: list[str]) -> str:
     """The text of ``validation_report.txt``: the sections, blank-line separated."""
     return "\n\n".join(sections) + "\n"
+
+
+def crossing_rows(
+    kind: AccessNetworkKind, p: SystemTypeParams, T: float, report: SimReport | None
+) -> list[str]:
+    """One kind's rows of ``crossings.csv``, one per crossing, for the
+    kinds that ``report_section`` judges: none for a kind without traffic
+    or whose comparison is refused. ``exact_zone_moves`` runs once."""
+    if report is None:
+        return []
+    try:
+        first_order = [transition_probability(p, T, crossing) for crossing in TransitionKind]
+    except FirstOrderValidityError:
+        return []
+    stats = _matching_stats(report, p, T)
+    exact = crossing_probabilities(exact_zone_moves(p, T))
+    rows = []
+    for crossing, approx, value in zip(TransitionKind, first_order, exact):
+        ratio = approx / value if value else ""
+        rows.append(f"{kind.name},{crossing.value},{_window_rate(stats, crossing)},"
+                    f"{approx},{value},{ratio}")
+    return rows
+
+
+def crossings_text(rows: list[str]) -> str:
+    """The text of ``crossings.csv``: provenance lines, header and ``rows``."""
+    return "".join(line + "\n" for line in (
+        "# threshold crossings per report window T, for each judged kind",
+        "# observed: the cell simulation's crossings per window; first_order: "
+        "transition_probability, linear in T; exact: from exact_zone_moves, by uniformization",
+        "# exact may be low by up to 1e-18 per uniformization piece (the Poisson tail it drops)",
+        "# ratio: first_order / exact, left empty where exact is 0",
+        "kind,crossing,observed,first_order,exact,ratio",
+        *rows,
+    ))

@@ -398,6 +398,73 @@ class TestValidationReportGolden:
         assert hashlib.sha256(report).hexdigest() == digest
 
 
+# (edit of the baseline, SHA-256 of crossings.csv, kinds with rows) at the
+# run of VALIDATION_REPORT_GOLDEN: a kind without traffic or whose
+# comparison is refused has no rows
+CROSSINGS_GOLDEN = {
+    "baseline": (
+        lambda doc: None,
+        "45a463b8cab9c8d7182b48b8efc5019b818ae73a4f5af59998b145f5450a5187",
+        ["UMTS", "WIMAX", "WLAN"],
+    ),
+    "no_traffic": (
+        _no_wimax_traffic,
+        "feae35d2edef53c8fb447cb0638bbe4ba625745a1a004f9ba29127520ee4fe5a",
+        ["UMTS", "WLAN"],
+    ),
+    "comparison_refused": (
+        _coarse_period,
+        "fd859a7fce1cf1cf75f124f1670f136e4833c4cfada21ff3cb5d8637b337c2d0",
+        ["WIMAX"],
+    ),
+}
+
+
+def _validate(tmp_path, edit, *argv):
+    """Exit code and output directory of ``sdlb validate`` on the edited baseline."""
+    doc = default_config().to_dict()
+    edit(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "val"
+    return main(["validate", "--config", str(path), "--out", str(out), *argv]), out
+
+
+class TestCrossings:
+    @pytest.mark.parametrize("name", sorted(CROSSINGS_GOLDEN))
+    def test_crossings_digest(self, tmp_path, capsys, name):
+        edit, digest, kinds = CROSSINGS_GOLDEN[name]
+        code, out = _validate(tmp_path, edit, "--seed", "1", "--target-events", "20000")
+        assert code == 1
+        path = out / "crossings.csv"
+        assert capsys.readouterr().out.endswith(
+            f"wrote {out / 'validation_report.txt'}\nwrote {path}\n")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        _, header, rows = read_series(path)
+        assert header == ["kind", "crossing", "observed", "first_order", "exact", "ratio"]
+        assert [row[:2] for row in rows] == [
+            [kind, crossing] for kind in kinds for crossing in ("U->B", "B->O", "O->B", "B->U")]
+
+    def test_baseline_first_order_gaps(self, tmp_path):
+        # the gaps of ROADMAP item 2's table, which the simulator resolves
+        # at 10^6 events per kind
+        _, out = _validate(tmp_path, lambda doc: None, "--target-events", "2000")
+        _, _, rows = read_series(out / "crossings.csv")
+        ratio = {(kind, crossing): float(r) for kind, crossing, _, _, _, r in rows}
+        assert round(ratio["UMTS", "U->B"], 3) == 0.979
+        assert round(ratio["WIMAX", "B->O"], 3) == 0.985
+        assert round(ratio["WLAN", "B->U"], 3) == 1.034
+        for kind, crossing, _, first_order, exact, r in rows:
+            assert float(r) == float(first_order) / float(exact)
+
+    def test_impossible_crossing_leaves_ratio_empty(self, tmp_path):
+        # k1 = 0: no occupancy lies below k1, so U->B is 0 both ways
+        _, out = _validate(tmp_path, lambda doc: doc["types"]["wimax"].update(k1=0),
+                           "--target-events", "2000")
+        _, _, rows = read_series(out / "crossings.csv")
+        assert ["WIMAX", "U->B", "0.0", "0.0", "0.0", ""] in rows
+
+
 class TestScenario:
     def test_no_fault_run(self, tmp_path, config_path):
         out = tmp_path / "scen"

@@ -8,8 +8,17 @@ from pathlib import Path
 import pytest
 
 from sdlb.cli import main
-from sdlb.config import ConfigError, ScenarioConfig, default_config, load_config
+from sdlb.config import (
+    MAX_CAPACITY,
+    MEMORY_BUDGET,
+    ConfigError,
+    ScenarioConfig,
+    default_config,
+    load_config,
+)
 from sdlb.topology import AccessNetworkKind
+
+MEMORY_NOTE = "so that the cell kernel's 2 * 64 * (m + 1) float64 tallies fit in 256 MiB"
 
 
 @pytest.fixture
@@ -258,8 +267,11 @@ class TestTopologyRules:
         # kept, the last time listed would win and LMM 1 would beat until 5.0
         ("sim.faults", [{"time": 2.0, "lmm_id": 1}, {"time": 5.0, "lmm_id": 1}],
          "sim.faults[1].lmm_id: must not repeat sim.faults[0].lmm_id, got 1"),
+        # every command exited 3 on a MemoryError, NumPy's or a list's
+        ("types.umts.m", 2**53 + 1,
+         f"types.umts.m: must be <= 262143, {MEMORY_NOTE}, got {2**53 + 1}"),
     ], ids=["two_grids", "ap_counts_key", "a_common_key", "redundancy_exponent_key",
-            "repeated_fault_id"])
+            "repeated_fault_id", "capacity_past_float"])
     def test_every_command_exits_2(self, tmp_path, doc, capsys, command, path, value, error):
         _set(doc, path, value)
         assert _run(tmp_path, command, doc) == 2
@@ -308,9 +320,13 @@ class TestRangeRulesAtParse:
          "sim.target_events: must keep validate work <= 1e+09 units, got 2.77e+19"),
         ("reliability.c_uniform", -1.0, "reliability.c_uniform: must be >= 0, got -1.0"),
         ("reliability.b_uniform", -0.5, "reliability.b_uniform: must be >= 0, got -0.5"),
+        # validate asked the cell kernel for 4.77 GiB per batch-time array
+        ("types.umts.m", 10**7, f"types.umts.m: must be <= 262143, {MEMORY_NOTE}, got 10000000"),
+        ("types.wlan.m", 262144, f"types.wlan.m: must be <= 262143, {MEMORY_NOTE}, got 262144"),
     ], ids=["seed", "target_events", "fault_time", "border_time", "fault_id_high",
             "fault_id_negative", "border_id_high", "fault_id_repeated", "lam_huge", "lam_int64",
-            "heartbeat_period_tiny", "target_events_int64", "c_uniform", "b_uniform"])
+            "heartbeat_period_tiny", "target_events_int64", "c_uniform", "b_uniform",
+            "capacity_huge", "capacity_past_budget"])
     def test_refused_at_parse(self, doc, path, value, error):
         _set(doc, path, value)
         with pytest.raises(ConfigError) as err:
@@ -321,6 +337,11 @@ class TestRangeRulesAtParse:
         doc["sim"]["faults"] = [{"time": 0.0, "lmm_id": 2}]
         doc["sim"]["borders"] = [{"time": 0.0, "cell_id": 20}]
         assert ScenarioConfig.from_dict(doc).sim.faults[0].lmm_id == 2
+
+    def test_capacity_at_budget_accepted(self, doc):
+        doc["types"]["wlan"]["m"] = MAX_CAPACITY
+        assert ScenarioConfig.from_dict(doc).types[AccessNetworkKind.WLAN].m == 262143
+        assert 2 * 64 * (MAX_CAPACITY + 1) * 8 == MEMORY_BUDGET
 
     def test_repeated_border_cell_accepted(self, doc):
         # a cell may ask twice; only a fault id must be unique

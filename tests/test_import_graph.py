@@ -1,10 +1,18 @@
 """Set-up, which imports sdlb, parses scenario documents and builds
-topologies, runs without loading NumPy. Checked in a fresh interpreter,
-because the test session has long since imported it."""
+topologies, loads only the parameter types and the topology: no model and
+no NumPy. Checked in a fresh interpreter, because the test session has
+long since imported everything."""
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+import sdlb
+import sdlb.config
+import sdlb.queueing
+import sdlb.simkernel
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -20,24 +28,45 @@ doc["sim"].update(faults=[{"time": 7.0, "lmm_id": 1}],
 cfg = ScenarioConfig.from_dict(doc)
 assert len(cfg.sim.faults) == 1 and len(cfg.sim.borders) == 3
 assert cfg.topology.build().cell_count == 21
-print(sorted(m for m in sys.modules if m == "numpy" or m.startswith("numpy.")))
-
-import sdlb.simkernel
-
-for name in ("CellStats", "SimReport", "horizon_for_events", "run_cell_mc", "run_system_sim"):
-    assert getattr(sdlb, name) is getattr(sdlb.simkernel, name), name
-for name in ("SimScenario", "LmmFault", "BorderEvent"):
-    assert getattr(sdlb.config, name) is getattr(sdlb.simkernel, name) is getattr(sdlb, name), name
-try:
-    sdlb.no_such_name
-except AttributeError as exc:
-    print(exc)
+print(sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "sdlb")))
 """
 
+# every name ``import sdlb`` gave before its names were looked up lazily
+EXPORTED = (
+    "AccessNetworkKind", "BorderEvent", "CellStats", "ConfigError", "FirstOrderValidityError",
+    "HscaTimingParams", "LmmFault", "LoadState", "OccupancyOverflowError", "OverheadBreakdown",
+    "OverheadParams", "ReliabilityParams", "ScenarioConfig", "ScenarioProbabilities",
+    "SimReport", "SimScenario", "StateDistribution", "SystemTypeParams", "TimingParams",
+    "Topology", "TransitionKind", "ValidationVerdict", "build_topology", "classify_load",
+    "default_config", "horizon_for_events", "integrated_reliability", "load_config",
+    "max_junction_lines", "mm1_delay", "nonperiodic_overhead", "periodic_overhead",
+    "prob_bb_update", "prob_state_change", "run_cell_mc", "run_system_sim",
+    "scenario_probabilities", "state_probabilities", "total_processing_time_hsca",
+    "total_processing_time_sda", "transition_probability", "uniform_reliability_params",
+    "validate_against_analytic",
+)
 
-def test_set_up_leaves_numpy_unloaded():
+
+def test_set_up_loads_only_config_params_and_topology():
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     run = subprocess.run([sys.executable, "-c", SET_UP], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "[]\nmodule 'sdlb' has no attribute 'no_such_name'\n"
+    assert run.stdout == "['sdlb', 'sdlb.config', 'sdlb.params', 'sdlb.topology']\n"
+
+
+@pytest.mark.parametrize("name", EXPORTED)
+def test_exported_name_is_its_defining_modules_object(name):
+    value = getattr(sdlb, name)
+    assert value is getattr(sys.modules[value.__module__], name)
+
+
+def test_each_type_is_one_class():
+    assert sdlb.SystemTypeParams is sdlb.config.SystemTypeParams is sdlb.queueing.SystemTypeParams
+    for name in ("SimScenario", "LmmFault", "BorderEvent"):
+        assert getattr(sdlb.config, name) is getattr(sdlb.simkernel, name) is getattr(sdlb, name)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'sdlb' has no attribute 'no_such_name'$"):
+        sdlb.no_such_name

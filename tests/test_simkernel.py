@@ -5,6 +5,7 @@ import math
 import random
 import sys
 import tracemalloc
+import warnings
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -1246,14 +1247,28 @@ class TestRunSystemSim:
             run_system_sim(build_topology(3, 7), small_types(), SimScenario(window=1e-320), 10.0, 1)
 
     def test_horizon_at_float_max_ends(self):
+        # 21 cells * horizon is inf, and the occupancy frequencies were inf / inf = NaN
+        scenario = SimScenario(window=1e305, heartbeat_period=1e307, heartbeat_timeout=1.5e307)
+        with pytest.raises(ValueError, match=r"^cells \* horizon must be finite, "
+                                             r"got 21 \* 1.7976931348623157e\+308$"):
+            run_system_sim(BASELINE_TOPO, uniform_types(0.0, 1.0, 4, 1, 3), scenario,
+                           sys.float_info.max, 1)
+
+    @pytest.mark.parametrize("topo, horizon, faults, ticks", [
         # horizon + window * 1e-9 overflows: the run still stops at the horizon
-        types = uniform_types(0.0, 1.0, 4, 1, 3)
-        scenario = SimScenario(window=1e305, heartbeat_period=1e307, heartbeat_timeout=1.5e307,
-                               faults=(LmmFault(time=1e306, lmm_id=1),))
-        with np.errstate(invalid="ignore"):  # occupancy time / (cells * horizon) is inf / inf
-            report = run_system_sim(BASELINE_TOPO, types, scenario, sys.float_info.max, 1)
-        assert report.message_counts["LoadReport"] == 21 * 1797
-        assert report.message_counts["Takeover"] == 1
+        (Topology(lmm_count=1, cells_per_grid=1), sys.float_info.max, (), 1797),
+        (BASELINE_TOPO, sys.float_info.max / 32, (LmmFault(time=1e306, lmm_id=1),), 56),
+    ])
+    def test_horizon_near_float_max_ends(self, topo, horizon, faults, ticks):
+        scenario = SimScenario(window=1e305, heartbeat_period=1e305, heartbeat_timeout=1.5e305,
+                               faults=faults)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_system_sim(topo, uniform_types(0.0, 1.0, 4, 1, 3), scenario, horizon, 1)
+        assert report.message_counts["LoadReport"] == topo.cell_count * ticks
+        assert report.message_counts.get("Takeover", 0) == len(faults)
+        for stats in report.per_type.values():
+            assert stats.occupancy_freq.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
 
     def test_border_exchange_counts(self):
         report = self.run(
