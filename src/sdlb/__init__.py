@@ -26,7 +26,7 @@ _MODULE_OF = {
                         "scenario_probabilities", "uniform_reliability_params"),
         "simkernel": ("CellStats", "SimReport", "horizon_for_events", "run_cell_mc",
                       "run_system_sim"),
-        "timing": ("mm1_delay", "total_processing_time_hsca", "total_processing_time_sda"),
+        "timing": ("total_processing_time_hsca", "total_processing_time_sda"),
         "topology": ("AccessNetworkKind", "BorderEvent", "LmmFault", "SimScenario", "Topology",
                      "build_topology", "max_junction_lines"),
         "validation": ("ValidationVerdict", "validate_against_analytic"),

@@ -36,7 +36,7 @@ from .queueing import FirstOrderValidityError, OccupancyOverflowError
 from .simkernel import horizon_for_events, run_cell_mc, run_system_sim
 from .timing import HscaTimingParams, TimingParams, check_swept_rates, swept_processing_times
 from .topology import AccessNetworkKind
-from .validation import crossing_rows, crossings_text, report_section, report_text
+from .validation import crossings_text, report_section, report_text
 
 
 @dataclass
@@ -99,26 +99,18 @@ def _outdir(cfg: ScenarioConfig) -> Path:
     return out
 
 
-def _each(name: str, values, fn) -> list:
-    """``fn`` of each value of ``sweeps.<name>``, in order; the first
-    ValueError becomes a ConfigError naming its value."""
-    results = []
-    for value in values:
-        try:
-            results.append(fn(value))
-        except ValueError as exc:
-            raise ConfigError(f"sweeps.{name} value {value}: {exc}") from exc
-    return results
-
-
 def _swept(name: str, values, fn) -> list:
     """``fn`` of all values of ``sweeps.<name>`` at once. On a ValueError
     ``fn`` runs on each value alone, in order, and the first value that
-    fails alone is the one named."""
+    fails alone becomes a ConfigError naming it."""
     try:
         return fn(values)
     except ValueError:
-        _each(name, values, lambda value: fn([value]))
+        for value in values:
+            try:
+                fn([value])
+            except ValueError as exc:
+                raise ConfigError(f"sweeps.{name} value {value}: {exc}") from exc
         raise
 
 
@@ -221,9 +213,9 @@ def cmd_validate(cfg: ScenarioConfig) -> int:
                     f"types.{name}: {exc} (from types.{name}.lam = {p.lam!r}, "
                     f"sim.target_events = {cfg.sim.target_events}, overhead.T = {T!r})"
                 ) from exc
-        text, passed = report_section(kind, p, T, report)
+        text, passed, rows = report_section(kind, p, T, report)
         sections.append(text)
-        crossings += crossing_rows(kind, p, T, report)
+        crossings += rows
         all_pass = all_pass and passed
 
     text = report_text(sections)

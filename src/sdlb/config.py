@@ -67,6 +67,14 @@ WORK_CAP = 10**9
 # so a capacity m may be at most MAX_CAPACITY = 262 143.
 MEMORY_BUDGET = 256 * 2**20
 MAX_CAPACITY = MEMORY_BUDGET // (2 * 64 * 8) - 1
+# The protocol simulator (``run_system_sim``) must fit in the same budget.
+# Each of its cells * kinds streams keeps an RNG, a draw buffer and
+# tallies: tracemalloc measured 1140-1256 B per stream at a horizon of
+# 1e-6 on 2100 and 21 000 cells. Each of a stream's at most m live
+# sessions keeps an id and a queued departure: 211-236 B per occupied
+# server in saturated 3-cell runs at m = 1000-4000.
+STREAM_BYTES = 1280
+SESSION_BYTES = 240
 
 
 class ConfigError(ValueError):
@@ -207,6 +215,13 @@ class ScenarioConfig:
                     f"{MEMORY_BUDGET // 2**20} MiB, got {p.m}"
                 )
         sim, kinds = self.sim, self.types.values()
+        per_cell = sum(STREAM_BYTES + p.m * SESSION_BYTES for p in kinds)
+        if n_cells * per_cell > MEMORY_BUDGET:
+            raise ValueError(
+                f"topology must keep the protocol simulator's cells * sum over types of "
+                f"({STREAM_BYTES} + {SESSION_BYTES} * m) bytes <= {MEMORY_BUDGET // 2**20} MiB, "
+                f"got {n_cells} * {per_cell} = {n_cells * per_cell:.3g}"
+            )
         cell_rate = sum(2.0 * p.lam for p in kinds) + 1.0 / self.overhead.T
         scenario_work = sim.horizon * (n_cells * cell_rate + n_lmm / sim.heartbeat_period)
         validate_work = sim.target_events * sum(p.lam > 0 for p in kinds)

@@ -49,26 +49,10 @@ __all__ = [
     "TimingParams",
     "check_swept_rate",
     "check_swept_rates",
-    "mm1_delay",
     "swept_processing_times",
     "total_processing_time_hsca",
     "total_processing_time_sda",
 ]
-
-
-def mm1_delay(rho: float, mu: float) -> tuple[float, float]:
-    """(Wq, W) of one M/M/1 stage: the wait in queue rho/(mu*(1-rho)) and
-    the whole sojourn 1/(mu*(1-rho)), wait and service together.
-
-    Their sum (rho+1)/(mu*(1-rho)) is the per-stage term of the processing
-    time formulas; it counts the wait twice.
-    """
-    if mu <= 0:
-        raise ValueError(f"mu must be > 0, got {mu}")
-    if not 0 <= rho < 1:
-        raise ValueError(f"unstable queue: rho = {rho:g} not in [0, 1)")
-    denom = mu * (1.0 - rho)
-    return rho / denom, 1.0 / denom
 
 
 def _sda(p: TimingParams, rho):

@@ -3,13 +3,15 @@
 ``validate_against_analytic`` compares one ``run_cell_mc`` series with
 the closed-form occupancy distribution, blocking probability and
 first-order transition probabilities, one ``QuantityCheck`` per quantity.
-``report_section`` writes one kind's part of ``validation_report.txt``: a
-header line with the kind's parameters, then its checks and verdict, or
-a line saying that it had no traffic or that the comparison was refused.
-``report_text`` joins the sections into the file's text. ``crossing_rows``
-and ``crossings_text`` write ``crossings.csv``: each judged crossing's
-observed rate beside its first-order and exact probabilities. Every line
-of both files is written here; the kernels are run by the caller.
+``report_section`` judges one kind once and writes its part of both
+files. Its part of ``validation_report.txt`` is a header line with the
+kind's parameters, then its checks and verdict, or a line saying that it
+had no traffic or that the comparison was refused. Its rows of
+``crossings.csv`` are its four judged transition checks, observed and
+first-order, each beside its exact probability; a kind without a
+verdict has none. ``report_text`` and ``crossings_text`` join the parts
+into the files' text. Every line of both files is written here; the
+kernels are run by the caller.
 """
 from __future__ import annotations
 
@@ -34,7 +36,6 @@ if TYPE_CHECKING:  # only for annotations: simkernel imports this module
 __all__ = [
     "QuantityCheck",
     "ValidationVerdict",
-    "crossing_rows",
     "crossings_text",
     "report_section",
     "report_text",
@@ -115,12 +116,6 @@ def _matching_stats(report: SimReport, p: SystemTypeParams, window: float) -> Ce
     raise ValueError("refusing comparison: no simulated series matches the analytic parameters")
 
 
-def _window_rate(stats: CellStats, kind: TransitionKind) -> float:
-    """Crossings of ``kind`` per report window."""
-    nwin = stats.window_count
-    return stats.transition_counts[kind] / nwin if nwin else 0.0
-
-
 def validate_against_analytic(
     report: SimReport, p: SystemTypeParams, T: float
 ) -> ValidationVerdict:
@@ -152,58 +147,47 @@ def validate_against_analytic(
     if stats.arrivals > 0:
         checks.append(_judge("blocking", stats.blocked / stats.arrivals, dist.blocking,
                              stats.arrivals, stats.blocked, 0.0, too_few))
+    # the crossings per report window come last, in TransitionKind order
     nwin = stats.window_count
     crossed = stats.transition_counts
     for kind in TransitionKind:
         ana = analytic_tr[kind]
-        checks.append(_judge(f"transition[{kind.value}]", _window_rate(stats, kind),
-                             ana, nwin, crossed[kind], CROSSING_TOL * ana, too_few))
+        rate = crossed[kind] / nwin if nwin else 0.0
+        checks.append(_judge(f"transition[{kind.value}]", rate, ana, nwin, crossed[kind],
+                             CROSSING_TOL * ana, too_few))
     return ValidationVerdict(checks=checks)
 
 
 def report_section(
     kind: AccessNetworkKind, p: SystemTypeParams, T: float, report: SimReport | None
-) -> tuple[str, bool]:
-    """One kind's section of the report and whether it passed.
+) -> tuple[str, bool, list[str]]:
+    """One kind's section of the report, whether it passed, and its rows
+    of ``crossings.csv``.
 
     ``report`` is None for a kind without traffic, which passes. A
-    comparison refused for a too-coarse T fails.
+    comparison refused for a too-coarse T fails. Neither has rows; a
+    judged kind has one per crossing, and ``exact_zone_moves`` runs once.
     """
     header = f"== {kind.name}: lam={p.lam} mu={p.mu} m={p.m} k1={p.k1} k2={p.k2} T={T}"
     if report is None:
-        return f"{header}\nno traffic: nothing to validate", True
+        return f"{header}\nno traffic: nothing to validate", True, []
     try:
         verdict = validate_against_analytic(report, p, T)
     except FirstOrderValidityError as exc:
-        return f"{header}\ncomparison refused: {exc}", False
-    return f"{header}\n{verdict.format()}", verdict.passed
+        return f"{header}\ncomparison refused: {exc}", False, []
+    crossings = verdict.checks[-len(TransitionKind):]
+    exact = crossing_probabilities(exact_zone_moves(p, T))
+    rows = []
+    for crossing, check, value in zip(TransitionKind, crossings, exact):
+        ratio = check.expected / value if value else ""
+        rows.append(f"{kind.name},{crossing.value},{check.observed},"
+                    f"{check.expected},{value},{ratio}")
+    return f"{header}\n{verdict.format()}", verdict.passed, rows
 
 
 def report_text(sections: list[str]) -> str:
     """The text of ``validation_report.txt``: the sections, blank-line separated."""
     return "\n\n".join(sections) + "\n"
-
-
-def crossing_rows(
-    kind: AccessNetworkKind, p: SystemTypeParams, T: float, report: SimReport | None
-) -> list[str]:
-    """One kind's rows of ``crossings.csv``, one per crossing, for the
-    kinds that ``report_section`` judges: none for a kind without traffic
-    or whose comparison is refused. ``exact_zone_moves`` runs once."""
-    if report is None:
-        return []
-    try:
-        first_order = [transition_probability(p, T, crossing) for crossing in TransitionKind]
-    except FirstOrderValidityError:
-        return []
-    stats = _matching_stats(report, p, T)
-    exact = crossing_probabilities(exact_zone_moves(p, T))
-    rows = []
-    for crossing, approx, value in zip(TransitionKind, first_order, exact):
-        ratio = approx / value if value else ""
-        rows.append(f"{kind.name},{crossing.value},{_window_rate(stats, crossing)},"
-                    f"{approx},{value},{ratio}")
-    return rows
 
 
 def crossings_text(rows: list[str]) -> str:

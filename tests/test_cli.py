@@ -783,6 +783,9 @@ class TestBenchmarkHooks:
         spans = Counter(span[0] for span in tracer.spans)
         assert spans["simkernel.run_cell_mc"] == 3
         assert spans["simkernel.validate_against_analytic"] == 3
+        # one first-order value per crossing and judged kind: both output
+        # files come from the one verdict
+        assert spans["queueing.transition_probability"] == 12
         assert len(tracer.results) == 3
 
     def test_kernels_are_called_through_cli(self, tmp_path, monkeypatch):

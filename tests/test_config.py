@@ -339,9 +339,30 @@ class TestRangeRulesAtParse:
         assert ScenarioConfig.from_dict(doc).sim.faults[0].lmm_id == 2
 
     def test_capacity_at_budget_accepted(self, doc):
+        # on 3 cells, so that the protocol simulator's sessions fit the budget too
+        doc["topology"]["cells_per_grid"] = 1
         doc["types"]["wlan"]["m"] = MAX_CAPACITY
         assert ScenarioConfig.from_dict(doc).types[AccessNetworkKind.WLAN].m == 262143
         assert 2 * 64 * (MAX_CAPACITY + 1) * 8 == MEMORY_BUDGET
+
+    # Neither document may be run: each asks run_system_sim for gigabytes
+    @pytest.mark.parametrize("changes,got", [
+        # a tiny horizon keeps the work down at any cell count
+        ({"topology.grid_count": 10**9, "sim.horizon": 1e-8}, "7000000000 * 42240 = 2.96e+14"),
+        # every stream fills to m
+        ({**{f"types.{kind}.{key}": value for kind in ("umts", "wimax", "wlan")
+             for key, value in (("lam", 1e5), ("mu", 1e-6), ("m", MAX_CAPACITY))},
+          "sim.horizon": 3.0}, "21 * 188746800 = 3.96e+09"),
+    ], ids=["cells", "sessions"])
+    def test_protocol_memory_refused_at_parse(self, doc, changes, got):
+        for path, value in changes.items():
+            _set(doc, path, value)
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_dict(doc)
+        assert str(err.value) == (
+            "topology: must keep the protocol simulator's cells * sum over types of "
+            f"(1280 + 240 * m) bytes <= 256 MiB, got {got}"
+        )
 
     def test_repeated_border_cell_accepted(self, doc):
         # a cell may ask twice; only a fault id must be unique

@@ -31,7 +31,8 @@ assert cfg.topology.build().cell_count == 21
 print(sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "sdlb")))
 """
 
-# every name ``import sdlb`` gave before its names were looked up lazily
+# every name ``import sdlb`` exports, each one it gave before its names
+# were looked up lazily
 EXPORTED = (
     "AccessNetworkKind", "BorderEvent", "CellStats", "ConfigError", "FirstOrderValidityError",
     "HscaTimingParams", "LmmFault", "LoadState", "OccupancyOverflowError", "OverheadBreakdown",
@@ -39,7 +40,7 @@ EXPORTED = (
     "SimReport", "SimScenario", "StateDistribution", "SystemTypeParams", "TimingParams",
     "Topology", "TransitionKind", "ValidationVerdict", "build_topology", "classify_load",
     "default_config", "horizon_for_events", "integrated_reliability", "load_config",
-    "max_junction_lines", "mm1_delay", "nonperiodic_overhead", "periodic_overhead",
+    "max_junction_lines", "nonperiodic_overhead", "periodic_overhead",
     "prob_bb_update", "prob_state_change", "run_cell_mc", "run_system_sim",
     "scenario_probabilities", "state_probabilities", "total_processing_time_hsca",
     "total_processing_time_sda", "transition_probability", "uniform_reliability_params",

@@ -1,6 +1,5 @@
 import contextlib
 import dataclasses
-import functools
 import io
 import json
 import math
@@ -12,13 +11,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sdlb import cli
-from sdlb.config import ConfigError, ScenarioConfig, default_config
+from sdlb.config import ScenarioConfig, default_config
 from sdlb.timing import (
     HscaTimingParams,
     TimingParams,
     check_swept_rate,
     check_swept_rates,
-    mm1_delay,
     swept_processing_times,
     total_processing_time_hsca,
     total_processing_time_sda,
@@ -43,28 +41,10 @@ def hsca_params(**kw):
     return HscaTimingParams(**base)
 
 
-class TestMm1Delay:
-    def test_empty_queue(self):
-        assert mm1_delay(0.0, 1.0) == (0.0, 1.0)
-
-    def test_half_utilisation(self):
-        wait, service = mm1_delay(0.5, 1.0)
-        assert wait == pytest.approx(1.0, rel=1e-14)
-        assert service == pytest.approx(2.0, rel=1e-14)
-
-    def test_heavy_utilisation(self):
-        wait, service = mm1_delay(0.9, 2.0)
-        assert wait == pytest.approx(4.5, rel=1e-14)
-        assert service == pytest.approx(5.0, rel=1e-14)
-        assert wait + service == pytest.approx((0.9 + 1) / (2 * 0.1), rel=1e-14)
-
-    def test_unstable_rejected(self):
-        with pytest.raises(ValueError, match="unstable queue"):
-            mm1_delay(1.0, 1.0)
-        with pytest.raises(ValueError, match="unstable queue"):
-            mm1_delay(1.2, 1.0)
-        with pytest.raises(ValueError):
-            mm1_delay(0.5, 0.0)
+def mm1_sojourn_plus_wait(rho, mu):
+    """One stage of the processing-time formulas: the M/M/1 sojourn
+    W = 1/(mu(1-rho)) plus the wait in queue Wq = rho/(mu(1-rho))."""
+    return 1.0 / (mu * (1.0 - rho)) + rho / (mu * (1.0 - rho))
 
 
 class TestSdaProcessingTime:
@@ -87,14 +67,14 @@ class TestSdaProcessingTime:
 
     def test_stage_decomposition(self):
         p = sda_params(lambda_report=700.0)
-        wait, service = mm1_delay(p.rho, p.mu_serve)
+        stage = mm1_sojourn_plus_wait(p.rho, p.mu_serve)
         stages = (
             p.t1
             + p.d_rl / p.s_rl
-            + (wait + service)  # manager
+            + stage  # manager
             + p.d_ll / p.s_ll
-            + (wait + service)  # first backup
-            + (wait + service)  # second backup
+            + stage  # first backup
+            + stage  # second backup
         )
         assert total_processing_time_sda(p) == pytest.approx(stages, abs=1e-12)
 
@@ -118,15 +98,13 @@ class TestHscaProcessingTime:
 
     def test_stage_decomposition(self):
         p = hsca_params(rho_ra=0.3, rho_is=0.7)
-        ra_wait, ra_service = mm1_delay(p.rho_ra, p.mu)
-        is_wait, is_service = mm1_delay(p.rho_is, p.mu)
         stages = (
             p.t1
             + p.d_rr / p.s_rr
             + p.d_ris / p.s_ris
             + p.d_ibi / p.s_ibi
-            + (ra_wait + ra_service)
-            + 2 * (is_wait + is_service)
+            + mm1_sojourn_plus_wait(p.rho_ra, p.mu)
+            + 2 * mm1_sojourn_plus_wait(p.rho_is, p.mu)
         )
         assert total_processing_time_hsca(p) == pytest.approx(stages, abs=1e-12)
 
@@ -252,11 +230,12 @@ class TestCheckSweptRates:
         cfg = ScenarioConfig.from_dict(doc)
         # the message of the per-value check, in list order
         error = None
-        try:
-            cli._each("arrival_rates", cfg.sweeps.arrival_rates,
-                      functools.partial(check_swept_rate, cfg.timing, cfg.hsca_timing))
-        except ConfigError as exc:
-            error = f"config error: {exc}\n"
+        for rate in cfg.sweeps.arrival_rates:
+            try:
+                check_swept_rate(cfg.timing, cfg.hsca_timing, rate)
+            except ValueError as exc:
+                error = f"config error: sweeps.arrival_rates value {rate}: {exc}\n"
+                break
         with tempfile.TemporaryDirectory() as tmp:
             path, out = Path(tmp, "doc.json"), Path(tmp, "figs")
             path.write_text(json.dumps(doc))
