@@ -212,6 +212,14 @@ class TestWorkloadRoundTrip:
             cfg = ScenarioConfig.from_dict(wl_doc)
             assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
 
+    # the parse-time rules, the protocol memory bound among them, refuse no benchmark document
+    @pytest.mark.parametrize("name", ["validate", "protocol_ticks", "protocol_events", "sweep"])
+    def test_full_documents_accepted(self, doc, name):
+        workloads = _workloads()
+        for seed in (1, 2, 3):
+            for wl_doc in workloads.build(name, seed, "full", doc).docs:
+                ScenarioConfig.from_dict(wl_doc)
+
 
 def _run(tmp_path, command, doc):
     doc["output_dir"] = str(tmp_path / "out")
@@ -270,8 +278,12 @@ class TestTopologyRules:
         # every command exited 3 on a MemoryError, NumPy's or a list's
         ("types.umts.m", 2**53 + 1,
          f"types.umts.m: must be <= 262143, {MEMORY_NOTE}, got {2**53 + 1}"),
+        # one session per stream past the protocol simulator's budget on 21 cells
+        ("types.wlan.m", 53166,
+         "topology: must keep the protocol simulator's cells * sum over types of "
+         "(1280 + 240 * m) bytes <= 256 MiB, got 21 * 12782880 = 2.68e+08"),
     ], ids=["two_grids", "ap_counts_key", "a_common_key", "redundancy_exponent_key",
-            "repeated_fault_id", "capacity_past_float"])
+            "repeated_fault_id", "capacity_past_float", "protocol_memory"])
     def test_every_command_exits_2(self, tmp_path, doc, capsys, command, path, value, error):
         _set(doc, path, value)
         assert _run(tmp_path, command, doc) == 2
@@ -363,6 +375,19 @@ class TestRangeRulesAtParse:
             "topology: must keep the protocol simulator's cells * sum over types of "
             f"(1280 + 240 * m) bytes <= 256 MiB, got {got}"
         )
+
+    @pytest.mark.parametrize("path,value", [
+        # 6349 cells * 42240 B, one cell short of 6356 * 42240 B > 256 MiB
+        ("topology.grid_count", 907),
+        # 21 cells * 12782640 B is 16 B under 256 MiB
+        ("types.wlan.m", 53165),
+    ], ids=["cells", "sessions"])
+    def test_protocol_memory_at_budget_accepted(self, doc, path, value):
+        _set(doc, path, value)
+        ScenarioConfig.from_dict(doc)
+        _set(doc, path, value + 1)
+        with pytest.raises(ConfigError, match=r"^topology: must keep the protocol simulator's"):
+            ScenarioConfig.from_dict(doc)
 
     def test_repeated_border_cell_accepted(self, doc):
         # a cell may ask twice; only a fault id must be unique
