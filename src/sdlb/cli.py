@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import operator
 import sys
 from dataclasses import dataclass
@@ -115,9 +116,10 @@ def _swept(name: str, values, fn) -> list:
 
 
 def _processing_times_ms(p: TimingParams, h: HscaTimingParams, rates) -> tuple[list, list]:
-    """Both processing times (ms) at each rate of ``rates``, which pass
-    ``check_swept_rates``; a time past the float range raises a
-    ValueError naming the section its parameters come from."""
+    """Both processing times (ms) at each rate of ``rates``. A rate that
+    breaks ``check_swept_rates`` raises its ValueError, and a time past the
+    float range one naming the section its parameters come from."""
+    check_swept_rates(p, h, rates)
     with np.errstate(over="ignore", divide="ignore"):
         sda, hsca = swept_processing_times(p, h, np.array(rates))
         times = {"timing": sda * 1e3, "hsca_timing": hsca * 1e3}
@@ -132,8 +134,13 @@ def cmd_figures(cfg: ScenarioConfig) -> int:
     # every series is evaluated before anything is written, so a failing
     # sweep leaves the output directory as it was
     ov = cfg.overhead_params()
+    op, onp = periodic_overhead(ov).op, nonperiodic_overhead(ov)
+    # finite inputs can overflow: x / T and 2 * d round past the float range
+    for name, value in (("periodic overhead O_p", op), ("non-periodic overhead O_np", onp)):
+        if not math.isfinite(value):
+            raise ConfigError(f"overhead: {name} must be finite, got {value} (from overhead.T, "
+                              "overhead.d and types.*.report_cost * ap_count)")
 
-    op = periodic_overhead(ov).op
     fig5 = MetricSeries(
         sweep_name="lmm_count",
         rows=[(n, "periodic_overhead", op) for n in cfg.sweeps.lmm_counts],
@@ -143,7 +150,6 @@ def cmd_figures(cfg: ScenarioConfig) -> int:
         ),
     )
 
-    onp = nonperiodic_overhead(ov)
     fig6 = MetricSeries(
         sweep_name="lmm_count",
         rows=[(n, "nonperiodic_overhead", onp) for n in cfg.sweeps.lmm_counts],
@@ -155,8 +161,6 @@ def cmd_figures(cfg: ScenarioConfig) -> int:
     )
 
     rates = cfg.sweeps.arrival_rates
-    _swept("arrival_rates", rates,
-           functools.partial(check_swept_rates, cfg.timing, cfg.hsca_timing))
     times_ms = _swept("arrival_rates", rates,
                       functools.partial(_processing_times_ms, cfg.timing, cfg.hsca_timing))
     rows7: list[tuple[float, str, float]] = []

@@ -39,6 +39,7 @@ from .topology import (
     SimScenario,
     Topology,
     build_topology,
+    check_schedules,
     check_topology,
 )
 
@@ -196,17 +197,10 @@ class ScenarioConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         n_lmm = self.topology.grid_count
         n_cells = n_lmm * self.topology.cells_per_grid
-        for key, attr, bound in (("faults", "lmm_id", n_lmm), ("borders", "cell_id", n_cells)):
-            for i, entry in enumerate(getattr(self.sim, key)):
-                v = getattr(entry, attr)
-                if not 0 <= v < bound:
-                    raise ValueError(f"sim.{key}[{i}].{attr} must be in [0, {bound}), got {v}")
-        # an LMM fails once; a cell may ask for border support again
-        lmm_ids = [f.lmm_id for f in self.sim.faults]
-        for i, v in enumerate(lmm_ids):
-            if (first := lmm_ids.index(v)) < i:
-                raise ValueError(f"sim.faults[{i}].lmm_id must not repeat "
-                                 f"sim.faults[{first}].lmm_id, got {v}")
+        try:
+            check_schedules(self.sim.faults, self.sim.borders, n_lmm, n_cells)
+        except ValueError as exc:
+            raise ValueError(f"sim.{exc}") from None
         for kind, p in self.types.items():
             if p.m > MAX_CAPACITY:
                 raise ValueError(

@@ -54,8 +54,8 @@ refill once. Events wait in three queues: each stream's next arrival
 control events, ticks, heartbeat rounds, takeovers and border instants
 (time, rank, tick number or LMM id). The loop takes the earliest head;
 at equal times an arrival goes first, then a departure, then the
-control events by rank, which is the order of the ``SimEventKind``
-ranks, and within a queue ties break by ids. Identical inputs give
+control events by rank (``_TICK``, ``_HEARTBEAT``, ``_TAKEOVER``,
+``_BORDER``), and within a queue ties break by ids. Identical inputs give
 byte-identical reports.
 """
 from __future__ import annotations
@@ -64,9 +64,7 @@ import heapq
 import math
 import sys
 from bisect import bisect_left
-from collections import Counter
 from dataclasses import dataclass
-from enum import IntEnum
 from itertools import chain
 from typing import IO
 
@@ -81,7 +79,14 @@ from .queueing import (
     classify_load,
     state_probabilities,
 )
-from .topology import AccessNetworkKind, BorderEvent, LmmFault, SimScenario, Topology
+from .topology import (
+    AccessNetworkKind,
+    BorderEvent,
+    LmmFault,
+    SimScenario,
+    Topology,
+    check_schedules,
+)
 # the judge is sdlb.validation's; its public names stay importable here
 # because perfbench/tracing.py times validate_against_analytic as part of
 # the simkernel layer and looks it up in this module
@@ -91,30 +96,12 @@ __all__ = [
     "BorderEvent",
     "CellStats",
     "LmmFault",
-    "SimEventKind",
     "SimReport",
     "SimScenario",
     "horizon_for_events",
     "run_cell_mc",
     "run_system_sim",
 ]
-
-
-class SimEventKind(IntEnum):
-    """Event kinds; the integer value is the same-time processing rank.
-
-    Arrivals, departures and the other four kinds wait in three queues,
-    and their heads merge in this rank at equal times: an arrival, then a
-    departure, then the control events, which share one queue keyed by
-    (time, rank, ...).
-    """
-
-    ARRIVAL = 0
-    DEPARTURE = 1
-    REPORT_TICK = 2
-    HEARTBEAT = 3
-    TAKEOVER = 4
-    BORDER = 5
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +318,12 @@ class CellStats:
     blocked: int
     in_system: int
     events: int
+    # the parameters and report window the series was generated under, for
+    # validator matching
+    params: SystemTypeParams
+    window: float
     migrations_in: int = 0
     migrations_out: int = 0
-    # parameters the series was generated under, for validator matching
-    lam: float = 0.0
-    mu: float = 1.0
-    m: int = 1
-    k1: int = 0
-    k2: int = 1
-    window: float = 0.1
 
     @property
     def transition_counts(self) -> dict[TransitionKind, int]:
@@ -351,7 +335,7 @@ class CellStats:
         return counts
 
     def to_jsonable(self) -> dict:
-        crossed = self.transition_counts
+        crossed, p = self.transition_counts, self.params
         return {
             "occupancy_freq": [float(x) for x in self.occupancy_freq],
             "occupancy_se": (
@@ -368,14 +352,8 @@ class CellStats:
             "events": int(self.events),
             "migrations_in": int(self.migrations_in),
             "migrations_out": int(self.migrations_out),
-            "params": {
-                "lam": self.lam,
-                "mu": self.mu,
-                "m": self.m,
-                "k1": self.k1,
-                "k2": self.k2,
-                "window": self.window,
-            },
+            "params": {"lam": p.lam, "mu": p.mu, "m": p.m, "k1": p.k1, "k2": p.k2,
+                       "window": self.window},
         }
 
 
@@ -531,11 +509,7 @@ def run_cell_mc(
         blocked=blocked,
         in_system=k,
         events=events,
-        lam=p.lam,
-        mu=p.mu,
-        m=p.m,
-        k1=p.k1,
-        k2=p.k2,
+        params=p,
         window=window,
     )
     return SimReport(
@@ -552,6 +526,8 @@ def run_cell_mc(
 # ---------------------------------------------------------------------------
 
 _KIND_ORDER = tuple(AccessNetworkKind)
+# the control events' same-time ranks, and the stop entry's, ranked last
+_TICK, _HEARTBEAT, _TAKEOVER, _BORDER, _STOP = range(5)
 
 
 class _Draws:
@@ -606,20 +582,11 @@ def run_system_sim(
     for kind in _KIND_ORDER:
         if kind not in types:
             raise ValueError(f"missing SystemTypeParams for {kind.name}")
-    n_lmm = topo.lmm_count
-    fail_time: dict[int, float] = {}
-    for fault in scenario.faults:
-        if not 0 <= fault.lmm_id < n_lmm:
-            raise ValueError(f"fault schedule references unknown LMM id {fault.lmm_id}")
-        if fault.lmm_id in fail_time:
-            raise ValueError(f"fault schedule names LMM id {fault.lmm_id} twice")
-        fail_time[fault.lmm_id] = fault.time
-    n_cells = topo.cell_count
+    n_lmm, n_cells = topo.lmm_count, topo.cell_count
+    check_schedules(scenario.faults, scenario.borders, n_lmm, n_cells)
+    fail_time = {fault.lmm_id: fault.time for fault in scenario.faults}
     if not n_cells * horizon < math.inf:  # the occupancy frequencies' denominator
         raise ValueError(f"cells * horizon must be finite, got {n_cells} * {horizon}")
-    for border in scenario.borders:
-        if not 0 <= border.cell_id < n_cells:
-            raise ValueError(f"border schedule references unknown cell id {border.cell_id}")
 
     window = scenario.window
     if not horizon / window < 2**63:  # as run_cell_mc's window indices
@@ -683,10 +650,8 @@ def run_system_sim(
     moves = [[0] * 25 for _ in range(n_kinds)]
     moves_row = moves * n_cells
     ticks = 0
-    # the per-tick and per-round tallies are locals; the rare kinds count here
-    n_balance = n_notices = n_beats = 0
-    counters: Counter[str] = Counter()
-    failover: list[float] = []
+    n_balance = n_notices = n_beats = n_border = 0
+    failover: list[float] = []  # one entry per takeover
 
     serving = list(range(n_lmm))
     # faults no heartbeat round has seen yet, the earliest last
@@ -705,8 +670,6 @@ def run_system_sim(
         if border.time <= horizon:
             border_cells.setdefault(border.time, []).append(border.cell_id)
     bb = f"bb{topo.bb_primary}"
-    # locals: an enum attribute lookup costs several int compares
-    REPORT_TICK, HEARTBEAT, TAKEOVER, BORDER = map(int, tuple(SimEventKind)[2:])
     OVER, UNDER = LoadState.OVER_LOADED, LoadState.UNDER_LOADED
 
     # Three queues, merged by their heads: ``arr`` holds each stream's next
@@ -719,7 +682,7 @@ def run_system_sim(
     # never pop.
     arr: list[tuple[float, int]] = [(math.inf, n_streams)]
     dep: list[tuple[float, int, int]] = [(math.inf, n_streams, 0)]
-    ctl: list[tuple[float, int, int]] = [(cutoff, len(SimEventKind), 0)]
+    ctl: list[tuple[float, int, int]] = [(cutoff, _STOP, 0)]
     push = heapq.heappush
     pop = heapq.heappop
     replace = heapq.heapreplace
@@ -750,11 +713,11 @@ def run_system_sim(
                 arr.append((ta, s))
     # one report tick on the queue at a time: tick i pushes tick i + 1
     if n_ticks:
-        ctl.append((window, REPORT_TICK, 1))
+        ctl.append((window, _TICK, 1))
     if scenario.heartbeat_period <= horizon:
-        ctl.append((scenario.heartbeat_period, HEARTBEAT, 0))
+        ctl.append((scenario.heartbeat_period, _HEARTBEAT, 0))
     for tr in border_cells:
-        ctl.append((tr, BORDER, 0))
+        ctl.append((tr, _BORDER, 0))
     heapq.heapify(arr)
     heapq.heapify(ctl)
     next_ctl = ctl[0][0]
@@ -793,7 +756,7 @@ def run_system_sim(
             push(dep, (td, d, new_sid))
 
     # At equal times an arrival comes first, then a departure, then the
-    # control events by rank: the order of SimEventKind
+    # control events by rank
     while True:
         t, s = arr[0]
         if t <= dep[0][0] and t <= next_ctl:
@@ -840,11 +803,11 @@ def run_system_sim(
             continue
 
         t, ekind, s = pop(ctl)
-        if ekind == REPORT_TICK:
+        if ekind == _TICK:
             # every cell reports; a grid whose serving LMM is dead is not answered
             ticks += 1
             if s < n_ticks:
-                push(ctl, ((s + 1) * window, REPORT_TICK, s + 1))
+                push(ctl, ((s + 1) * window, _TICK, s + 1))
             if t >= recount_at:
                 answered = [alive(lmm, t) for lmm in serving]
                 n_answered = cells_per_grid * sum(answered)
@@ -896,7 +859,7 @@ def run_system_sim(
                     for backup in topo.bb_backups:
                         emit(t, "BBReplicate", bb, f"bb{backup}")
 
-        elif ekind == HEARTBEAT:
+        elif ekind == _HEARTBEAT:
             # every live LMM with a live backup beats to it, in id order:
             # per-LMM chains of period-spaced beats would all share these times
             if t >= rebuild_at:
@@ -911,32 +874,30 @@ def run_system_sim(
             # no later beat resets the timeout that beat started
             while unseen and unseen[-1][0] <= t:
                 takeover = last_round + scenario.heartbeat_timeout
-                push(ctl, (takeover, TAKEOVER, unseen.pop()[1]))
+                push(ctl, (takeover, _TAKEOVER, unseen.pop()[1]))
             last_round = t
             tb = t + scenario.heartbeat_period
             if tb <= horizon:
-                push(ctl, (tb, HEARTBEAT, 0))
+                push(ctl, (tb, _HEARTBEAT, 0))
 
-        elif ekind == TAKEOVER:
+        elif ekind == _TAKEOVER:
             # the first live backup inherits every grid the dead LMM serves,
             # inherited ones too; with none alive they stay unanswered
             lmm = s
             backup = live_backup(lmm, t)
             if backup is not None:
-                counters["Takeover"] += 1
                 if trace is not None:
                     emit(t, "Takeover", f"lmm{backup}", f"lmm{lmm}")
                 failover.append(t - fail_time[lmm])
                 serving = [backup if g == lmm else g for g in serving]
                 recount_at = -math.inf
 
-        elif ekind == BORDER:
+        elif ekind == _BORDER:
             # all requests and consults at t, then all grants, each in cell
             # order: queued, every grant would pop after every request, and
-            # serving cannot change in between, as TAKEOVER ranks before
+            # serving cannot change in between, as _TAKEOVER ranks before
             cells_at = sorted(border_cells[t])
-            for name in ("BorderRequest", "NeighborConsult", "BorderGrant"):
-                counters[name] += len(cells_at)
+            n_border += len(cells_at)
             if trace is not None:
                 for c in cells_at:
                     g = grid_of_cell[c]
@@ -956,7 +917,6 @@ def run_system_sim(
     per_type: dict[AccessNetworkKind, CellStats] = {}
     total_time = n_cells * horizon
     for ki, kind in enumerate(_KIND_ORDER):
-        p = params[ki]
         n_arr, n_dep = sum(arrivals[ki::n_kinds]), sum(departures[ki::n_kinds])
         per_type[kind] = CellStats(
             occupancy_freq=np.array(occ_time[ki]) / total_time,
@@ -968,23 +928,20 @@ def run_system_sim(
             blocked=sum(blocked[ki::n_kinds]),
             in_system=sum(map(len, live[ki::n_kinds])),
             events=n_arr + n_dep,
+            params=types[kind],
+            window=window,
             migrations_in=mig_in[ki],
             migrations_out=mig_out[ki],
-            lam=p.lam,
-            mu=p.mu,
-            m=p.m,
-            k1=p.k1,
-            k2=p.k2,
-            window=window,
         )
 
-    counters.update(BalanceInfo=n_balance, StateChangeNotice=n_notices,
-                    BBReplicate=n_notices * len(topo.bb_backups), Heartbeat=n_beats,
-                    LoadReport=ticks * n_cells)
+    counts = {"LoadReport": ticks * n_cells, "BalanceInfo": n_balance,
+              "StateChangeNotice": n_notices, "BBReplicate": n_notices * len(topo.bb_backups),
+              "Heartbeat": n_beats, "Takeover": len(failover), "BorderRequest": n_border,
+              "NeighborConsult": n_border, "BorderGrant": n_border}
     return SimReport(
         per_type=per_type,
         # a message kind is listed once it has been sent
-        message_counts={name: n for name, n in counters.items() if n},
+        message_counts={name: n for name, n in counts.items() if n},
         failover_latencies=failover,
         horizon=horizon,
         seed=seed,

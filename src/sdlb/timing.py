@@ -31,15 +31,10 @@ this module.
 """
 from __future__ import annotations
 
+import dataclasses
 from typing import TYPE_CHECKING
 
-from .params import (
-    HscaTimingParams,
-    TimingParams,
-    _check_nonneg,
-    _check_rho,
-    _check_utilisation,
-)
+from .params import HscaTimingParams, TimingParams
 
 if TYPE_CHECKING:  # only for annotations
     import numpy as np
@@ -47,7 +42,6 @@ if TYPE_CHECKING:  # only for annotations
 __all__ = [
     "HscaTimingParams",
     "TimingParams",
-    "check_swept_rate",
     "check_swept_rates",
     "swept_processing_times",
     "total_processing_time_hsca",
@@ -77,34 +71,30 @@ def total_processing_time_hsca(p: HscaTimingParams) -> float:
     return _hsca(p, p.rho_ra, p.rho_is)
 
 
-def check_swept_rate(p: TimingParams, h: HscaTimingParams, rate: float):
-    """What the two parameter sets check when a report rate sets
-    lambda_report and rho_ra = rho_is = rate / h.mu."""
-    _check_nonneg("lambda_report", rate)
-    _check_utilisation(rate / p.mu_serve)
-    _check_rho("rho_ra", rate / h.mu)
-
-
 def check_swept_rates(p: TimingParams, h: HscaTimingParams, rates):
-    """``check_swept_rate`` of every rate in ``rates``, from its two ends.
+    """Raise the ValueError of the two parameter sets if some rate of
+    ``rates``, set as lambda_report and as rho_ra = rho_is = rate / h.mu,
+    breaks their rules.
 
     The rates that pass form an interval: rate >= 0, rate/mu_serve < 1 and
     rate/h.mu < 1, and correctly rounded division by a positive number is
-    monotone. So all pass when the least and the greatest do. NaN fails
-    every check, and NumPy's ``min``/``max`` carry it to both ends.
+    monotone. So all pass when the least and the greatest do, and only
+    those two are built. NaN fails, and NumPy's ``min``/``max`` carry it to
+    both ends.
     """
     import numpy as np
 
     rates = np.asarray(rates)
     if rates.size:
-        check_swept_rate(p, h, rates.min().item())
-        check_swept_rate(p, h, rates.max().item())
+        for rate in (rates.min().item(), rates.max().item()):
+            dataclasses.replace(p, lambda_report=rate)
+            dataclasses.replace(h, rho_ra=rate / h.mu, rho_is=rate / h.mu)
 
 
 def swept_processing_times(
     p: TimingParams, h: HscaTimingParams, rates: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both processing times (s) at each report rate, with rho = rate / mu
-    on each side; every rate must pass ``check_swept_rate``."""
+    on each side; the rates must pass ``check_swept_rates``."""
     rho = rates / h.mu
     return _sda(p, rates / p.mu_serve), _hsca(h, rho, rho)

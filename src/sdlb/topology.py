@@ -29,6 +29,7 @@ __all__ = [
     "SimScenario",
     "Topology",
     "build_topology",
+    "check_schedules",
     "check_topology",
     "max_junction_lines",
 ]
@@ -116,6 +117,23 @@ class LmmFault(_Scheduled):
 @dataclass(frozen=True)
 class BorderEvent(_Scheduled):
     cell_id: int
+
+
+def check_schedules(faults: tuple[LmmFault, ...], borders: tuple[BorderEvent, ...],
+                    lmm_count: int, cell_count: int):
+    """A fault names an existing LMM, never the same LMM twice (an LMM fails
+    once); a border names an existing cell, as often as it likes."""
+    for key, attr, bound, entries in (("faults", "lmm_id", lmm_count, faults),
+                                      ("borders", "cell_id", cell_count, borders)):
+        for i, entry in enumerate(entries):
+            v = getattr(entry, attr)
+            if not 0 <= v < bound:
+                raise ValueError(f"{key}[{i}].{attr} must be in [0, {bound}), got {v}")
+    first: dict[int, int] = {}  # the index of each LMM's first fault
+    for i, fault in enumerate(faults):
+        if (j := first.setdefault(fault.lmm_id, i)) < i:
+            raise ValueError(f"faults[{i}].lmm_id must not repeat faults[{j}].lmm_id, "
+                             f"got {fault.lmm_id}")
 
 
 @dataclass(frozen=True)

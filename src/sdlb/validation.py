@@ -108,10 +108,13 @@ def _judge(
 
 
 def _matching_stats(report: SimReport, p: SystemTypeParams, window: float) -> CellStats:
-    """The series of ``report`` simulated under ``p`` with windows of ``window``."""
+    """The series of ``report`` simulated under ``p``'s chain (lam, mu, m,
+    k1, k2; its AP count and report cost play no part) with windows of
+    ``window``."""
     for stats in report.per_type.values():
-        if (stats.lam == p.lam and stats.mu == p.mu and stats.m == p.m and stats.k1 == p.k1
-                and stats.k2 == p.k2 and stats.window == window):
+        q = stats.params
+        if (q.lam == p.lam and q.mu == p.mu and q.m == p.m and q.k1 == p.k1 and q.k2 == p.k2
+                and stats.window == window):
             return stats
     raise ValueError("refusing comparison: no simulated series matches the analytic parameters")
 

@@ -3,6 +3,7 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as the
 criteria execute. Tolerances are pinned here, not configurable.
 """
+import dataclasses
 import json
 import math
 import time
@@ -74,8 +75,6 @@ def test_criterion_3_processing_time_ordering():
         start = time.perf_counter()
         sda_series = []
         hsca_series = []
-        import dataclasses
-
         for rate in cfg.sweeps.arrival_rates:
             sda_series.append(
                 total_processing_time_sda(
@@ -185,7 +184,9 @@ def test_criterion_6_first_order_transition_validation():
         # negative control: the same series must not satisfy a wrong model
         wrong = SystemTypeParams(lam=1.0, mu=1.5, m=4, k1=1, k2=3)
         fooled = run_cell_mc(wrong, horizon=horizon, window=T, seed=271828)
-        fooled.per_type[UMTS].mu = 1.0  # claim the wrong series is the right one
+        # claim the wrong series is the right one
+        stats = fooled.per_type[UMTS]
+        stats.params = dataclasses.replace(stats.params, mu=1.0)
         verdict = validate_against_analytic(fooled, p, T)
         assert not verdict.passed
 

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import json
 import math
+import sys
 import time
 import types
 from collections import Counter
@@ -185,6 +186,22 @@ def _overflowing_traffic(doc):
     doc["reliability"].update(c_uniform=1e308, b_uniform=1e308)
 
 
+def _overflowing_copy_cost(doc):
+    # d is finite, but 2 * d overflows a float
+    doc["overhead"]["d"] = sys.float_info.max
+
+
+def _overflowing_report_cost(doc):
+    # a_i is finite, but a_i * A_i overflows a float
+    doc["types"]["wimax"]["report_cost"] = sys.float_info.max
+
+
+def _overflow_before_unstable_rate(doc):
+    # the rate that breaks the rule comes after one whose time overflows
+    doc["timing"]["t1"] = 1.7e308
+    doc["sweeps"]["arrival_rates"] = [100.0, 1000.0]
+
+
 def _overflowing_sda_time(doc):
     # t1 is finite, but t1 in ms overflows a float
     doc["timing"]["t1"] = 1.7e308
@@ -209,6 +226,16 @@ class TestFailedFiguresWriteNothing:
     single CSV is written, into a new or into a reused directory."""
 
     CASES = {
+        "fig5_overflowing_copy_cost": (
+            _overflowing_copy_cost,
+            "config error: overhead: periodic overhead O_p must be finite, got inf "
+            "(from overhead.T, overhead.d and types.*.report_cost * ap_count)\n",
+        ),
+        "fig5_overflowing_report_cost": (
+            _overflowing_report_cost,
+            "config error: overhead: periodic overhead O_p must be finite, got inf "
+            "(from overhead.T, overhead.d and types.*.report_cost * ap_count)\n",
+        ),
         "fig7_unstable_rate": (
             _unstable_rate,
             "config error: sweeps.arrival_rates value 1000.0: "
@@ -216,6 +243,11 @@ class TestFailedFiguresWriteNothing:
         ),
         "fig7_overflowing_sda_time": (
             _overflowing_sda_time,
+            "config error: sweeps.arrival_rates value 100.0: "
+            "processing time from timing must be finite in ms, got inf\n",
+        ),
+        "fig7_overflow_before_unstable_rate": (
+            _overflow_before_unstable_rate,
             "config error: sweeps.arrival_rates value 100.0: "
             "processing time from timing must be finite in ms, got inf\n",
         ),

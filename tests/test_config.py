@@ -274,7 +274,7 @@ class TestTopologyRules:
          "reliability: unknown keys ['redundancy_exponent']"),
         # kept, the last time listed would win and LMM 1 would beat until 5.0
         ("sim.faults", [{"time": 2.0, "lmm_id": 1}, {"time": 5.0, "lmm_id": 1}],
-         "sim.faults[1].lmm_id: must not repeat sim.faults[0].lmm_id, got 1"),
+         "sim.faults[1].lmm_id: must not repeat faults[0].lmm_id, got 1"),
         # every command exited 3 on a MemoryError, NumPy's or a list's
         ("types.umts.m", 2**53 + 1,
          f"types.umts.m: must be <= 262143, {MEMORY_NOTE}, got {2**53 + 1}"),
@@ -321,7 +321,7 @@ class TestRangeRulesAtParse:
          "sim.borders[0].cell_id: must be in [0, 21), got 21"),
         ("sim.faults", [{"time": 5.0, "lmm_id": 1}, {"time": 2.0, "lmm_id": 0},
                         {"time": 2.0, "lmm_id": 1}],
-         "sim.faults[2].lmm_id: must not repeat sim.faults[0].lmm_id, got 1"),
+         "sim.faults[2].lmm_id: must not repeat faults[0].lmm_id, got 1"),
         ("types.umts.lam", 1e300,
          "sim.horizon: must keep scenario work <= 1e+09 units, got 4.2e+304"),
         ("types.umts.lam", 2**63,

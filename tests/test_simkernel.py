@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sdlb import simkernel, streams
+from sdlb.config import TopologySpec, default_config
 from sdlb.queueing import (
     FirstOrderValidityError,
     SystemTypeParams,
@@ -180,6 +182,7 @@ class TestRunCellMc:
         p = params(lam=1.0, mu=1.0, m=2, k1=1, k2=2)
         report = run_cell_mc(p, horizon=1.2e5, window=0.1, seed=42)
         stats = report.per_type[UMTS]
+        assert stats.params is p
         ana = state_probabilities(p).probs
         for k in range(3):
             band = 3 * max(
@@ -1207,19 +1210,30 @@ class TestRunSystemSim:
         report = self.run(faults=(LmmFault(time=500.0, lmm_id=1),), horizon=100.0)
         assert "Takeover" not in report.message_counts
 
-    def test_unknown_fault_id_rejected(self):
-        with pytest.raises(ValueError, match="unknown LMM id"):
-            self.run(faults=(LmmFault(time=1.0, lmm_id=9),))
-
-    @pytest.mark.parametrize("times", [(2.0, 5.0), (5.0, 2.0)])
-    def test_repeated_fault_id_rejected(self, times):
+    @pytest.mark.parametrize("schedules,error", [
+        pytest.param({"faults": (LmmFault(time=1.0, lmm_id=9),)},
+                     "faults[0].lmm_id must be in [0, 3), got 9", id="unknown_fault_id"),
         # neither time may silently win: either order is refused
-        with pytest.raises(ValueError, match="names LMM id 1 twice"):
-            self.run(faults=tuple(LmmFault(time=t, lmm_id=1) for t in times))
-
-    def test_unknown_border_cell_rejected(self):
-        with pytest.raises(ValueError, match="unknown cell id"):
-            self.run(borders=(BorderEvent(time=1.0, cell_id=99),))
+        pytest.param({"faults": (LmmFault(time=2.0, lmm_id=1), LmmFault(time=5.0, lmm_id=1))},
+                     "faults[1].lmm_id must not repeat faults[0].lmm_id, got 1",
+                     id="repeated_fault_id"),
+        pytest.param({"faults": (LmmFault(time=5.0, lmm_id=1), LmmFault(time=2.0, lmm_id=1))},
+                     "faults[1].lmm_id must not repeat faults[0].lmm_id, got 1",
+                     id="repeated_fault_id_earlier_second"),
+        pytest.param({"borders": (BorderEvent(time=1.0, cell_id=99),)},
+                     "borders[0].cell_id must be in [0, 9), got 99", id="unknown_border_cell"),
+    ])
+    def test_schedule_rule_refused(self, schedules, error):
+        with pytest.raises(ValueError) as sim_error:
+            self.run(**schedules)
+        assert str(sim_error.value) == error
+        # the parser applies the same rule to the same schedules, under sim.
+        cfg = default_config()
+        with pytest.raises(ValueError) as parse_error:
+            dataclasses.replace(cfg, topology=TopologySpec(self.topo.lmm_count,
+                                                           self.topo.cells_per_grid),
+                                sim=dataclasses.replace(cfg.sim, **schedules))
+        assert str(parse_error.value) == "sim." + error
 
     @pytest.mark.parametrize("field,build", [
         # a NaN fault time killed its LMM from t = 0 and was never taken over
@@ -1315,7 +1329,8 @@ class TestRunSystemSim:
         report = self.run(horizon=1500.0, window=0.5, types=types,
                           balancing_enabled=False)
         ana = state_probabilities(types[UMTS]).probs
-        for stats in report.per_type.values():
+        for kind, stats in report.per_type.items():
+            assert stats.params is types[kind]
             band = 3 * np.sqrt(ana * (1 - ana) / stats.events) + 1e-3
             assert (np.abs(stats.occupancy_freq - ana) <= band).all()
 
@@ -1437,7 +1452,8 @@ def baseline_wlan_seed_7():
 def negative_control():
     # criterion 6: a mu = 1.5 series claimed as mu = 1.0
     report = run_cell_mc(params(mu=1.5), horizon=1e5, window=0.02, seed=271828)
-    report.per_type[UMTS].mu = 1.0
+    stats = report.per_type[UMTS]
+    stats.params = dataclasses.replace(stats.params, mu=1.0)
     return report, params(), 0.02
 
 
@@ -1479,7 +1495,7 @@ class TestValidateAgainstAnalytic:
         report = run_cell_mc(wrong, horizon=8e4, window=0.02, seed=42)
         # lie about the parameters the series was generated under
         stats = report.per_type[UMTS]
-        stats.mu = 1.0
+        stats.params = dataclasses.replace(stats.params, mu=1.0)
         verdict = validate_against_analytic(report, self.p, 0.02)
         assert not verdict.passed
         assert verdict.failures
@@ -1507,7 +1523,8 @@ class TestValidateAgainstAnalytic:
         judged = [c for c in passed.checks if c.status == "pass"]
         assert judged and all(abs(c.z) <= 3 for c in judged)
         wrong = run_cell_mc(params(lam=1.0, mu=1.5, m=4, k1=1, k2=3), 8e4, 0.02, seed=42)
-        wrong.per_type[UMTS].mu = 1.0
+        stats = wrong.per_type[UMTS]
+        stats.params = dataclasses.replace(stats.params, mu=1.0)
         failed = validate_against_analytic(wrong, self.p, 0.02).failures
         assert failed and all(abs(c.z) > 3 for c in failed)
 

@@ -15,7 +15,6 @@ from sdlb.config import ScenarioConfig, default_config
 from sdlb.timing import (
     HscaTimingParams,
     TimingParams,
-    check_swept_rate,
     check_swept_rates,
     swept_processing_times,
     total_processing_time_hsca,
@@ -173,12 +172,11 @@ class TestSweptProcessingTimes:
         with pytest.raises(ValueError) as per_point_error:
             per_point(p, h, rate)
         with pytest.raises(ValueError) as swept_error:
-            check_swept_rate(p, h, rate)
+            check_swept_rates(p, h, np.array([rate]))
         assert str(swept_error.value) == str(per_point_error.value) == error
 
     def test_check_passes_stable_rates(self):
-        check_swept_rate(sda_params(), hsca_params(), 0.0)
-        check_swept_rate(sda_params(), hsca_params(), 999.0)
+        check_swept_rates(sda_params(), hsca_params(), np.array([0.0, 999.0]))
 
 
 @st.composite
@@ -213,7 +211,7 @@ class TestCheckSweptRates:
     def test_fails_iff_some_rate_fails_alone(self, case):
         mu_serve, mu, rates = case
         p, h = sda_params(mu_serve=mu_serve, lambda_report=0.0), hsca_params(mu=mu)
-        some = any(raises_value_error(check_swept_rate, p, h, rate) for rate in rates)
+        some = any(raises_value_error(per_point, p, h, rate) for rate in rates)
         assert raises_value_error(check_swept_rates, p, h, np.array(rates)) == some
 
     @settings(deadline=None)
@@ -232,7 +230,7 @@ class TestCheckSweptRates:
         error = None
         for rate in cfg.sweeps.arrival_rates:
             try:
-                check_swept_rate(cfg.timing, cfg.hsca_timing, rate)
+                check_swept_rates(cfg.timing, cfg.hsca_timing, [rate])
             except ValueError as exc:
                 error = f"config error: sweeps.arrival_rates value {rate}: {exc}\n"
                 break
