@@ -206,7 +206,7 @@ def cmd_validate(cfg: ScenarioConfig) -> int:
     all_pass = True
     for kind in AccessNetworkKind:
         p = cfg.types[kind]
-        report = None
+        stats = None
         if p.lam > 0:
             horizon = horizon_for_events(p, cfg.sim.target_events)
             try:
@@ -217,7 +217,8 @@ def cmd_validate(cfg: ScenarioConfig) -> int:
                     f"types.{name}: {exc} (from types.{name}.lam = {p.lam!r}, "
                     f"sim.target_events = {cfg.sim.target_events}, overhead.T = {T!r})"
                 ) from exc
-        text, passed, rows = report_section(kind, p, T, report)
+            stats = report.per_type[kind]
+        text, passed, rows = report_section(kind, p, T, stats)
         sections.append(text)
         crossings += rows
         all_pass = all_pass and passed

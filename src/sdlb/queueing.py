@@ -27,9 +27,9 @@ k2 = m, and the up-cross of k1 is 0 when k1 = 0). The linearisation is only
 meaningful while lam*T < 1 and (k2+1)*mu*T < 1; violations raise
 FirstOrderValidityError instead of silently clamping.
 
-``exact_zone_moves`` and ``exact_transition_probability`` give the same
-window quantities without the linearisation, from the chain's transient
-law by uniformization; the figures keep the first-order formulas.
+``crossing_probabilities(exact_zone_moves(p, T))`` gives the crossings
+without the linearisation, from the chain's transient law by
+uniformization; the figures keep the first-order formulas.
 
 ``SystemTypeParams`` is defined in ``sdlb.params``, so that parsing a
 scenario document does not load this module. NumPy is imported by the
@@ -49,6 +49,7 @@ if TYPE_CHECKING:  # only for annotations
     import numpy as np
 
 __all__ = [
+    "CROSSING_MOVES",
     "FirstOrderValidityError",
     "LoadState",
     "OccupancyOverflowError",
@@ -58,7 +59,6 @@ __all__ = [
     "bb_update_probability",
     "classify_load",
     "crossing_probabilities",
-    "exact_transition_probability",
     "exact_zone_moves",
     "prob_bb_update",
     "prob_state_change",
@@ -127,8 +127,7 @@ def _crossings(prev, cur, k1, k2):
     """Directed threshold crossings from occupancy or zone ``prev`` to ``cur``.
 
     Returns (U->B, B->O, O->B, B->U), the order of ``TransitionKind``, as
-    bools; ``exact_transition_probability`` and
-    ``CellStats.transition_counts`` call it on zones (ints).
+    bools; ``CROSSING_MOVES`` is built from it on zones (ints).
     """
     return (
         (prev < k1) & (k1 <= cur),
@@ -142,6 +141,15 @@ def _zone(k, k1, k2):
     """0 below k1, 1 at k1, 2 between, 3 at k2, 4 above k2: ``classify_load``
     and ``_crossings`` on zones with k1 = 1, k2 = 3 equal those on occupancies."""
     return (k >= k1) + (k > k1) + (k >= k2) + (k > k2)
+
+
+# the zone moves 5 * a + b (``_zone`` a to b over a window) that each
+# crossing sums, in ``TransitionKind`` order: the one rule by which the
+# simulators' tallies and the exact oracle are read
+CROSSING_MOVES = tuple(
+    tuple(move for move in range(25) if _crossings(*divmod(move, 5), 1, 3)[i])
+    for i in range(len(TransitionKind))
+)
 
 
 @dataclass(frozen=True)
@@ -293,25 +301,12 @@ def exact_zone_moves(p: SystemTypeParams, T: float) -> list[float]:
     return moves.ravel().tolist()
 
 
-def exact_transition_probability(
-    p: SystemTypeParams, T: float, kind: TransitionKind
-) -> float:
-    """Exact steady-state probability of one directed threshold crossing
-    over a window T: the zone moves of ``exact_zone_moves`` that
-    ``_crossings`` counts as ``kind``. Like the simulators' tallies, it
-    compares the window's two ends, so flips that cancel within it are
-    not counted. The first-order ``transition_probability`` tends to it
-    as T -> 0."""
-    return crossing_probabilities(exact_zone_moves(p, T))[list(TransitionKind).index(kind)]
-
-
 def crossing_probabilities(moves: Sequence[float]) -> list[float]:
     """The probability of each directed threshold crossing, in the order
-    of ``TransitionKind``, from the 25 zone moves of ``exact_zone_moves``."""
-    return [
-        math.fsum(x for move, x in enumerate(moves) if _crossings(*divmod(move, 5), 1, 3)[i])
-        for i in range(len(TransitionKind))
-    ]
+    of ``TransitionKind``, from the 25 zone moves of ``exact_zone_moves``:
+    like the simulators' tallies, it compares a window's two ends. The
+    first-order ``transition_probability`` tends to it as T -> 0."""
+    return [math.fsum(moves[move] for move in crossing) for crossing in CROSSING_MOVES]
 
 
 def prob_state_change(p: SystemTypeParams, T: float) -> float:

@@ -1,8 +1,9 @@
 """The judge of ``sdlb validate``: a simulated cell against the closed forms.
 
-``validate_against_analytic`` compares one ``run_cell_mc`` series with
-the closed-form occupancy distribution, blocking probability and
-first-order transition probabilities, one ``QuantityCheck`` per quantity.
+``validate_against_analytic`` takes one simulated series, a ``CellStats``,
+and compares it with the closed-form occupancy distribution, blocking
+probability and first-order transition probabilities of the parameters
+and report window it carries, one ``QuantityCheck`` per quantity.
 ``report_section`` judges one kind once and writes its part of both
 files. Its part of ``validation_report.txt`` is a header line with the
 kind's parameters, then its checks and verdict, or a line saying that it
@@ -31,7 +32,7 @@ from .queueing import (
 from .topology import AccessNetworkKind
 
 if TYPE_CHECKING:  # only for annotations: simkernel imports this module
-    from .simkernel import CellStats, SimReport
+    from .simkernel import CellStats
 
 __all__ = [
     "QuantityCheck",
@@ -107,32 +108,17 @@ def _judge(
     return QuantityCheck(name=name, status=status, observed=emp, expected=ana, band=band)
 
 
-def _matching_stats(report: SimReport, p: SystemTypeParams, window: float) -> CellStats:
-    """The series of ``report`` simulated under ``p``'s chain (lam, mu, m,
-    k1, k2; its AP count and report cost play no part) with windows of
-    ``window``."""
-    for stats in report.per_type.values():
-        q = stats.params
-        if (q.lam == p.lam and q.mu == p.mu and q.m == p.m and q.k1 == p.k1 and q.k2 == p.k2
-                and stats.window == window):
-            return stats
-    raise ValueError("refusing comparison: no simulated series matches the analytic parameters")
-
-
-def validate_against_analytic(
-    report: SimReport, p: SystemTypeParams, T: float
-) -> ValidationVerdict:
-    """Compare a simulated series against the closed-form model.
+def validate_against_analytic(stats: CellStats) -> ValidationVerdict:
+    """Compare a simulated series against the closed-form model of the
+    parameters and report window it carries.
 
     Every quantity is judged by ``_judge`` with its own sample count and
     band floor: occupancy frequencies over events, floored by 3 batch-means
     standard errors; blocking over arrivals; the four per-window
     transition frequencies over windows, floored by CROSSING_TOL relative.
-    Raises if no simulated series matches the analytic parameters, and
-    propagates the first-order validity error for a too-coarse T.
+    Propagates the first-order validity error for a too-coarse window.
     """
-    stats = _matching_stats(report, p, T)
-
+    p, T = stats.params, stats.window
     # raises FirstOrderValidityError before any comparison if T is too coarse
     analytic_tr = {
         kind: transition_probability(p, T, kind) for kind in TransitionKind
@@ -162,24 +148,25 @@ def validate_against_analytic(
 
 
 def report_section(
-    kind: AccessNetworkKind, p: SystemTypeParams, T: float, report: SimReport | None
+    kind: AccessNetworkKind, p: SystemTypeParams, T: float, stats: CellStats | None
 ) -> tuple[str, bool, list[str]]:
     """One kind's section of the report, whether it passed, and its rows
     of ``crossings.csv``.
 
-    ``report`` is None for a kind without traffic, which passes. A
-    comparison refused for a too-coarse T fails. Neither has rows; a
-    judged kind has one per crossing, and ``exact_zone_moves`` runs once.
+    ``p`` and ``T`` head it. ``stats`` is None for a kind without traffic,
+    which passes. A comparison refused for a too-coarse T fails. Neither
+    has rows; a judged kind has one per crossing, and ``exact_zone_moves``
+    runs once.
     """
     header = f"== {kind.name}: lam={p.lam} mu={p.mu} m={p.m} k1={p.k1} k2={p.k2} T={T}"
-    if report is None:
+    if stats is None:
         return f"{header}\nno traffic: nothing to validate", True, []
     try:
-        verdict = validate_against_analytic(report, p, T)
+        verdict = validate_against_analytic(stats)
     except FirstOrderValidityError as exc:
         return f"{header}\ncomparison refused: {exc}", False, []
     crossings = verdict.checks[-len(TransitionKind):]
-    exact = crossing_probabilities(exact_zone_moves(p, T))
+    exact = crossing_probabilities(exact_zone_moves(stats.params, stats.window))
     rows = []
     for crossing, check, value in zip(TransitionKind, crossings, exact):
         ratio = check.expected / value if value else ""

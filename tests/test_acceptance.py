@@ -187,7 +187,7 @@ def test_criterion_6_first_order_transition_validation():
         # claim the wrong series is the right one
         stats = fooled.per_type[UMTS]
         stats.params = dataclasses.replace(stats.params, mu=1.0)
-        verdict = validate_against_analytic(fooled, p, T)
+        verdict = validate_against_analytic(stats)
         assert not verdict.passed
 
 

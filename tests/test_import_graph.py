@@ -2,7 +2,9 @@
 topologies, loads only the parameter types and the topology: no model and
 no NumPy. Checked in a fresh interpreter, because the test session has
 long since imported everything."""
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -66,6 +68,21 @@ def test_each_type_is_one_class():
     assert sdlb.SystemTypeParams is sdlb.config.SystemTypeParams is sdlb.queueing.SystemTypeParams
     for name in ("SimScenario", "LmmFault", "BorderEvent"):
         assert getattr(sdlb.config, name) is getattr(sdlb.simkernel, name) is getattr(sdlb, name)
+
+
+# every module but ``__main__``, which runs the command line when imported
+MODULES = sorted(info.name for info in pkgutil.iter_modules(sdlb.__path__)
+                 if info.name != "__main__")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_listed_name_resolves(module):
+    mod = importlib.import_module(f"sdlb.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+
+
+def test_every_lazy_name_resolves():
+    assert [name for name in sdlb._MODULE_OF if not hasattr(sdlb, name)] == []
 
 
 def test_unknown_name_raises_attribute_error():

@@ -13,14 +13,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sdlb import simkernel, streams
+from sdlb import queueing, simkernel, streams
 from sdlb.config import TopologySpec, default_config
 from sdlb.queueing import (
+    CROSSING_MOVES,
     FirstOrderValidityError,
     SystemTypeParams,
     TransitionKind,
     classify_load,
-    exact_transition_probability,
+    crossing_probabilities,
     exact_zone_moves,
     state_probabilities,
     transition_probability,
@@ -36,7 +37,7 @@ from sdlb.simkernel import (
     run_system_sim,
 )
 from sdlb.topology import AccessNetworkKind, Topology, build_topology
-from sdlb.validation import QuantityCheck, validate_against_analytic
+from sdlb.validation import QuantityCheck, report_section, validate_against_analytic
 
 UMTS = AccessNetworkKind.UMTS
 
@@ -118,9 +119,9 @@ class TestExactOracle:
     def test_crossings_match_dense_reference(self, case):
         *rest, T = case
         p = params(*rest)
+        exact = dict(zip(TransitionKind, crossing_probabilities(exact_zone_moves(p, T))))
         for kind, want in exact_crossing_probs(p, T).items():
-            got = exact_transition_probability(p, T, kind)
-            assert got == pytest.approx(want, rel=1e-11, abs=1e-15), kind
+            assert exact[kind] == pytest.approx(want, rel=1e-11, abs=1e-15), kind
 
     def test_long_window_forgets_its_start(self):
         # r*T = 900: one series' first weight e^-900 is 0 in floats, so this
@@ -142,8 +143,8 @@ class TestExactOracle:
         p = params(lam=2.0, mu=0.5, m=8, k1=2, k2=5)
         gaps = []
         for T in (1e-2, 1e-3, 1e-4, 1e-5):
-            ratio = transition_probability(p, T, kind) / exact_transition_probability(p, T, kind)
-            gaps.append(abs(ratio - 1.0))
+            exact = crossing_probabilities(exact_zone_moves(p, T))[list(TransitionKind).index(kind)]
+            gaps.append(abs(transition_probability(p, T, kind) / exact - 1.0))
         for coarse, fine in zip(gaps, gaps[1:]):
             assert fine < 0.2 * coarse
         assert gaps[-1] < 1e-4
@@ -936,10 +937,15 @@ class TestZones:
     @settings(max_examples=500, deadline=None)
     def test_zone_decides_state_and_crossings(self, case):
         k1, k2, prev, cur = case
-        zp, zc = simkernel._zone(prev, k1, k2), simkernel._zone(cur, k1, k2)
+        zp, zc = queueing._zone(prev, k1, k2), queueing._zone(cur, k1, k2)
         assert classify_load(zp, 1, 3) is classify_load(prev, k1, k2)
         assert classify_load(zc, 1, 3) is classify_load(cur, k1, k2)
-        assert simkernel._crossings(zp, zc, 1, 3) == simkernel._crossings(prev, cur, k1, k2)
+        crossed = queueing._crossings(prev, cur, k1, k2)
+        assert queueing._crossings(zp, zc, 1, 3) == crossed
+        # the zone moves each crossing sums, as the tallies and the oracle read them
+        assert CROSSING_MOVES == (
+            (1, 2, 3, 4), (3, 4, 8, 9, 13, 14), (20, 21, 22, 23), (10, 11, 15, 16, 20, 21))
+        assert tuple(5 * zp + zc in moves for moves in CROSSING_MOVES) == crossed
 
 
 # run_system_sim classifies the five zones once, at set-up, and the tick
@@ -1446,15 +1452,15 @@ def baseline_wlan_seed_7():
     # occupancy[25..26] and on transition[U->B] and [B->U]
     p = params(lam=0.5, mu=0.05, m=80, k1=24, k2=64)
     horizon = horizon_for_events(p, 1_000_000)
-    return run_cell_mc(p, horizon, 0.1, seed=10, kind=AccessNetworkKind.WLAN), p, 0.1
+    kind = AccessNetworkKind.WLAN
+    return run_cell_mc(p, horizon, 0.1, seed=10, kind=kind).per_type[kind]
 
 
 def negative_control():
     # criterion 6: a mu = 1.5 series claimed as mu = 1.0
-    report = run_cell_mc(params(mu=1.5), horizon=1e5, window=0.02, seed=271828)
-    stats = report.per_type[UMTS]
+    stats = run_cell_mc(params(mu=1.5), horizon=1e5, window=0.02, seed=271828).per_type[UMTS]
     stats.params = dataclasses.replace(stats.params, mu=1.0)
-    return report, params(), 0.02
+    return stats
 
 
 # (series builder, SHA-256 of ``ValidationVerdict.format()``): any change to
@@ -1465,11 +1471,11 @@ VALIDATION_GOLDEN = {
         "7fdcdd7a1915d9f2199491f4b5fcbc4bf1887be43c5af8c2a601d65abb5ad0b2",
     ),
     "long_report": (
-        lambda: (run_cell_mc(params(), horizon=8e4, window=0.02, seed=42), params(), 0.02),
+        lambda: run_cell_mc(params(), horizon=8e4, window=0.02, seed=42).per_type[UMTS],
         "0b8bd13a7185b229adc1510cbf9fdc922fa99ed721ee73159a7732db6676f128",
     ),
     "insufficient": (
-        lambda: (run_cell_mc(params(), horizon=5.0, window=0.02, seed=1), params(), 0.02),
+        lambda: run_cell_mc(params(), horizon=5.0, window=0.02, seed=1).per_type[UMTS],
         "88dc64eebe2ec2bb5ab02c966867d0477f7b064e1a1d4b082d4ef46e14076485",
     ),
     "negative_control": (
@@ -1482,51 +1488,62 @@ VALIDATION_GOLDEN = {
 class TestValidateAgainstAnalytic:
     p = params(lam=1.0, mu=1.0, m=4, k1=1, k2=3)
 
-    def long_report(self):
-        return run_cell_mc(self.p, horizon=8e4, window=0.02, seed=42)
+    def long_series(self):
+        return run_cell_mc(self.p, horizon=8e4, window=0.02, seed=42).per_type[UMTS]
+
+    def mislabelled_series(self):
+        # a mu = 1.5 series that claims to be of self.p
+        wrong = params(lam=1.0, mu=1.5, m=4, k1=1, k2=3)
+        stats = run_cell_mc(wrong, horizon=8e4, window=0.02, seed=42).per_type[UMTS]
+        stats.params = dataclasses.replace(stats.params, mu=1.0)
+        return stats
 
     def test_matched_run_passes(self):
-        verdict = validate_against_analytic(self.long_report(), self.p, 0.02)
+        verdict = validate_against_analytic(self.long_series())
         assert verdict.passed
         assert any(c.status == "pass" for c in verdict.checks)
 
     def test_wrong_mu_fails(self):
-        wrong = params(lam=1.0, mu=1.5, m=4, k1=1, k2=3)
-        report = run_cell_mc(wrong, horizon=8e4, window=0.02, seed=42)
-        # lie about the parameters the series was generated under
-        stats = report.per_type[UMTS]
-        stats.params = dataclasses.replace(stats.params, mu=1.0)
-        verdict = validate_against_analytic(report, self.p, 0.02)
+        verdict = validate_against_analytic(self.mislabelled_series())
         assert not verdict.passed
         assert verdict.failures
 
-    def test_mismatched_params_refused(self):
-        other = params(lam=2.0, mu=1.0, m=4, k1=1, k2=3)
-        with pytest.raises(ValueError, match="refusing comparison"):
-            validate_against_analytic(self.long_report(), other, 0.02)
-
     def test_coarse_T_propagates_validity_error(self):
-        report = run_cell_mc(self.p, horizon=100.0, window=1.5, seed=1)
+        stats = run_cell_mc(self.p, horizon=100.0, window=1.5, seed=1).per_type[UMTS]
         with pytest.raises(FirstOrderValidityError):
-            validate_against_analytic(report, self.p, 1.5)
+            validate_against_analytic(stats)
 
     def test_tiny_run_marked_insufficient(self):
-        report = run_cell_mc(self.p, horizon=5.0, window=0.02, seed=1)
-        verdict = validate_against_analytic(report, self.p, 0.02)
+        stats = run_cell_mc(self.p, horizon=5.0, window=0.02, seed=1).per_type[UMTS]
+        verdict = validate_against_analytic(stats)
         assert verdict.passed  # nothing fails...
         assert all(c.status == "insufficient samples" for c in verdict.checks)
 
     def test_z_of_judged_checks(self):
         # z is the deviation in units of band / 3: within 3 for a passing
         # check, beyond it for a failing one
-        passed = validate_against_analytic(self.long_report(), self.p, 0.02)
+        passed = validate_against_analytic(self.long_series())
         judged = [c for c in passed.checks if c.status == "pass"]
         assert judged and all(abs(c.z) <= 3 for c in judged)
-        wrong = run_cell_mc(params(lam=1.0, mu=1.5, m=4, k1=1, k2=3), 8e4, 0.02, seed=42)
-        stats = wrong.per_type[UMTS]
-        stats.params = dataclasses.replace(stats.params, mu=1.0)
-        failed = validate_against_analytic(wrong, self.p, 0.02).failures
+        failed = validate_against_analytic(self.mislabelled_series()).failures
         assert failed and all(abs(c.z) > 3 for c in failed)
+
+    def test_protocol_series_judged_per_kind(self):
+        # each kind of a protocol run is judged as a cell-kernel series is.
+        # Only the layout is pinned: a run that starts empty fails today's
+        # bands on occupancy[0]
+        scenario = SimScenario(window=0.1, balancing_enabled=False)
+        report = run_system_sim(build_topology(3, 7), small_types(), scenario, 100.0, 1)
+        crossings = [f"transition[{kind.value}]" for kind in TransitionKind]
+        for kind, stats in report.per_type.items():
+            checks = validate_against_analytic(stats).checks
+            occupancy = [f"occupancy[{k}]" for k in range(stats.params.m + 1)]
+            assert [c.name for c in checks] == [*occupancy, "blocking", *crossings]
+            _, _, rows = report_section(kind, stats.params, stats.window, stats)
+            assert [row.split(",")[:4] for row in rows] == [
+                [kind.name, crossing.value, str(c.observed), str(c.expected)]
+                for crossing, c in zip(TransitionKind, checks[-4:])
+            ]
 
     @pytest.mark.parametrize("observed,expected,band,z", [
         (0.75, 0.5, 0.75, 1.0),
@@ -1541,12 +1558,12 @@ class TestValidateAgainstAnalytic:
         assert check.z == z
 
     def test_format_mentions_verdict(self):
-        text = validate_against_analytic(self.long_report(), self.p, 0.02).format()
+        text = validate_against_analytic(self.long_series()).format()
         assert "verdict: PASS" in text
 
     @pytest.mark.parametrize("name", sorted(VALIDATION_GOLDEN))
     def test_golden_verdict(self, name):
         build, digest = VALIDATION_GOLDEN[name]
-        text = validate_against_analytic(*build()).format()
+        text = validate_against_analytic(build()).format()
         assert sha256(text.encode()) == digest
 
