@@ -64,8 +64,9 @@ WORK_CAP = 10**9
 
 # The most memory one kind's tallies may take, so that every valid document
 # runs in bounded memory. The cell kernel (``run_cell_mc``) keeps two
-# 64 x (m + 1) float64 arrays of batch times, the totals and one chunk's,
-# so a capacity m may be at most MAX_CAPACITY = 262 143.
+# 64 x (m + 1) float64 arrays of batch times, the totals and one chunk's
+# (64 is ``simkernel._BATCHES``, which set-up does not import; a test
+# ties the two), so a capacity m may be at most MAX_CAPACITY = 262 143.
 MEMORY_BUDGET = 256 * 2**20
 MAX_CAPACITY = MEMORY_BUDGET // (2 * 64 * 8) - 1
 # The protocol simulator (``run_system_sim``) must fit in the same budget.

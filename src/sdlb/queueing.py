@@ -74,6 +74,9 @@ _RESCALE_LIMIT = 1e280
 # the Poisson tail each series drops
 _UNIFORM_MEAN = 256.0
 _POISSON_TAIL = 1e-18
+# the oracle runs on the chain's support: the states up to the first one
+# above which pi holds less than this
+_SUPPORT_TAIL = 1e-300
 
 
 class FirstOrderValidityError(ValueError):
@@ -256,8 +259,16 @@ def exact_zone_moves(p: SystemTypeParams, T: float) -> list[float]:
     diagonal here holds the probability of ending in the starting zone
     (the simulators tally it as 0), so the 25 entries sum to 1.
 
+    The chain runs on its support 0..b, b the first state above which
+    pi holds less than ``_SUPPORT_TAIL``, with arrivals at b blocked, so
+    the cost follows b, not m. Started from pi, the two chains part only
+    where the start lies above b or an arrival finds b within T; that has
+    probability at most pi(> b) + lam*T*pi_b = pi(> b) + (b+1)*mu*T*pi_{b+1},
+    below (1 + (b+1)*mu*T) * ``_SUPPORT_TAIL``, and that bounds how far
+    the cap moves an entry.
+
     P(T) comes by uniformization (Jensen 1953; Stewart 1994, ch. 8): with
-    r = lam + m*mu and U = I + Q/r, P(t) = sum_j e^{-rt} (rt)^j / j! U^j,
+    r = lam + b*mu and U = I + Q/r, P(t) = sum_j e^{-rt} (rt)^j / j! U^j,
     a sum of non-negative terms. The five restricted rows of pi are
     stepped through U together, one tridiagonal product per term. T is
     split into pieces with r*t at most ``_UNIFORM_MEAN``; each piece's
@@ -268,19 +279,24 @@ def exact_zone_moves(p: SystemTypeParams, T: float) -> list[float]:
     if not 0 < T < math.inf:
         raise ValueError(f"T must be finite and > 0, got {T}")
     m, lam, mu = p.m, p.lam, p.mu
-    rate = lam + m * mu
-    if not rate * T < math.inf:
-        raise ValueError(f"(lam + m*mu) * T must be finite, got {rate * T}")
+    full = (lam + m * mu) * T  # judged on all of m, whatever the cap below
+    if not full < math.inf:
+        raise ValueError(f"(lam + m*mu) * T must be finite, got {full}")
     import numpy as np
 
-    k = np.arange(m + 1)
-    zones = np.array([_zone(j, p.k1, p.k2) for j in range(m + 1)])
-    rows = np.zeros((5, m + 1))
-    rows[zones, k] = state_probabilities(p).probs
-    # U's diagonals: up from k < m, down from k > 0, and the rest stays;
+    pi = state_probabilities(p).probs
+    above = np.append(np.cumsum(pi[:0:-1])[::-1], 0.0)  # above[j]: pi's mass above j
+    b = int(np.argmax(above < _SUPPORT_TAIL))
+    # a support of one state (lam = 0) still has a positive rate
+    rate = lam + max(b, 1) * mu
+    k = np.arange(b + 1)
+    zones = np.array([_zone(j, p.k1, p.k2) for j in range(b + 1)])
+    rows = np.zeros((5, b + 1))
+    rows[zones, k] = pi[:b + 1]
+    # U's diagonals: up from k < b, down from k > 0, and the rest stays;
     # each exit rate rounds to at most rate, so stay >= 0
     up, down = lam / rate, k[1:] * mu / rate
-    stay = 1.0 - (np.where(k < m, lam, 0.0) + k * mu) / rate
+    stay = 1.0 - (np.where(k < b, lam, 0.0) + k * mu) / rate
     pieces = max(1, math.ceil(rate * T / _UNIFORM_MEAN))
     mean = rate * T / pieces
     for _ in range(pieces):

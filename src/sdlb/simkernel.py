@@ -63,7 +63,6 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from typing import IO
@@ -108,6 +107,8 @@ __all__ = [
 # cell-level birth-death kernel
 # ---------------------------------------------------------------------------
 
+_CHUNK = 1 << 16  # events drawn at a time
+_BATCHES = 64  # equal time slices for the batch-means standard errors
 _BLOCK = 1 << 13  # events per vector stage: bounds the temporaries' memory
 _SEG = 128  # events per lane segment
 _LEAD = 64  # events a segment's lanes run before the segment starts
@@ -181,11 +182,12 @@ def _lane_walk(k, c, up, s0):
     previous segment's end, equals a lane at the same event, it is that
     lane to the segment's end. A step moves a path by one except a
     blocked arrival, so paths of unequal parity meet only through one;
-    the lanes start one apart, so one of them has the true path's. A
-    segment whose path meets neither lane is walked to its end, as are
-    the first segment, the events after the last whole one, and spans
-    shorter than two segments. Python visits only those and the breaks, where
-    a lane ends off its next start. The dtype of ``c`` must hold m + 1.
+    the lanes start one apart, so one of them has the true path's. One
+    forward pass picks each segment's lane: a segment whose path starts
+    on a lane takes it whole, and Python walks the others until they meet
+    one, or to their end. The first segment, the events after the last
+    whole one, and spans shorter than two segments are walked plainly.
+    The dtype of ``c`` must hold m + 1.
     """
     n = c.size - c.size % _SEG
     if n < 2 * _SEG:
@@ -212,28 +214,23 @@ def _lane_walk(k, c, up, s0):
     seg = lanes[_LEAD:].transpose(2, 1, 0)  # [segment - 1, lane, event]
     nseg = seg.shape[0]
     starts, ends = lanes[_LEAD].tolist(), lanes[-1].tolist()
-    breaks = [[*np.flatnonzero(lanes[-1, p, :-1] != lanes[_LEAD, p, 1:]).tolist(), nseg - 1]
-              for p in (0, 1)]  # the last segment ends every lane
     pick = [0] * nseg  # the lane each segment's path meets
     walks = []  # (first event, occupancies walked before meeting it)
-    s = 0
-    while s < nseg:
-        if k == starts[0][s] or k == starts[1][s]:
-            p = int(k != starts[0][s])
-            e = breaks[p][bisect_left(breaks[p], s)]  # the path is lane p up to e
-            pick[s:e + 1], k, s = [p] * (e + 1 - s), ends[p][e], e
-        else:
-            lo, walked = (s + 1) * _SEG, []
-            a, b = seg[s, :, :_SEG].tolist()
-            for ai, bi, ci in zip(a, b, segs[s + 1].tolist()):
-                if k == ai or k == bi:
-                    p = pick[s] = int(k != ai)
-                    k = ends[p][s]
-                    break
-                walked.append(k)
-                k = up[k] if k < ci else k - 1
-            walks.append((lo, walked))
-        s += 1
+    for s in range(nseg):
+        if k == starts[0][s] or k == starts[1][s]:  # lanes that start alike are one path
+            p = pick[s] = int(k != starts[0][s])
+            k = ends[p][s]
+            continue
+        lo, walked = (s + 1) * _SEG, []
+        a, b = seg[s, :, :_SEG].tolist()
+        for ai, bi, ci in zip(a, b, segs[s + 1].tolist()):
+            if k == ai or k == bi:
+                p = pick[s] = int(k != ai)
+                k = ends[p][s]
+                break
+            walked.append(k)
+            k = up[k] if k < ci else k - 1
+        walks.append((lo, walked))
     ks[_SEG:n].reshape(-1, _SEG)[...] = seg[np.arange(nseg), pick, :_SEG]
     for lo, walked in walks:
         ks[lo:lo + len(walked)] = walked
@@ -245,14 +242,15 @@ def _walk_span(k, exps, unis, budget, tot, lam, mu, up, s0):
     """Thresholds and occupancies for the events of ``exps``/``unis`` ahead.
 
     One block is walked plainly. With lanes (``s0`` not None) the span is
-    as many whole blocks as surely end within ``budget``, the time left
-    times lam (an event lasts exps[i] / tot[k] <= exps[i] / lam), if that
-    repays the lanes; so no lane walks past the horizon.
+    as many blocks, the last possibly short, as surely end within
+    ``budget``, the time left times lam (an event lasts exps[i] / tot[k]
+    <= exps[i] / lam), if that repays the lanes; so no lane walks past
+    the horizon.
     """
     n = 0
     if s0 is not None:
-        n = exps.size if exps.sum() < budget else int(np.searchsorted(np.cumsum(exps), budget))
-        n = n if n == exps.size else n - n % _BLOCK
+        sums = np.add.reduceat(exps, np.arange(0, exps.size, _BLOCK))
+        n = min(int(np.searchsorted(np.cumsum(sums), budget)) * _BLOCK, exps.size)
     if n < _LANE_MIN:
         c = _arrival_thresholds(unis[:_BLOCK], tot, lam, mu)
         return (c, *_walk(k, c, up))
@@ -280,26 +278,25 @@ def _add_interval(occ, bt, k, t, tn, inv_b, batch_len):
 def _add_intervals(occ, bt, kb, tp, tn, inv_b, batch_len):
     """``_add_interval`` for every event of a block, summed in event order.
 
-    ``np.add.at`` is unbuffered and in index order, so each accumulator
-    sees the same sequence of additions as an event-by-event loop.
+    Each event starts where the one before it ends (tp[1:] == tn[:-1]).
+    The first event to end in each later batch slice is added alone; the
+    runs between lie in one slice each. ``np.add.at`` is unbuffered and
+    in index order, so each accumulator sees the same sequence of
+    additions as an event-by-event loop.
     """
     last = bt.shape[0] - 1
     dt = tn - tp
-    b0 = min(int(tp[0] * inv_b), last)
-    if b0 == min(int(tn[-1] * inv_b), last):  # the block lies in one batch
-        np.add.at(occ, kb, dt)
-        np.add.at(bt[b0], kb, dt)
-        return
-    bi = np.minimum((tp * inv_b).astype(np.int64), last)
-    bj = np.minimum((tn * inv_b).astype(np.int64), last)
-    cell = bi * bt.shape[1] + kb
-    flat = bt.reshape(-1)
+    ends = tn * inv_b
+    b = min(int(tp[0] * inv_b), last)
+    # min(int(t * inv_b), last) >= j, for j <= last, iff t * inv_b >= j
+    cross = np.unique(np.searchsorted(ends, np.arange(b + 1, min(int(ends[-1]), last) + 1)))
     start = 0
-    for i in [*np.flatnonzero(bi != bj).tolist(), len(kb)]:
+    for i in [*cross.tolist(), len(kb)]:
         np.add.at(occ, kb[start:i], dt[start:i])
-        np.add.at(flat, cell[start:i], dt[start:i])
+        np.add.at(bt[b], kb[start:i], dt[start:i])
         if i < len(kb):
             _add_interval(occ, bt, kb[i], float(tp[i]), float(tn[i]), inv_b, batch_len)
+            b = min(int(ends[i]), last)
         start = i + 1
 
 
@@ -406,15 +403,14 @@ def run_cell_mc(
     window: float,
     seed: int,
     kind: AccessNetworkKind = AccessNetworkKind.UMTS,
-    n_batches: int = 64,
-    chunk_size: int = 1 << 16,
 ) -> SimReport:
     """Simulate one cell's loss-system chain and report empirical stats.
 
     Occupancy frequencies are time-weighted over the full horizon; their
-    standard errors come from ``n_batches`` equal time slices (batch
+    standard errors come from ``_BATCHES`` equal time slices (batch
     means). Zone moves are tallied between consecutive window boundaries
-    spaced ``window`` apart. Identical seeds give bit-identical reports.
+    spaced ``window`` apart. Draws come ``_CHUNK`` at a time. Identical
+    seeds give bit-identical reports.
 
     The occupancy walk is read off lanes (``_lane_walk``) where lam/mu,
     capped at m, is at most ``_LANE_LOAD``, over spans of whole blocks that
@@ -426,10 +422,6 @@ def run_cell_mc(
         raise ValueError(f"horizon must be > 0, got {horizon}")
     if window <= 0:
         raise ValueError(f"window must be > 0, got {window}")
-    if n_batches < 2:
-        raise ValueError(f"n_batches must be >= 2 for a standard error, got {n_batches}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     inv_w = 1.0 / window
     if not horizon * inv_w < 2**63:  # window indices are int64
         raise ValueError(f"horizon / window must be < 2**63, got {horizon} / {window}")
@@ -437,7 +429,7 @@ def run_cell_mc(
     rng = np.random.default_rng(seed)
     lam, m = p.lam, p.m
     occ_time = np.zeros(m + 1)
-    batch_time = np.zeros((n_batches, m + 1))
+    batch_time = np.zeros((_BATCHES, m + 1))
     moves = np.zeros(25, np.int64)
     arrivals = blocked = events = 0
     t = 0.0
@@ -446,7 +438,7 @@ def run_cell_mc(
     zone = np.array([_zone(j, p.k1, p.k2) for j in range(m + 1)])
     jb = 0  # index of the window boundary last passed
     prev_z = int(zone[0])  # zone at that boundary: the cell starts empty
-    batch_len = horizon / n_batches
+    batch_len = horizon / _BATCHES
     inv_b = 1.0 / batch_len
     tot = np.array([lam + j * p.mu for j in range(m + 1)])
     up = [min(j + 1, m) for j in range(m + 1)]
@@ -458,13 +450,13 @@ def run_cell_mc(
     # event-by-event loop would, so reports are bit-identical to it.
     done = lam <= 0
     while not done:
-        exps = rng.standard_exponential(size=chunk_size)
-        unis = rng.random(size=chunk_size)
+        exps = rng.standard_exponential(size=_CHUNK)
+        unis = rng.random(size=_CHUNK)
         # per-chunk partial sums, added to the totals once per chunk
         occ_c = np.zeros(m + 1)
-        bt_c = np.zeros((n_batches, m + 1))
+        bt_c = np.zeros((_BATCHES, m + 1))
         start, ks = 0, ()  # the walked span: its first event, occupancies
-        for lo in range(0, chunk_size, _BLOCK):
+        for lo in range(0, _CHUNK, _BLOCK):
             if lo - start == len(ks):
                 start = lo
                 c_span, ks, k_span = _walk_span(k, exps[lo:], unis[lo:], (horizon - t) * lam,
@@ -503,7 +495,7 @@ def run_cell_mc(
 
     stats = CellStats(
         occupancy_freq=occ_time / horizon,
-        occupancy_se=(batch_time / batch_len).std(axis=0, ddof=1) / math.sqrt(n_batches),
+        occupancy_se=(batch_time / batch_len).std(axis=0, ddof=1) / math.sqrt(_BATCHES),
         zone_moves=moves.tolist(),
         window_count=jb,
         arrivals=arrivals,

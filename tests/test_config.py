@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from sdlb import simkernel
 from sdlb.cli import main
 from sdlb.config import (
     MAX_CAPACITY,
@@ -355,7 +356,8 @@ class TestRangeRulesAtParse:
         doc["topology"]["cells_per_grid"] = 1
         doc["types"]["wlan"]["m"] = MAX_CAPACITY
         assert ScenarioConfig.from_dict(doc).types[AccessNetworkKind.WLAN].m == 262143
-        assert 2 * 64 * (MAX_CAPACITY + 1) * 8 == MEMORY_BUDGET
+        # config may not import the kernel at set-up, so its 64 is checked here
+        assert 2 * simkernel._BATCHES * (MAX_CAPACITY + 1) * 8 == MEMORY_BUDGET
 
     # Neither document may be run: each asks run_system_sim for gigabytes
     @pytest.mark.parametrize("changes,got", [

@@ -2,10 +2,11 @@
 
 Baseline documents with one to three numeric leaves moved to an extreme
 each run one subcommand through ``sdlb.cli.main``, all of them in one
-fresh interpreter under a 2.5 GB address-space limit, with every warning
-raised as an error. Each must exit 0, 1 (a failed validation) or 2; on
-exit 2 it must name the path of what it refused; and no CSV it writes
-may hold a nan or an inf. Exit 3 is a crash.
+fresh interpreter under a 2.5 GB address-space limit and a 120 s CPU
+limit, with every warning raised as an error. Each must exit 0, 1 (a
+failed validation) or 2; on exit 2 it must name the path of what it
+refused; and no CSV it writes may hold a nan or an inf. Exit 3 is a
+crash.
 """
 import json
 import os
@@ -15,12 +16,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-from sdlb.config import default_config
+from sdlb.config import MAX_CAPACITY, default_config
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 EXTREMES = (0, 1, -1, -0.0, 0.5, 3, 5e-324, 1e-300, 1e15, 1e300, sys.float_info.max,
             2**53 + 1, 10**7)
+# a capacity also takes the largest accepted value and the first refused
+# one. Only capacities: the largest accepted rate, say, asks the protocol
+# simulator for tens of seconds of work, which WORK_CAP admits
+CAPACITY_EXTREMES = (MAX_CAPACITY, MAX_CAPACITY + 1)
 COMMANDS = ("figures", "validate", "scenario")
 DOCUMENTS = 330
 # A run stays short: these leaves are moved only to values at or below
@@ -28,14 +33,16 @@ DOCUMENTS = 330
 # bounds (tested in test_config)
 SHORT = {("sim", "target_events"): 20_000, ("sim", "horizon"): 5.0}
 ADDRESS_SPACE = 2500 * 2**20
+CPU_SECONDS = 120
 
 CHILD = """
 import contextlib, io, json, re, resource, shutil, sys, tempfile, warnings
 from pathlib import Path
 
-limit, hard = int(sys.argv[1]), resource.getrlimit(resource.RLIMIT_AS)[1]
-resource.setrlimit(resource.RLIMIT_AS,
-                   (limit if hard == resource.RLIM_INFINITY else min(limit, hard), hard))
+for name, limit in zip(("RLIMIT_AS", "RLIMIT_CPU"), map(int, sys.argv[1:])):
+    hard = resource.getrlimit(getattr(resource, name))[1]
+    resource.setrlimit(getattr(resource, name),
+                       (limit if hard == resource.RLIM_INFINITY else min(limit, hard), hard))
 from sdlb import cli
 
 warnings.simplefilter("error")
@@ -90,6 +97,8 @@ def documents(seed=4):
         moved = {}
         for path in rng.sample(leaves, rng.randint(1, 3)):
             values = [v for v in EXTREMES if path not in SHORT or v <= SHORT[path]]
+            if path[-1] == "m":
+                values += CAPACITY_EXTREMES
             node = doc
             for key in path[:-1]:
                 node = node[key]
@@ -104,13 +113,17 @@ def test_extreme_documents_end_with_finite_output():
     # address space from the limit before any document runs
     env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     run = subprocess.run(
-        [sys.executable, "-c", CHILD, str(ADDRESS_SPACE)],
+        [sys.executable, "-c", CHILD, str(ADDRESS_SPACE), str(CPU_SECONDS)],
         input="".join(json.dumps([command, doc]) + "\n" for command, _, doc in cases),
         capture_output=True, text=True, env=env, timeout=300,
     )
-    assert run.returncode == 0, run.stderr
     results = [json.loads(line) for line in run.stdout.splitlines()]
-    assert len(results) == len(cases)
+    if len(results) < len(cases):
+        command, moved, _ = cases[len(results)]
+        raise AssertionError(f"the child died (exit {run.returncode}) on sdlb {command} on the "
+                             f"base document with {moved}, the first document that printed "
+                             f"no result\n{run.stderr}")
+    assert run.returncode == 0, run.stderr
     failures = []
     for (command, moved, _), (code, err, bad) in zip(cases, results):
         ok = code in (0, 2) or (code, command) == (1, "validate")
