@@ -87,7 +87,8 @@ def exact_crossing_probs(p, T):
 
 # (lam, mu, m, k1, k2, T); rate * T runs from 0.01 to 560, past the
 # 256 that one uniformization series covers. The oracle runs on the
-# support 0..b: b = 0 at lam = 0, and b = 146 < m on the last case
+# support 0..b: b = 0 at lam = 0, and b = 146 < m on the last two cases.
+# On the last, both thresholds lie above b, so zones 1 to 4 hold no state
 ORACLE_CASES = [
     (1.0, 1.0, 4, 1, 3, 0.02),
     (2.0, 0.5, 6, 2, 4, 0.3),
@@ -97,6 +98,7 @@ ORACLE_CASES = [
     (3.0, 2.0, 10, 4, 5, 0.0005),
     (100.0, 50.0, 6, 2, 5, 1.4),
     (0.5, 1.0, 200, 1, 3, 0.1),
+    (0.5, 1.0, 200, 160, 180, 0.1),
 ]
 
 
