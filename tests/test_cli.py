@@ -15,6 +15,7 @@ import pytest
 from sdlb import cli
 from sdlb.cli import main
 from sdlb.config import ScenarioConfig, default_config
+from sdlb.reliability import MAX_LMMS
 
 
 def read_series(path):
@@ -673,6 +674,30 @@ def weighted_traffic_doc():
     return doc
 
 
+def unordered_lists_doc():
+    """Sweep lists out of order and with repeats, rates given as JSON ints
+    among floats, K1 = 2 lost lines and K2 = 3 lost managers, and LMM
+    counts up to MAX_LMMS."""
+    doc = default_config().to_dict()
+    doc["reliability"].update(k1_lines=2, k2_lmms=3)
+    doc["sweeps"] = {
+        "lmm_counts": [300, 5, 1, 5, 50, 1, MAX_LMMS, 2],
+        "reliability_lmm_counts": [MAX_LMMS, 171, 3, 170, 7, 3, 4321, 171, 500, 6],
+        "arrival_rates": [900, 100.0, 250, 100, 899.5, 250.0, 1, 500, 1e-3, 900],
+    }
+    return doc
+
+
+def certain_reliability_doc(r_lmm, r_c):
+    """r_lmm and r_c at 0 or 1, so that binomial_pmf's q = 0 and q = 1
+    branches run above n = 170: K1 = 171 lines (all of n = 508's and
+    510's) and K2 = 508 managers (all of n = 508) fail."""
+    doc = default_config().to_dict()
+    doc["reliability"].update(r_lmm=r_lmm, r_c=r_c, k1_lines=171, k2_lmms=508)
+    doc["sweeps"]["reliability_lmm_counts"] = [600, 508, 510, MAX_LMMS, 508, 509]
+    return doc
+
+
 FIGURE_NAMES = ("fig5.csv", "fig6.csv", "fig7.csv", "fig8.csv")
 
 # SHA-256 of each figure CSV, recorded from the per-point evaluation of
@@ -721,6 +746,35 @@ FIGURES_GOLDEN = {
             "90fdc2f8f9c3a5a0139b1b84bd62bba95bc0df07babc310f2677aafd36255ad5",
             "9081385712c5c537999c2684ceab057f7abbc47491053ae05b4550096c517e25",
             "b58354faced356bfe523d3ed58c8360e39d9bc463170bd031630dfffe4af4d9e",
+        ))),
+    ),
+    # recorded from the per-point evaluation and per-item list decoding,
+    # before fig 8 was scored once per sweep and the lists decoded in bulk
+    "unordered_lists": (
+        unordered_lists_doc,
+        dict(zip(FIGURE_NAMES, (
+            "5faa435383abb4c1b7bb84a6e4971f8fdcad13930cbe678fd09d408f813f5902",
+            "65b3df12d4faf1727490111d63b00e61f8fbdd64f6aa13d1cc6b531aa3d5634e",
+            "0bc5c7a02d9012e033942b87513805fc438e99293257ba1bab36ebfcbe8f8a3d",
+            "70f6bd0cbac2339904b9cce655af5995f71a05284aabda3d9030792ed5c9a5cb",
+        ))),
+    ),
+    "certain_r_lmm0_r_c1": (
+        lambda: certain_reliability_doc(0.0, 1.0),
+        dict(zip(FIGURE_NAMES, (
+            "9822708b913bca51e159a0ed825ecbe110a986778429ea4b522b44b9709e4996",
+            "90fdc2f8f9c3a5a0139b1b84bd62bba95bc0df07babc310f2677aafd36255ad5",
+            "9081385712c5c537999c2684ceab057f7abbc47491053ae05b4550096c517e25",
+            "f28d736cc269c85e8d31cc7ed8f95c3cd894f597acf4601b237d6068925beb9d",
+        ))),
+    ),
+    "certain_r_lmm1_r_c0": (
+        lambda: certain_reliability_doc(1.0, 0.0),
+        dict(zip(FIGURE_NAMES, (
+            "9822708b913bca51e159a0ed825ecbe110a986778429ea4b522b44b9709e4996",
+            "90fdc2f8f9c3a5a0139b1b84bd62bba95bc0df07babc310f2677aafd36255ad5",
+            "9081385712c5c537999c2684ceab057f7abbc47491053ae05b4550096c517e25",
+            "dfb9b427386904f917194c7b1e18c14320c29eba47756a2ca35ccd4014099be3",
         ))),
     ),
 }

@@ -5,6 +5,7 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sdlb import simkernel
@@ -259,6 +260,65 @@ class TestIntegerRange:
         assert _run(tmp_path, "figures", doc) == 2
         assert "sweeps.lmm_counts[1]" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+# the texts the per-item decoder gave for each item at index 2 of a sweep
+# list; a later bad item (True) must not be the one named
+_BAD_SWEEP_ITEMS = [
+    ("True", True, "expected an integer, got True", "expected a number, got True"),
+    ("2**63", 2**63, f"expected an integer in the int64 range, got {2**63}", None),
+    ("-2**63-1", -2**63 - 1, f"expected an integer in the int64 range, got {-2**63 - 1}",
+     None),
+    ("str", "3", "expected an integer, got '3'", "expected a number, got '3'"),
+    ("list", [1], "expected an integer, got [1]", "expected a number, got [1]"),
+    ("None", None, "expected an integer, got None", "expected a number, got None"),
+    ("nan", math.nan, "expected an integer, got nan", "expected a finite number, got nan"),
+    ("inf", math.inf, "expected an integer, got inf", "expected a finite number, got inf"),
+    ("-inf", -math.inf, "expected an integer, got -inf",
+     "expected a finite number, got -inf"),
+    ("10**400", 10**400, f"expected an integer in the int64 range, got {10**400}",
+     f"expected a finite number, got {10**400}"),
+    ("np.int64", np.int64(3), "expected an integer, got np.int64(3)",
+     "expected a number, got np.int64(3)"),
+    ("np.float64", np.float64(250.5), "expected an integer, got np.float64(250.5)", None),
+]
+
+
+class TestSweepListItems:
+    @pytest.mark.parametrize("key", ["lmm_counts", "arrival_rates"])
+    @pytest.mark.parametrize("value,counts_error,rates_error",
+                             [case[1:] for case in _BAD_SWEEP_ITEMS],
+                             ids=[case[0] for case in _BAD_SWEEP_ITEMS])
+    def test_first_bad_item_named(self, doc, key, value, counts_error, rates_error):
+        doc["sweeps"][key] = [300, 1, value, 2, True]
+        error = counts_error if key == "lmm_counts" else rates_error
+        # an accepted item leaves the trailing True the first refused
+        where = 2 if error else 4
+        error = error or "expected a number, got True"
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig.from_dict(doc)
+        assert str(info.value) == f"sweeps.{key}[{where}]: {error}"
+
+    def test_lmm_count_below_one_named_first(self, doc):
+        doc["sweeps"]["lmm_counts"] = [300, 1, 0, -5]
+        with pytest.raises(ConfigError) as info:
+            ScenarioConfig.from_dict(doc)
+        assert str(info.value) == "sweeps.lmm_counts[2]: must be >= 1, got 0"
+
+    def test_rates_decode_to_floats(self, doc):
+        doc["sweeps"]["arrival_rates"] = [300, 100.0, 2**63, -2**63 - 1, np.float64(250.5), 1,
+                                          10**300, -0.0, 5e-324]
+        rates = ScenarioConfig.from_dict(doc).sweeps.arrival_rates
+        assert rates == (300.0, 100.0, 9.223372036854776e18, -9.223372036854776e18, 250.5, 1.0,
+                         1e300, 0.0, 5e-324)
+        assert [type(r) for r in rates] == [float] * 9
+        assert math.copysign(1.0, rates[7]) == -1.0
+
+    def test_counts_decode_to_ints(self, doc):
+        doc["sweeps"]["lmm_counts"] = [300, 1, 2**63 - 1, 5, 5]
+        counts = ScenarioConfig.from_dict(doc).sweeps.lmm_counts
+        assert counts == (300, 1, 2**63 - 1, 5, 5)
+        assert [type(n) for n in counts] == [int] * 5
 
 
 class TestTopologyRules:
