@@ -20,7 +20,6 @@ import argparse
 import dataclasses
 import functools
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,15 +41,17 @@ from .validation import crossings_text, report_section, report_text
 
 @dataclass
 class MetricSeries:
-    """Rows of (sweep_value, metric_name, value), sorted for emission."""
+    """Rows of (sweep_value, metric_name, value), sorted whole for emission."""
 
     sweep_name: str
     rows: list[tuple[float, str, float]]
     provenance: tuple[str, ...] = ()
 
     def write(self, path: Path):
-        # a stable sort: rows with the same (sweep_value, metric) keep their order
-        rows = sorted(self.rows, key=operator.itemgetter(0, 1))
+        # a row's value is a function of its sweep value and metric, so rows
+        # that tie on both are equal: sorting on the whole row orders them as
+        # a stable sort on (sweep_value, metric) would
+        rows = sorted(self.rows)
         lines = [f"# {line}\n" for line in self.provenance]
         lines.append(f"# sweep variable: {self.sweep_name}\nsweep_value,metric,value\n")
         # A value object repeated on consecutive rows is formatted once. The

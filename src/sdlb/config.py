@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 from collections.abc import Sequence
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
@@ -64,9 +65,11 @@ WORK_CAP = 10**9
 
 # The most memory one kind's tallies may take, so that every valid document
 # runs in bounded memory. The cell kernel (``run_cell_mc``) keeps two
-# 64 x (m + 1) float64 arrays of batch times, the totals and one chunk's
-# (64 is ``simkernel._BATCHES``, which set-up does not import; a test
-# ties the two), so a capacity m may be at most MAX_CAPACITY = 262 143.
+# 64 x (k + 1) float64 arrays of batch times, the totals and one chunk's,
+# for k the highest occupancy reached; a chain that fills to m needs
+# 64 x (m + 1) each (64 is ``simkernel._BATCHES``, which set-up does not
+# import; a test ties the two), so a capacity m may be at most
+# MAX_CAPACITY = 262 143.
 MEMORY_BUDGET = 256 * 2**20
 MAX_CAPACITY = MEMORY_BUDGET // (2 * 64 * 8) - 1
 # The protocol simulator (``run_system_sim``) must fit in the same budget.
@@ -145,9 +148,9 @@ class SweepSpec:
         for f in fields(self):
             if not getattr(self, f.name):
                 raise ValueError(f"{f.name} must not be empty")
-        for i, n in enumerate(self.lmm_counts):
-            if n < 1:
-                raise ValueError(f"lmm_counts[{i}] must be >= 1, got {n}")
+        if min(self.lmm_counts) < 1:
+            i, n = next((i, n) for i, n in enumerate(self.lmm_counts) if n < 1)
+            raise ValueError(f"lmm_counts[{i}] must be >= 1, got {n}")
 
 
 @dataclass(frozen=True)
@@ -310,9 +313,42 @@ _SCALARS = {float: _number, int: _integer, bool: _instance(bool, "a bool"),
 _list = _instance(list, "a list")
 
 
+def _integers(items: list) -> tuple | None:
+    """``items`` decoded by ``_integer`` in one pass, or None if it would
+    refuse one: each is exactly an int, all in the int64 range."""
+    if set(map(type, items)) <= {int} and (
+            not items or -2**63 <= min(items) and max(items) < 2**63):
+        return tuple(items)
+    return None
+
+
+def _numbers(items: list) -> tuple | None:
+    """``items`` decoded by ``_number`` in one pass, or None if it would
+    refuse one: each is exactly an int or a float, and all are finite
+    (their sum is finite only if each is; one too large to convert to a
+    float is refused)."""
+    if set(map(type, items)) <= {int, float}:
+        try:
+            out = tuple(map(float, items))
+        except OverflowError:
+            return None
+        if math.isfinite(sum(out)):
+            return out
+    return None
+
+
+# the item decoders whose lists are decoded in one pass; a list the pass
+# refuses is decoded item by item, which names the first bad item
+_BULK = {_integer: _integers, _number: _numbers}
+
+
 def _list_of(item: Callable) -> Callable[[Any], tuple]:
+    bulk = _BULK.get(item)
+
     def decode(v):
         items, out = _list(v), []
+        if bulk is not None and (decoded := bulk(items)) is not None:
+            return decoded
         try:
             for x in items:
                 out.append(item(x))

@@ -32,15 +32,18 @@ P2 stays nonzero until that power underflows.
 Only uniform traffic is modelled: every junction line carries c and
 every inventory-manager pair b, so the traffic sums are the products
 B = n'*c + 3n*b, L1 = K1*c and L2 = n'*c + 3*K2*b.
-``swept_integrated_reliability`` scores fig 8's whole sweep from them and
-from ``_scenarios``, which computes the terms of the line count n' alone
-(P_c^n' and the scenario-1 binomial) once per distinct n'.
-``integrated_reliability`` is the sweep of one point, and
-``scenario_probabilities`` takes L1 and L2 from the same products, with
-the same traffic checks (``_traffic``). No
-command calls these two, ``uniform_reliability_params`` or
-``ReliabilitySpec.params_for``; they stay because the benchmark's tracer
-(``perfbench/tracing.py``) looks each of them up by name.
+
+Fig 8 is scored once per sweep. ``swept_integrated_reliability`` checks
+every n of the sweep (``_check_failures``, ``_traffic``) before it scores
+any, then takes the probabilities from ``_scenarios``. That computes the
+terms of the line count n' alone (P_c^n' and the scenario-1 binomial)
+once per distinct n', and each binomial over its whole list with
+``binomial_pmfs``, which computes the terms of K and q alone once.
+``binomial_pmf``, ``integrated_reliability`` and ``scenario_probabilities``
+are the same code on a list of one. No command calls the last two,
+``uniform_reliability_params`` or ``ReliabilitySpec.params_for``; they
+stay because the benchmark's tracer (``perfbench/tracing.py``) looks
+each of them up by name.
 """
 from __future__ import annotations
 
@@ -71,47 +74,59 @@ _DIRECT_COMB_LIMIT = 170
 MAX_LMMS = 10**6
 
 
-def _log_comb(n: int, k: int) -> float:
-    """log C(n, k) via lgamma; used above the direct-evaluation limit."""
-    return (
-        math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    )
+def binomial_pmfs(ns: Sequence[int], k: int, q: float) -> list[float]:
+    """C(n, k) * q^k * (1-q)^(n-k) for each n of ``ns``.
+
+    Direct for small populations, log space for large ones. The terms of
+    k and q alone (q^k, 1-q, lgamma(k+1), k*log q, log1p(-q)) are computed
+    once per sweep; a q outside [0, 1] has no logarithms.
+    """
+    if k < 0:
+        return [0.0] * len(ns)
+    # q^k serves only n <= _DIRECT_COMB_LIMIT, and so only k within it
+    q_k = q**k if k <= _DIRECT_COMB_LIMIT else None
+    p = 1.0 - q
+    if q != 0.0 and q != 1.0:
+        lgamma_k, k_log_q, log_p = math.lgamma(k + 1), k * math.log(q), math.log1p(-q)
+    comb, lgamma, exp = math.comb, math.lgamma, math.exp
+    out = []
+    for n in ns:
+        if n < k:
+            out.append(0.0)
+        elif n <= _DIRECT_COMB_LIMIT:
+            out.append(comb(n, k) * q_k * p ** (n - k))
+        elif q == 0.0:
+            out.append(1.0 if k == 0 else 0.0)
+        elif q == 1.0:
+            out.append(1.0 if k == n else 0.0)
+        else:
+            out.append(exp(lgamma(n + 1) - lgamma_k - lgamma(n - k + 1) + k_log_q
+                           + (n - k) * log_p))
+    return out
 
 
 def binomial_pmf(trials: int, failures: int, fail_prob: float) -> float:
-    """C(trials, failures) * q^failures * (1-q)^(trials-failures).
-
-    Direct for small populations, log space for large ones.
-    """
-    if not 0 <= failures <= trials:
-        return 0.0
-    q = fail_prob
-    if trials <= _DIRECT_COMB_LIMIT:
-        return math.comb(trials, failures) * q**failures * (1.0 - q) ** (trials - failures)
-    if q == 0.0:
-        return 1.0 if failures == 0 else 0.0
-    if q == 1.0:
-        return 1.0 if failures == trials else 0.0
-    logp = (
-        _log_comb(trials, failures)
-        + failures * math.log(q)
-        + (trials - failures) * math.log1p(-q)
-    )
-    return math.exp(logp)
+    """C(trials, failures) * q^failures * (1-q)^(trials-failures)."""
+    (pmf,) = binomial_pmfs([trials], failures, fail_prob)
+    return pmf
 
 
-def _check_failures(n: int, k1_lines: int, k2_lmms: int) -> int:
-    """n' for n managers, once n is at most MAX_LMMS, K1 fits n' and K2
-    fits n."""
-    if n > MAX_LMMS:
-        raise ValueError(f"n must be <= {MAX_LMMS}, got {n}")
-    n_lines = max_junction_lines(n)
-    if not 1 <= k1_lines <= n_lines:
-        raise ValueError(
-            f"k1_lines must be in 1..{n_lines} (junction lines for n={n}), got {k1_lines}"
-        )
-    if not 1 <= k2_lmms <= n:
-        raise ValueError(f"k2_lmms must be in 1..{n}, got {k2_lmms}")
+def _check_failures(ns: Sequence[int], k1_lines: int, k2_lmms: int) -> list[int]:
+    """n' for each n of ``ns``, once every n is at most MAX_LMMS, K1 fits
+    its n' and K2 fits it; else the first n that breaks a rule is named."""
+    n_lines = [n // 3 + n % 3 + 1 for n in ns]  # max_junction_lines of n >= 1
+    if ns and not (1 <= k2_lmms <= min(ns) and max(ns) <= MAX_LMMS
+                   and 1 <= k1_lines <= min(n_lines)):
+        for n in ns:
+            if n > MAX_LMMS:
+                raise ValueError(f"n must be <= {MAX_LMMS}, got {n}")
+            lines = max_junction_lines(n)
+            if not 1 <= k1_lines <= lines:
+                raise ValueError(
+                    f"k1_lines must be in 1..{lines} (junction lines for n={n}), got {k1_lines}"
+                )
+            if not 1 <= k2_lmms <= n:
+                raise ValueError(f"k2_lmms must be in 1..{n}, got {k2_lmms}")
     return n_lines
 
 
@@ -132,7 +147,7 @@ class ReliabilityParams:
 
     def __post_init__(self):
         check_reliabilities(self.r_lmm, self.r_c)
-        _check_failures(self.n, self.k1_lines, self.k2_lmms)
+        _check_failures([self.n], self.k1_lines, self.k2_lmms)
         check_weights(c=self.c_value, b=self.b_value)
 
     @property
@@ -155,26 +170,26 @@ class ScenarioProbabilities:
 
 
 def _traffic(
-    n: int, n_lines: int, k1_lines: int, k2_lmms: int, c_value: float, b_value: float,
-    first: bool,
-) -> tuple[float, float, float]:
-    """(B, L1, L2) under uniform traffic: all n' lines and 3n inventory
-    pairs, the K1 lost lines, and all lines plus the 3*K2 pairs of the K2
-    lost managers. Traffic that is negative, zero or not finite is refused.
+    ns: Sequence[int], n_lines: Sequence[int], k1_lines: int, k2_lmms: int, c_value: float,
+    b_value: float,
+) -> tuple[list[float], float, list[float]]:
+    """B and L2 for each n of ``ns``, whose line counts are ``n_lines``, and
+    L1, under uniform traffic: all n' lines and 3n inventory pairs, all
+    lines plus the 3*K2 pairs of the K2 lost managers, and the K1 lost
+    lines. Traffic that is negative, zero or not finite is refused.
 
-    The weights are the same at every n of a sweep, so they are checked
-    only at its ``first`` n; with n' >= 1 and 3n >= 3, c + b > 0 makes
-    every B > 0. B is checked at each n; L1 <= L2 <= B, so that covers
-    all three.
+    With n' >= 1 and 3n >= 3, c + b > 0 makes every B > 0. B is checked
+    at each n; L1 <= L2 <= B, so that covers all three.
     """
-    if first:
-        check_weights(c=c_value, b=b_value)
-        _check_traffic(c_value + b_value)
-    c_sum = n_lines * c_value
-    total = c_sum + 3 * n * b_value
-    if not math.isfinite(total):
+    check_weights(c=c_value, b=b_value)
+    _check_traffic(c_value + b_value)
+    c_sums = [lines * c_value for lines in n_lines]
+    totals = [c_sum + 3 * n * b_value for c_sum, n in zip(c_sums, ns)]
+    if not all(map(math.isfinite, totals)):
+        total = next(t for t in totals if not math.isfinite(t))
         raise ValueError(f"total traffic intensity n'*c + 3n*b must be finite, got {total}")
-    return total, k1_lines * c_value, c_sum + 3 * k2_lmms * b_value
+    k2_pairs = 3 * k2_lmms * b_value
+    return totals, k1_lines * c_value, [c_sum + k2_pairs for c_sum in c_sums]
 
 
 def _scenarios(
@@ -187,18 +202,16 @@ def _scenarios(
     p_c = 1.0 - (1.0 - r_c) ** 2
     r_fail = 1.0 - r_lmm
     p_c_k2 = p_c**k2_lmms
-    line_terms = {}
-    for n, lines in zip(ns, n_lines):
-        if lines not in line_terms:
-            line_terms[lines] = p_c**lines, binomial_pmf(lines, k1_lines, 1.0 - p_c)
+    distinct = list(dict.fromkeys(n_lines))
+    line_terms = dict(zip(distinct, zip([p_c**lines for lines in distinct],
+                                        binomial_pmfs(distinct, k1_lines, 1.0 - p_c))))
+    for n, lines, pmf in zip(ns, n_lines, binomial_pmfs(ns, k2_lmms, r_fail)):
         p_c_lines, line_pmf = line_terms[lines]
         all_down = r_fail**n  # 1 - P_lmm, without the cancellation
         p_lmm = 1.0 - all_down
         r_pow_n = r_lmm**n
-        p0 = p_lmm * p_c_lines * r_pow_n
-        p1 = p_lmm * line_pmf * r_pow_n
-        p2 = all_down * p_c_k2 * binomial_pmf(n, k2_lmms, r_fail)
-        yield p_lmm, p_c, p0, p1, p2
+        yield (p_lmm, p_c, p_lmm * p_c_lines * r_pow_n, p_lmm * line_pmf * r_pow_n,
+               all_down * p_c_k2 * pmf)
 
 
 def _check_traffic(total: float):
@@ -208,10 +221,9 @@ def _check_traffic(total: float):
 
 def scenario_probabilities(p: ReliabilityParams) -> ScenarioProbabilities:
     """Evaluate the three failure scenarios for one (K1, K2) choice."""
-    _, l1, l2 = _traffic(
-        p.n, p.n_lines, p.k1_lines, p.k2_lmms, p.c_value, p.b_value, first=True)
-    ((p_lmm, p_c, p0, p1, p2),) = _scenarios(
-        p.r_lmm, p.r_c, [p.n], [p.n_lines], p.k1_lines, p.k2_lmms)
+    ns, n_lines = [p.n], [p.n_lines]
+    _, l1, (l2,) = _traffic(ns, n_lines, p.k1_lines, p.k2_lmms, p.c_value, p.b_value)
+    ((p_lmm, p_c, p0, p1, p2),) = _scenarios(p.r_lmm, p.r_c, ns, n_lines, p.k1_lines, p.k2_lmms)
     return ScenarioProbabilities(
         p_lmm=p_lmm, p_c=p_c, p0=p0, p1=p1, p2=p2, l0=0.0, l1=l1, l2=l2
     )
@@ -236,21 +248,25 @@ def swept_integrated_reliability(
     """R = 1 - (P0*L0 + P1*L1 + P2*L2) / B, with L0 = 0, for each n of
     ``ns`` under uniform traffic.
 
-    Every n is checked, in list order, before any is scored. The total B
-    is checked at every n, because n' does not grow with n (n = 5 has
-    four lines, n = 6 three).
+    Every n is checked before any is scored. The total B is checked at
+    every n, because n' does not grow with n (n = 5 has four lines, n = 6
+    three). A refused sweep names the first n, in list order, that breaks
+    its own rules or whose traffic is refused.
     """
     check_reliabilities(r_lmm, r_c)
     c_value, b_value = float(c_value), float(b_value)
-    n_lines, sums = [], []
-    for n in ns:
-        n_lines.append(_check_failures(n, k1_lines, k2_lmms))
-        sums.append(_traffic(
-            n, n_lines[-1], k1_lines, k2_lmms, c_value, b_value, first=not sums))
+    try:
+        n_lines = _check_failures(ns, k1_lines, k2_lmms)
+        totals, l1, l2s = _traffic(ns, n_lines, k1_lines, k2_lmms, c_value, b_value)
+    except ValueError:
+        for n in ns:
+            _traffic([n], _check_failures([n], k1_lines, k2_lmms), k1_lines, k2_lmms,
+                     c_value, b_value)
+        raise
     return [
         1.0 - (p1 * l1 + p2 * l2) / total
-        for (total, l1, l2), (_, _, _, p1, p2) in zip(
-            sums, _scenarios(r_lmm, r_c, ns, n_lines, k1_lines, k2_lmms))
+        for total, l2, (_, _, _, p1, p2) in zip(
+            totals, l2s, _scenarios(r_lmm, r_c, ns, n_lines, k1_lines, k2_lmms))
     ]
 
 

@@ -260,6 +260,13 @@ def _walk_span(k, exps, unis, budget, tot, lam, mu, up, s0):
     return (c, *_lane_walk(k, c, up, s0))
 
 
+def _widen(a, width):
+    """``a`` with zero columns appended up to ``width``."""
+    out = np.zeros((*a.shape[:-1], width))
+    out[..., :a.shape[-1]] = a
+    return out
+
+
 def _add_interval(occ, bt, k, t, tn, inv_b, batch_len):
     """Add the time [t, tn) spent at occupancy k to ``occ`` and to the
     batch slices it spans."""
@@ -428,20 +435,24 @@ def run_cell_mc(
 
     rng = np.random.default_rng(seed)
     lam, m = p.lam, p.m
-    occ_time = np.zeros(m + 1)
-    batch_time = np.zeros((_BATCHES, m + 1))
+    # the tallies cover occupancies 0..width - 1, a bound on those reached
+    # so far, and grow with it; the columns past it stay exact zeros
+    width = 1
+    occ_time = np.zeros(width)
+    batch_time = np.zeros((_BATCHES, width))
     moves = np.zeros(25, np.int64)
     arrivals = blocked = events = 0
     t = 0.0
     k = 0
-    # a table from Python ints: _zone on an array would add bools, an OR
-    zone = np.array([_zone(j, p.k1, p.k2) for j in range(m + 1)])
+    # _zone changes only at k1, k1 + 1, k2 and k2 + 1: a table of runs
+    edges = sorted({0, m + 1, *(e for e in (p.k1, p.k1 + 1, p.k2, p.k2 + 1) if e <= m)})
+    zone = np.repeat([_zone(e, p.k1, p.k2) for e in edges[:-1]], np.diff(edges))
     jb = 0  # index of the window boundary last passed
     prev_z = int(zone[0])  # zone at that boundary: the cell starts empty
     batch_len = horizon / _BATCHES
     inv_b = 1.0 / batch_len
-    tot = np.array([lam + j * p.mu for j in range(m + 1)])
-    up = [min(j + 1, m) for j in range(m + 1)]
+    tot = lam + np.arange(m + 1) * p.mu
+    up = [*range(1, m + 1), m]
     load = min(lam / p.mu, m)
     s0 = int(min(load, m - 1)) if load <= _LANE_LOAD else None  # lanes start at the mode
 
@@ -453,14 +464,19 @@ def run_cell_mc(
         exps = rng.standard_exponential(size=_CHUNK)
         unis = rng.random(size=_CHUNK)
         # per-chunk partial sums, added to the totals once per chunk
-        occ_c = np.zeros(m + 1)
-        bt_c = np.zeros((_BATCHES, m + 1))
+        occ_c = np.zeros(width)
+        bt_c = np.zeros((_BATCHES, width))
         start, ks = 0, ()  # the walked span: its first event, occupancies
         for lo in range(0, _CHUNK, _BLOCK):
             if lo - start == len(ks):
                 start = lo
                 c_span, ks, k_span = _walk_span(k, exps[lo:], unis[lo:], (horizon - t) * lam,
                                                 tot, lam, p.mu, up, s0)
+                top = max(int(ks.max()), k_span) + 1
+                if top > width:
+                    width = min(max(top, 2 * width), m + 1)
+                    occ_time, batch_time, occ_c, bt_c = (
+                        _widen(a, width) for a in (occ_time, batch_time, occ_c, bt_c))
             i = lo - start
             c = c_span[i:i + _BLOCK]
             kb = ks[i:i + _BLOCK].astype(np.int64, copy=False)
@@ -493,9 +509,13 @@ def run_cell_mc(
     jb, _ = _window_moves(moves, zone[[k]], np.array([horizon]), inv_w, jb, prev_z)
     moves[::6] = 0  # a boundary in an unchanged zone is no move
 
+    # each column's std is its own: the columns past the width are 0.0
+    freq, se = np.zeros(m + 1), np.zeros(m + 1)
+    freq[:width] = occ_time / horizon
+    se[:width] = (batch_time / batch_len).std(axis=0, ddof=1) / math.sqrt(_BATCHES)
     stats = CellStats(
-        occupancy_freq=occ_time / horizon,
-        occupancy_se=(batch_time / batch_len).std(axis=0, ddof=1) / math.sqrt(_BATCHES),
+        occupancy_freq=freq,
+        occupancy_se=se,
         zone_moves=moves.tolist(),
         window_count=jb,
         arrivals=arrivals,

@@ -119,8 +119,8 @@ class TestFigures:
             "# second line\n"
             "# sweep variable: lmm_count\n"
             "sweep_value,metric,value\n"
-            "3,a,1.5\n"
             "3,a,0.1\n"
+            "3,a,1.5\n"
             "3.5,a,-0.0\n"
             "10,b,1e-20\n"
             "50,a,2.0\n"
@@ -141,8 +141,7 @@ class TestFigures:
         ]
         series = cli.MetricSeries(sweep_name="x", rows=rows)
         series.write(tmp_path / "s.csv")
-        reference = "".join(
-            f"{x},{metric},{v}\n" for x, metric, v in sorted(rows, key=lambda r: r[:2]))
+        reference = "".join(f"{x},{metric},{v}\n" for x, metric, v in sorted(rows))
         text = (tmp_path / "s.csv").read_text()
         assert text == "# sweep variable: x\nsweep_value,metric,value\n" + reference
         assert "\n3,a,0.0\n3,a,-0.0\n3,a,0.0\n3.0,c,0.30000000000000004\n" in text

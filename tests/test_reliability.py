@@ -10,6 +10,7 @@ from sdlb.reliability import (
     MAX_LMMS,
     ReliabilityParams,
     binomial_pmf,
+    binomial_pmfs,
     integrated_reliability,
     scenario_probabilities,
     swept_integrated_reliability,
@@ -150,14 +151,25 @@ class TestScenarioProbabilities:
 
 
 class TestBinomialPmf:
-    def test_log_comb_matches_factorials_small_n(self):
-        from sdlb.reliability import _log_comb
+    @staticmethod
+    def per_point_pmf(n, k, q):
+        """The pmf of one n, with every term of k and q computed anew."""
+        if not 0 <= k <= n:
+            return 0.0
+        if n <= 170:
+            return math.comb(n, k) * q**k * (1.0 - q) ** (n - k)
+        if q in (0.0, 1.0):
+            return float(k == (0 if q == 0.0 else n))
+        log_comb = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+        return math.exp(log_comb + k * math.log(q) + (n - k) * math.log1p(-q))
 
-        for n in range(21):
-            for k in range(n + 1):
-                assert math.exp(_log_comb(n, k)) == pytest.approx(
-                    math.comb(n, k), rel=1e-10
-                )
+    @pytest.mark.parametrize("k", [-1, 0, 1, 2, 3, 170, 171, 508])
+    @pytest.mark.parametrize("q", [0.0, 1e-300, 0.03, 0.08, 0.5, 0.97, 1.0])
+    def test_sweep_matches_per_point_bit_for_bit(self, k, q):
+        ns = [*range(0, 12), 169, 170, 171, 172, 3, 508, 4321, MAX_LMMS, 171]
+        got = binomial_pmfs(ns, k, q)
+        assert got == [self.per_point_pmf(n, k, q) for n in ns]
+        assert [binomial_pmf(n, k, q) for n in ns] == got
 
     def test_log_space_matches_exact_oracle_large_n(self):
         q = Fraction(3, 100)
@@ -325,11 +337,15 @@ class TestUniformIntegratedReliability:
 
     def test_one_binomial_per_lmm_count_and_per_line_count(self, monkeypatch):
         # the scenario-1 binomial depends on n' alone and the scenario-2
-        # one on n, so a sweep takes the first once per distinct n'
-        calls = self.count_calls(monkeypatch, "binomial_pmf")
+        # one on n, so a sweep takes the first once per distinct n'; each
+        # is one call over its whole list
+        sizes = []
+        swept = reliability.binomial_pmfs
+        monkeypatch.setattr(reliability, "binomial_pmfs",
+                            lambda ns, k, q: sizes.append(len(ns)) or swept(ns, k, q))
         ns = range(3, 301)
         swept_integrated_reliability(ns, 0.92, 0.97)
-        assert calls["binomial_pmf"] == len(ns) + len({max_junction_lines(n) for n in ns})
+        assert sorted(sizes) == [len({max_junction_lines(n) for n in ns}), len(ns)]
 
     @pytest.mark.parametrize("n,kw", [
         (0, {}),

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sdlb import queueing, simkernel, streams
-from sdlb.config import TopologySpec, default_config
+from sdlb.config import MAX_CAPACITY, TopologySpec, default_config
 from sdlb.queueing import (
     CROSSING_MOVES,
     FirstOrderValidityError,
@@ -188,6 +188,26 @@ class TestRunCellMc:
         assert all(v == 0 for v in stats.transition_counts.values())
         assert stats.window_count == 1000
         assert stats.arrivals == stats.departures == stats.blocked == 0
+
+    def test_tallies_follow_the_occupancy_reached_not_m(self):
+        # at MAX_CAPACITY with lam/mu near 1 the chain stays within a few
+        # dozen states. The peak, about 21 MiB, is the O(m) tables: the
+        # successor list's Python ints (about 10 MiB), the rates, the zones
+        # and the two result arrays (2 MiB each). Two (64, m + 1) float64
+        # batch tallies would take 256 MiB.
+        p = params(lam=0.5, mu=0.45, m=MAX_CAPACITY, k1=0, k2=1)
+        tracemalloc.start()
+        try:
+            stats = run_cell_mc(p, horizon_for_events(p, 20_000), 1.0, 1).per_type[UMTS]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
+        assert stats.events >= 20_000
+        assert stats.occupancy_freq.shape == stats.occupancy_se.shape == (MAX_CAPACITY + 1,)
+        top = np.flatnonzero(stats.occupancy_freq)[-1]
+        assert 0 < top < 100
+        assert not stats.occupancy_freq[top + 1:].any() and not stats.occupancy_se[top + 1:].any()
 
     def test_occupancy_matches_closed_form(self):
         p = params(lam=1.0, mu=1.0, m=2, k1=1, k2=2)
