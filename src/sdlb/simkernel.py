@@ -510,12 +510,10 @@ def run_cell_mc(
     moves[::6] = 0  # a boundary in an unchanged zone is no move
 
     # each column's std is its own: the columns past the width are 0.0
-    freq, se = np.zeros(m + 1), np.zeros(m + 1)
-    freq[:width] = occ_time / horizon
-    se[:width] = (batch_time / batch_len).std(axis=0, ddof=1) / math.sqrt(_BATCHES)
+    se = (batch_time / batch_len).std(axis=0, ddof=1) / math.sqrt(_BATCHES)
     stats = CellStats(
-        occupancy_freq=freq,
-        occupancy_se=se,
+        occupancy_freq=_widen(occ_time / horizon, m + 1),
+        occupancy_se=_widen(se, m + 1),
         zone_moves=moves.tolist(),
         window_count=jb,
         arrivals=arrivals,
