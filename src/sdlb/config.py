@@ -324,14 +324,13 @@ def _integers(items: list) -> tuple | None:
 
 def _numbers(items: list) -> tuple | None:
     """``items`` decoded by ``_number`` in one pass, or None if it would
-    refuse one: each is exactly an int or a float, and all are finite
-    (their sum is finite only if each is; one too large to convert to a
-    float is refused)."""
-    if set(map(type, items)) <= {int, float}:
-        try:
-            out = tuple(map(float, items))
-        except OverflowError:
-            return None
+    refuse one: each is exactly an int or a float, all lie in the float
+    range, compared exactly as ``_number`` does, and none is NaN (which
+    ``min`` and ``max`` may pass over, but which makes the sum NaN)."""
+    big = sys.float_info.max
+    if set(map(type, items)) <= {int, float} and (
+            not items or -big <= min(items) and max(items) <= big):
+        out = tuple(map(float, items))
         if math.isfinite(sum(out)):
             return out
     return None

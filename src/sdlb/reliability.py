@@ -79,14 +79,15 @@ def binomial_pmfs(ns: Sequence[int], k: int, q: float) -> list[float]:
 
     Direct for small populations, log space for large ones. The terms of
     k and q alone (q^k, 1-q, lgamma(k+1), k*log q, log1p(-q)) are computed
-    once per sweep; a q outside [0, 1] has no logarithms.
+    once per sweep; the logarithms only if some n is scored in log space,
+    so a q outside [0, 1] fails where the one-point formula would.
     """
     if k < 0:
         return [0.0] * len(ns)
     # q^k serves only n <= _DIRECT_COMB_LIMIT, and so only k within it
     q_k = q**k if k <= _DIRECT_COMB_LIMIT else None
     p = 1.0 - q
-    if q != 0.0 and q != 1.0:
+    if q != 0.0 and q != 1.0 and max(ns, default=-1) >= max(k, _DIRECT_COMB_LIMIT + 1):
         lgamma_k, k_log_q, log_p = math.lgamma(k + 1), k * math.log(q), math.log1p(-q)
     comb, lgamma, exp = math.comb, math.lgamma, math.exp
     out = []

@@ -262,6 +262,7 @@ class TestIntegerRange:
         assert not (tmp_path / "out").exists()
 
 
+_FLOAT_MAX = int(sys.float_info.max)
 # the texts the per-item decoder gave for each item at index 2 of a sweep
 # list; a later bad item (True) must not be the one named
 _BAD_SWEEP_ITEMS = [
@@ -278,6 +279,9 @@ _BAD_SWEEP_ITEMS = [
      "expected a finite number, got -inf"),
     ("10**400", 10**400, f"expected an integer in the int64 range, got {10**400}",
      f"expected a finite number, got {10**400}"),
+    ("float_max+1", _FLOAT_MAX + 1,
+     f"expected an integer in the int64 range, got {_FLOAT_MAX + 1}",
+     f"expected a finite number, got {_FLOAT_MAX + 1}"),
     ("np.int64", np.int64(3), "expected an integer, got np.int64(3)",
      "expected a number, got np.int64(3)"),
     ("np.float64", np.float64(250.5), "expected an integer, got np.float64(250.5)", None),
@@ -307,11 +311,11 @@ class TestSweepListItems:
 
     def test_rates_decode_to_floats(self, doc):
         doc["sweeps"]["arrival_rates"] = [300, 100.0, 2**63, -2**63 - 1, np.float64(250.5), 1,
-                                          10**300, -0.0, 5e-324]
+                                          10**300, -0.0, 5e-324, _FLOAT_MAX, -_FLOAT_MAX]
         rates = ScenarioConfig.from_dict(doc).sweeps.arrival_rates
         assert rates == (300.0, 100.0, 9.223372036854776e18, -9.223372036854776e18, 250.5, 1.0,
-                         1e300, 0.0, 5e-324)
-        assert [type(r) for r in rates] == [float] * 9
+                         1e300, 0.0, 5e-324, sys.float_info.max, -sys.float_info.max)
+        assert [type(r) for r in rates] == [float] * 11
         assert math.copysign(1.0, rates[7]) == -1.0
 
     def test_counts_decode_to_ints(self, doc):

@@ -171,6 +171,15 @@ class TestBinomialPmf:
         assert got == [self.per_point_pmf(n, k, q) for n in ns]
         assert [binomial_pmf(n, k, q) for n in ns] == got
 
+    @pytest.mark.parametrize("q", [-0.5, 1.5])
+    def test_q_outside_unit_interval_fails_only_in_log_space(self, q):
+        # the direct formula takes any q; only a log-space n takes logarithms
+        ns = [0, 1, 5, 170, 171]
+        assert binomial_pmfs(ns[:-1], 1, q) == [self.per_point_pmf(n, 1, q) for n in ns[:-1]]
+        assert binomial_pmfs(ns, 200, q) == [0.0] * len(ns)
+        with pytest.raises(ValueError, match="math domain error"):
+            binomial_pmfs(ns, 1, q)
+
     def test_log_space_matches_exact_oracle_large_n(self):
         q = Fraction(3, 100)
         for k in (0, 1, 5, 100, 200):
