@@ -69,7 +69,9 @@ WORK_CAP = 10**9
 # for k the highest occupancy reached; a chain that fills to m needs
 # 64 x (m + 1) each (64 is ``simkernel._BATCHES``, which set-up does not
 # import; a test ties the two), so a capacity m may be at most
-# MAX_CAPACITY = 262 143.
+# MAX_CAPACITY = 262 143. What else the kernel keeps is O(m) and small
+# beside them: the rate, zone and result tables and the successor list,
+# about 23 MiB at MAX_CAPACITY (a Tier-1 test bounds the whole).
 MEMORY_BUDGET = 256 * 2**20
 MAX_CAPACITY = MEMORY_BUDGET // (2 * 64 * 8) - 1
 # The protocol simulator (``run_system_sim``) must fit in the same budget.

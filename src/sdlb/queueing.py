@@ -141,9 +141,9 @@ def _crossings(prev, cur, k1, k2):
 
 
 def _zone(k, k1, k2):
-    """0 below k1, 1 at k1, 2 between, 3 at k2, 4 above k2: ``classify_load``
-    and ``_crossings`` on zones with k1 = 1, k2 = 3 equal those on occupancies."""
-    return (k >= k1) + (k > k1) + (k >= k2) + (k > k2)
+    """0 below k1, 1 at k1, 2 between, 3 at k2, 4 above k2, elementwise on an array k:
+    ``classify_load`` and ``_crossings`` on zones with k1 = 1, k2 = 3 equal those on k."""
+    return 4 - (k < k1) - (k <= k1) - (k < k2) - (k <= k2)
 
 
 # the zone moves 5 * a + b (``_zone`` a to b over a window) that each
@@ -290,7 +290,7 @@ def exact_zone_moves(p: SystemTypeParams, T: float) -> list[float]:
     # a support of one state (lam = 0) still has a positive rate
     rate = lam + max(b, 1) * mu
     k = np.arange(b + 1)
-    zones = np.array([_zone(j, p.k1, p.k2) for j in range(b + 1)])
+    zones = _zone(k, p.k1, p.k2)
     rows = np.zeros((5, b + 1))
     rows[zones, k] = pi[:b + 1]
     # U's diagonals: up from k < b, down from k > 0, and the rest stays;

@@ -119,17 +119,17 @@ _LANE_LOAD = 20
 _LANE_MIN = 2 * _BLOCK
 
 
-def _arrival_thresholds(unis, tot, lam, mu):
+def _arrival_thresholds(unis, below, lam, mu):
     """c[i] = #{j : unis[i] * tot[j] < lam}; event i is an arrival iff k < c[i].
 
     tot[j] = lam + j*mu, so the real-arithmetic guess ceil((lam/u - lam)/mu),
     clipped to 0..m+1, is off only by rounding; the predicate is monotone in
     j, so the fix-up steps each guess towards c, re-evaluating the exact
-    expression, and no decision flips. tot is padded with 0 and NaN, so c
-    stays in 0..m+1: u * 0 < lam always, u * NaN < lam never (inf warns at u = 0).
+    expression, and no decision flips. ``below`` is tot padded, [0, *tot,
+    NaN], so below[c] = tot[c - 1] and c stays in 0..m+1: u * 0 < lam
+    always, u * NaN < lam never (inf warns at u = 0).
     """
-    m = tot.shape[0] - 1
-    below = np.concatenate(([0.0], tot, [np.nan]))  # below[c] = tot[c - 1]
+    m = below.shape[0] - 3
     at = below[1:]  # at[c] = tot[c]
     with np.errstate(divide="ignore", over="ignore"):
         c = np.ceil(np.clip((lam / unis - lam) / mu, 0, m + 1)).astype(np.int64)
@@ -238,7 +238,7 @@ def _lane_walk(k, c, up, s0):
     return ks, k
 
 
-def _walk_span(k, exps, unis, budget, tot, lam, mu, up, s0):
+def _walk_span(k, exps, unis, budget, below, lam, mu, up, s0):
     """Thresholds and occupancies for the events of ``exps``/``unis`` ahead.
 
     One block is walked plainly. With lanes (``s0`` not None) the span is
@@ -252,11 +252,11 @@ def _walk_span(k, exps, unis, budget, tot, lam, mu, up, s0):
         sums = np.add.reduceat(exps, np.arange(0, exps.size, _BLOCK))
         n = min(int(np.searchsorted(np.cumsum(sums), budget)) * _BLOCK, exps.size)
     if n < _LANE_MIN:
-        c = _arrival_thresholds(unis[:_BLOCK], tot, lam, mu)
+        c = _arrival_thresholds(unis[:_BLOCK], below, lam, mu)
         return (c, *_walk(k, c, up))
     c = np.empty(n, _lane_dtype(len(up) - 1))
     for lo in range(0, n, _BLOCK):
-        c[lo:lo + _BLOCK] = _arrival_thresholds(unis[lo:lo + _BLOCK], tot, lam, mu)
+        c[lo:lo + _BLOCK] = _arrival_thresholds(unis[lo:lo + _BLOCK], below, lam, mu)
     return (c, *_lane_walk(k, c, up, s0))
 
 
@@ -444,14 +444,13 @@ def run_cell_mc(
     arrivals = blocked = events = 0
     t = 0.0
     k = 0
-    # _zone changes only at k1, k1 + 1, k2 and k2 + 1: a table of runs
-    edges = sorted({0, m + 1, *(e for e in (p.k1, p.k1 + 1, p.k2, p.k2 + 1) if e <= m)})
-    zone = np.repeat([_zone(e, p.k1, p.k2) for e in edges[:-1]], np.diff(edges))
+    zone = _zone(np.arange(m + 1), p.k1, p.k2)
     jb = 0  # index of the window boundary last passed
     prev_z = int(zone[0])  # zone at that boundary: the cell starts empty
     batch_len = horizon / _BATCHES
     inv_b = 1.0 / batch_len
-    tot = lam + np.arange(m + 1) * p.mu
+    below = np.concatenate(([0.0], lam + np.arange(m + 1) * p.mu, [np.nan]))
+    tot = below[1:-1]  # tot[k] = lam + k*mu
     up = [*range(1, m + 1), m]
     load = min(lam / p.mu, m)
     s0 = int(min(load, m - 1)) if load <= _LANE_LOAD else None  # lanes start at the mode
@@ -463,7 +462,7 @@ def run_cell_mc(
     while not done:
         exps = rng.standard_exponential(size=_CHUNK)
         unis = rng.random(size=_CHUNK)
-        # per-chunk partial sums, added to the totals once per chunk
+        # per-chunk partial sums, the only tallies that grow; the totals join them at its end
         occ_c = np.zeros(width)
         bt_c = np.zeros((_BATCHES, width))
         start, ks = 0, ()  # the walked span: its first event, occupancies
@@ -471,12 +470,13 @@ def run_cell_mc(
             if lo - start == len(ks):
                 start = lo
                 c_span, ks, k_span = _walk_span(k, exps[lo:], unis[lo:], (horizon - t) * lam,
-                                                tot, lam, p.mu, up, s0)
+                                                below, lam, p.mu, up, s0)
                 top = max(int(ks.max()), k_span) + 1
                 if top > width:
-                    width = min(max(top, 2 * width), m + 1)
-                    occ_time, batch_time, occ_c, bt_c = (
-                        _widen(a, width) for a in (occ_time, batch_time, occ_c, bt_c))
+                    # past half of m + 1, all of it: no copy of a nearly full array
+                    width = max(top, 2 * width)
+                    width = m + 1 if 2 * width > m + 1 else width
+                    occ_c, bt_c = _widen(occ_c, width), _widen(bt_c, width)
             i = lo - start
             c = c_span[i:i + _BLOCK]
             kb = ks[i:i + _BLOCK].astype(np.int64, copy=False)
@@ -501,8 +501,9 @@ def run_cell_mc(
             k = k_end
             if done:
                 break
-        occ_time += occ_c
-        batch_time += bt_c
+        occ_c[:occ_time.size] += occ_time  # b + a is a + b, bit for bit
+        bt_c[:, :occ_time.size] += batch_time
+        occ_time, batch_time = occ_c, bt_c
 
     # the tail [t, horizon) at occupancy k
     _add_interval(occ_time, batch_time, k, t, horizon, inv_b, batch_len)
@@ -510,7 +511,8 @@ def run_cell_mc(
     moves[::6] = 0  # a boundary in an unchanged zone is no move
 
     # each column's std is its own: the columns past the width are 0.0
-    se = (batch_time / batch_len).std(axis=0, ddof=1) / math.sqrt(_BATCHES)
+    batch_time /= batch_len  # in place: no full-size temporary
+    se = batch_time.std(axis=0, ddof=1) / math.sqrt(_BATCHES)
     stats = CellStats(
         occupancy_freq=_widen(occ_time / horizon, m + 1),
         occupancy_se=_widen(se, m + 1),
@@ -637,7 +639,7 @@ def run_system_sim(
     last_t = [0.0] * n_streams
     occ_time = [[0.0] * (p.m + 1) for p in params]
     occ_row = occ_time * n_cells
-    zones = [[_zone(k, p.k1, p.k2) for k in range(p.m + 1)] for p in params]
+    zones = [_zone(np.arange(p.m + 1), p.k1, p.k2).tolist() for p in params]
     zone_row = zones * n_cells
     zone_state = [classify_load(z, 1, 3) for z in range(5)]
     # a move from zone a to zone b is entry 5 * a + b of these and of moves

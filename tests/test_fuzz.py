@@ -1,14 +1,16 @@
 """Every accepted document ends with finite output: a config fuzzer.
 
-Baseline documents with one to three numeric leaves moved to an extreme
-each run one subcommand through ``sdlb.cli.main``, all of them in one
-fresh interpreter under a 2.5 GB address-space limit and a 120 s CPU
-limit, with every warning raised as an error. Each must exit 0, 1 (a
-failed validation) or 2; on exit 2 it must name the path of what it
-refused; and no CSV it writes may hold a nan or an inf. Exit 3 is a
-crash.
+Baseline documents with one to three numeric leaves moved to an extreme,
+or, half the time where the rest of the document sets an edge for the
+leaf, to that edge, each run one subcommand through ``sdlb.cli.main``,
+all of them in one fresh interpreter under a 2.5 GB address-space limit
+and a 120 s CPU limit, with every warning raised as an error. Each must
+exit 0, 1 (a failed validation) or 2; on exit 2 it must name the path of
+what it refused; and no CSV it writes may hold a nan or an inf. Exit 3
+is a crash.
 """
 import json
+import math
 import os
 import random
 import re
@@ -16,7 +18,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from sdlb.config import MAX_CAPACITY, default_config
+from sdlb.config import MAX_CAPACITY, MEMORY_BUDGET, SESSION_BYTES, STREAM_BYTES, default_config
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -86,9 +88,41 @@ def dotted(path) -> str:
     return "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path).lstrip(".")
 
 
+def first_order_edge(rates) -> float:
+    """The largest T with rate * T < 1 for every one of ``rates``; 0.0 when
+    none is positive and finite."""
+    top = max((r for r in rates if 0 < r < math.inf), default=math.inf)
+    T = 1 / top
+    while top * T >= 1:
+        T = math.nextafter(T, 0)
+    return T
+
+
+def relative_values(doc, path) -> dict:
+    """{rule: value} for the leaf at ``path``: the edges that the rest of
+    ``doc`` sets for it, which no constant can name."""
+    kinds = doc["types"].values()
+    if path[0] == "types" and path[-1] == "k2":
+        kind = doc["types"][path[1]]
+        return {"k2 = k1 + 1": kind["k1"] + 1, "k2 = m": kind["m"]}
+    if path[0] == "types" and path[-1] == "k1":
+        return {"k1 = 0": 0, "k1 = k2 - 1": doc["types"][path[1]]["k2"] - 1}
+    if path == ("overhead", "T"):
+        # just inside the first-order region, as bound by either product
+        return {"lam*T below 1": first_order_edge(k["lam"] for k in kinds),
+                "(k2+1)*mu*T below 1": first_order_edge((k["k2"] + 1) * k["mu"] for k in kinds)}
+    if path == ("topology", "grid_count"):
+        per_grid = doc["topology"]["cells_per_grid"] * sum(
+            STREAM_BYTES + k["m"] * SESSION_BYTES for k in kinds)
+        if per_grid > 0:
+            return {"grid_count at the protocol memory bound": MEMORY_BUDGET // per_grid}
+    return {}
+
+
 def documents(seed=4):
     """(command, moved leaves, document) for DOCUMENTS documents; each is
-    ``base_document()`` with its moved leaves set."""
+    ``base_document()`` with its moved leaves set, in turn, so a relative
+    value reads the leaves moved before it."""
     rng = random.Random(seed)
     base = base_document()
     leaves = [p for p in numeric_leaves(base) if p[0] != "notes"]
@@ -102,8 +136,23 @@ def documents(seed=4):
             node = doc
             for key in path[:-1]:
                 node = node[key]
-            node[path[-1]] = moved[dotted(path)] = rng.choice(values)
+            relative = relative_values(doc, path)
+            if relative and rng.random() < 0.5:
+                rule = rng.choice(sorted(relative))
+                node[path[-1]] = relative[rule]
+                moved[dotted(path)] = f"{relative[rule]!r} ({rule})"
+            else:
+                node[path[-1]] = moved[dotted(path)] = rng.choice(values)
         yield COMMANDS[i % len(COMMANDS)], moved, doc
+
+
+def test_documents_take_every_relative_value():
+    rules = {rule for path in [("types", "umts", "k1"), ("types", "umts", "k2"),
+                               ("overhead", "T"), ("topology", "grid_count")]
+             for rule in relative_values(base_document(), path)}
+    taken = {value.rsplit(" (", 1)[1][:-1] for _, moved, _ in documents()
+             for value in moved.values() if isinstance(value, str)}
+    assert taken == rules
 
 
 def test_extreme_documents_end_with_finite_output():

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sdlb.queueing import (
     FirstOrderValidityError,
@@ -12,6 +12,7 @@ from sdlb.queueing import (
     OccupancyOverflowError,
     SystemTypeParams,
     TransitionKind,
+    _zone,
     classify_load,
     prob_bb_update,
     prob_state_change,
@@ -239,6 +240,27 @@ class TestClassifyLoad:
     @given(occ=st.integers(min_value=0, max_value=100))
     def test_total(self, occ):
         assert classify_load(occ, 30, 70) in LoadState
+
+
+@st.composite
+def zone_thresholds(draw):
+    m = draw(st.integers(1, 300))
+    k1 = draw(st.integers(0, m - 1))
+    return m, k1, draw(st.integers(k1 + 1, m))
+
+
+class TestZone:
+    @given(case=zone_thresholds())
+    @example(case=(40, 0, 40))  # k1 = 0, k2 = m
+    @example(case=(40, 12, 13))  # k2 = k1 + 1
+    @example(case=(1, 0, 1))
+    def test_array_matches_int_rule(self, case):
+        # the simulators' and the oracle's tables are _zone on np.arange(m + 1)
+        m, k1, k2 = case
+        want = [(k >= k1) + (k > k1) + (k >= k2) + (k > k2) for k in range(m + 1)]
+        table = _zone(np.arange(m + 1), k1, k2)
+        assert table.dtype.kind == "i"
+        assert table.tolist() == want == [_zone(k, k1, k2) for k in range(m + 1)]
 
 
 class TestTransitionProbability:

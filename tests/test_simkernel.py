@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sdlb import queueing, simkernel, streams
-from sdlb.config import MAX_CAPACITY, TopologySpec, default_config
+from sdlb.config import MAX_CAPACITY, MEMORY_BUDGET, TopologySpec, default_config
 from sdlb.queueing import (
     CROSSING_MOVES,
     FirstOrderValidityError,
@@ -208,6 +208,22 @@ class TestRunCellMc:
         top = np.flatnonzero(stats.occupancy_freq)[-1]
         assert 0 < top < 100
         assert not stats.occupancy_freq[top + 1:].any() and not stats.occupancy_se[top + 1:].any()
+
+    def test_memory_of_a_chain_that_fills_to_m(self):
+        # lam/mu = 1e6 fills the chain to MAX_CAPACITY, so the totals and one
+        # chunk's batch tallies each reach 64 x (m + 1) float64, MEMORY_BUDGET
+        # together, and the O(m) tables add about 23 MiB. Widening the totals
+        # beside the chunk's tallies, or a last doubling that copies a nearly
+        # full array, takes up to 2.1 times the budget
+        p = params(lam=1e6, mu=1.0, m=MAX_CAPACITY, k1=0, k2=1)
+        tracemalloc.start()
+        try:
+            stats = run_cell_mc(p, horizon_for_events(p, 400_000), 1e-7, 1).per_type[UMTS]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.occupancy_freq[MAX_CAPACITY] > 0
+        assert peak <= 1.15 * MEMORY_BUDGET, f"{peak / MEMORY_BUDGET:.2f} x MEMORY_BUDGET"
 
     def test_occupancy_matches_closed_form(self):
         p = params(lam=1.0, mu=1.0, m=2, k1=1, k2=2)
@@ -405,7 +421,8 @@ def lane_thresholds(m, loads, n, seed, blocked=()):
     c = np.empty(n, np.int64)
     for part, load in zip(np.array_split(np.arange(n), len(loads)), loads):
         tot = np.array([1.0 + j / load for j in range(m + 1)])
-        c[part] = _arrival_thresholds(rng.random(part.size), tot, 1.0, 1 / load)
+        below = np.concatenate(([0.0], tot, [np.nan]))
+        c[part] = _arrival_thresholds(rng.random(part.size), below, 1.0, 1 / load)
     for lo, length in blocked:
         c[lo:lo + length] = m + 1
     return c
@@ -553,7 +570,8 @@ class TestCellKernelBitIdentity:
         u = edge[:, None] + np.arange(-4, 5) * np.spacing(edge)[:, None]
         u = np.append(np.clip(u.ravel(), 0.0, np.nextafter(1.0, 0.0)), 0.0)
         want = (u[:, None] * tot < lam).sum(axis=1)
-        assert np.array_equal(_arrival_thresholds(u, tot, lam, mu), want)
+        below = np.concatenate(([0.0], tot, [np.nan]))
+        assert np.array_equal(_arrival_thresholds(u, below, lam, mu), want)
 
     @pytest.mark.parametrize("m", [1, 2, 20, 300])
     def test_walk_matches_plain_loop(self, m):
