@@ -74,7 +74,8 @@ _RESCALE_LIMIT = 1e280
 # the Poisson tail each series drops
 _UNIFORM_MEAN = 256.0
 _POISSON_TAIL = 1e-18
-# the oracle runs on the chain's support: the states up to the first one
+# a chain's support (``StateDistribution.support``), on which the oracle
+# runs and occupancy is judged per state: the states up to the first one
 # above which pi holds less than this
 _SUPPORT_TAIL = 1e-300
 
@@ -175,6 +176,15 @@ class StateDistribution:
     def blocking(self) -> float:
         return float(self.probs[-1])
 
+    @property
+    def support(self) -> int:
+        """The last state b of the support 0..b: the first state above
+        which pi holds less than ``_SUPPORT_TAIL`` in all, so b <= m."""
+        import numpy as np
+
+        above = np.append(np.cumsum(self.probs[:0:-1])[::-1], 0.0)  # above[j]: mass above j
+        return int(np.argmax(above < _SUPPORT_TAIL))
+
 
 def state_probabilities(p: SystemTypeParams) -> StateDistribution:
     """Stationary M/M/m/m occupancy probabilities.
@@ -259,10 +269,10 @@ def exact_zone_moves(p: SystemTypeParams, T: float) -> list[float]:
     diagonal here holds the probability of ending in the starting zone
     (the simulators tally it as 0), so the 25 entries sum to 1.
 
-    The chain runs on its support 0..b, b the first state above which
-    pi holds less than ``_SUPPORT_TAIL``, with arrivals at b blocked, so
-    the cost follows b, not m. Started from pi, the two chains part only
-    where the start lies above b or an arrival finds b within T; that has
+    The chain runs on its support 0..b (``StateDistribution.support``)
+    with arrivals at b blocked, so the cost follows b, not m. Started
+    from pi, the two chains part only where the start lies above b or
+    an arrival finds b within T; that has
     probability at most pi(> b) + lam*T*pi_b = pi(> b) + (b+1)*mu*T*pi_{b+1},
     below (1 + (b+1)*mu*T) * ``_SUPPORT_TAIL``, and that bounds how far
     the cap moves an entry.
@@ -284,9 +294,8 @@ def exact_zone_moves(p: SystemTypeParams, T: float) -> list[float]:
         raise ValueError(f"(lam + m*mu) * T must be finite, got {full}")
     import numpy as np
 
-    pi = state_probabilities(p).probs
-    above = np.append(np.cumsum(pi[:0:-1])[::-1], 0.0)  # above[j]: pi's mass above j
-    b = int(np.argmax(above < _SUPPORT_TAIL))
+    dist = state_probabilities(p)
+    pi, b = dist.probs, dist.support
     # a support of one state (lam = 0) still has a positive rate
     rate = lam + max(b, 1) * mu
     k = np.arange(b + 1)

@@ -116,6 +116,8 @@ def validate_against_analytic(stats: CellStats) -> ValidationVerdict:
     band floor: occupancy frequencies over events, floored by 3 batch-means
     standard errors; blocking over arrivals; the four per-window
     transition frequencies over windows, floored by CROSSING_TOL relative.
+    Occupancy is judged per state on the support 0..b of the stationary
+    law, and the states past b, if any, as one: ``occupancy[>b]``, floor 0.
     Propagates the first-order validity error for a too-coarse window.
     """
     p, T = stats.params, stats.window
@@ -128,11 +130,16 @@ def validate_against_analytic(stats: CellStats) -> ValidationVerdict:
     too_few = events < MIN_EVENTS
 
     checks = []
-    for k in range(p.m + 1):
+    b = dist.support
+    for k in range(b + 1):
         emp = float(stats.occupancy_freq[k])
         batch_se = float(stats.occupancy_se[k]) if stats.occupancy_se is not None else 0.0
         checks.append(_judge(f"occupancy[{k}]", emp, float(dist.probs[k]), events,
                              emp * events, 3.0 * batch_se, too_few))
+    if b < p.m:
+        emp = float(stats.occupancy_freq[b + 1:].sum())
+        checks.append(_judge(f"occupancy[>{b}]", emp, float(dist.probs[b + 1:].sum()), events,
+                             emp * events, 0.0, too_few))
     if stats.arrivals > 0:
         checks.append(_judge("blocking", stats.blocked / stats.arrivals, dist.blocking,
                              stats.arrivals, stats.blocked, 0.0, too_few))

@@ -3,6 +3,8 @@ import hashlib
 import importlib
 import json
 import math
+import os
+import subprocess
 import sys
 import time
 import types
@@ -14,7 +16,7 @@ import pytest
 
 from sdlb import cli
 from sdlb.cli import main
-from sdlb.config import ScenarioConfig, default_config
+from sdlb.config import MAX_CAPACITY, MEMORY_BUDGET, ScenarioConfig, default_config
 from sdlb.reliability import MAX_LMMS
 
 
@@ -315,6 +317,18 @@ class TestFailedFiguresWriteNothing:
             assert (out / fig).read_text() == f"stale {fig}\n"
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# ``sdlb`` on its arguments; stderr's last line is the exit code and the
+# process's peak RSS (``ru_maxrss``)
+CHILD_WITH_PEAK_RSS = """
+import resource, sys
+from sdlb.cli import main
+code = main(sys.argv[1:])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+"""
+
+
 class TestValidate:
     def test_default_preset_passes(self, tmp_path, config_path):
         out = tmp_path / "val"
@@ -370,6 +384,32 @@ class TestValidate:
             "(from types.wimax.lam = 1e-300, sim.target_events = 20000, overhead.T = 0.1)\n")
         assert not (out / "validation_report.txt").exists()
         assert not out.exists()
+
+    def test_largest_capacity_in_bounded_memory_and_output(self, tmp_path):
+        # UMTS at m = MAX_CAPACITY with lam/mu near 1 and T = 1: the oracle
+        # and the per-state checks run on the support (0..170), the cell
+        # kernel's tallies on the occupancy reached. Run in a fresh
+        # interpreter, so that its peak RSS is this run's alone
+        doc = default_config().to_dict()
+        doc["types"]["umts"].update(lam=0.5, mu=0.45, m=MAX_CAPACITY, k1=0, k2=1)
+        doc["overhead"]["T"] = 1.0
+        doc["topology"].update(grid_count=3, cells_per_grid=1)
+        doc["sim"]["target_events"] = 20_000
+        path = tmp_path / "capacity.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "val"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+        run = subprocess.run(
+            [sys.executable, "-c", CHILD_WITH_PEAK_RSS, "validate", "--config", str(path),
+             "--target-events", "20000", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        code, rss = map(int, run.stderr.splitlines()[-1].split())
+        assert code <= 1, run.stderr
+        assert rss * 1024 <= MEMORY_BUDGET  # ru_maxrss is in KiB on Linux
+        lines = (out / "validation_report.txt").read_text().splitlines()
+        assert len(lines) < 1000
 
     def test_tiny_run_reports_insufficient_samples(self, tmp_path):
         doc = default_config().to_dict()
@@ -803,8 +843,19 @@ def heavy_scenario_doc():
     return doc
 
 
-# SHA-256 of ``sdlb scenario``'s output files, recorded from the report tick
-# that classified every changed cell: the CLI must keep writing these bytes
+def border_burst_doc():
+    """The same traffic with LMM 1 failing and 20 border requests at 5.0 s,
+    a report-tick and heartbeat instant: arrivals, departures and control
+    events all queued, and control events sharing an instant."""
+    doc = heavy_scenario_doc()
+    doc["sim"].update(faults=[{"time": 7.0, "lmm_id": 1}],
+                      borders=[{"time": 5.0, "cell_id": c} for c in range(20)])
+    return doc
+
+
+# SHA-256 of ``sdlb scenario``'s output files: the CLI must keep writing
+# these bytes. The first two were recorded from the report tick that
+# classified every changed cell, the border burst from the zone-table tick
 SCENARIO_GOLDEN = {
     "baseline": (
         default_config().to_dict, [],
@@ -816,6 +867,12 @@ SCENARIO_GOLDEN = {
         {"scenario_report.csv":
          "63ef47e6bd4db40dca14b66f955de4db7395c3455742d1061e82ab72ab9c8c89",
          "trace.csv": "b606b2d599f37af13bddd276824deba1ccd5ec2661d96722c60c18ca39694c19"},
+    ),
+    "border_burst_traced": (
+        border_burst_doc, ["--trace"],
+        {"scenario_report.csv":
+         "35f3ad33002eeae93154b8e7d420b22aac4ab85fde4ef3ca75c33563be27f034",
+         "trace.csv": "c3ebc52abd3c77f9fe33ee657b6a5b5a7be47470b7cf8f76de656fe18f1493d4"},
     ),
 }
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from sdlb.config import MAX_CAPACITY
 from sdlb.queueing import (
     FirstOrderValidityError,
     LoadState,
@@ -227,6 +228,33 @@ class TestStateProbabilities:
         for k in (4999, 5000, 5001, 7500):
             oracle = float(weights[k] / total)
             assert dist.probs[k] == pytest.approx(oracle, rel=1e-12)
+
+
+def reference_support(probs):
+    """The first state j whose upper tail, the sum of pi above j by
+    ``math.fsum``, is below 1e-300; the exact zeros at the top add nothing."""
+    probs = np.trim_zeros(probs, "b").tolist()
+    return next(j for j in range(len(probs)) if math.fsum(probs[j + 1:]) < 1e-300)
+
+
+class TestSupport:
+    @given(
+        lam=st.floats(min_value=0.0, max_value=50.0),
+        mu=st.floats(min_value=0.01, max_value=10.0),
+        m=st.integers(min_value=1, max_value=400),
+    )
+    def test_matches_reference(self, lam, mu, m):
+        dist = state_probabilities(SystemTypeParams(lam=lam, mu=mu, m=m, k1=0, k2=m))
+        assert dist.support == reference_support(dist.probs)
+
+    @pytest.mark.parametrize("lam, mu, m, b", [
+        (0.5, 0.05, 80, 80),  # baseline WLAN: all of m
+        (0.0, 1.0, 5, 0),  # no traffic
+        (0.5, 0.45, MAX_CAPACITY, 170),  # the capacity kind
+    ])
+    def test_examples(self, lam, mu, m, b):
+        dist = state_probabilities(SystemTypeParams(lam=lam, mu=mu, m=m, k1=0, k2=m))
+        assert dist.support == reference_support(dist.probs) == b
 
 
 class TestClassifyLoad:

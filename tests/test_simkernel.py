@@ -1582,6 +1582,29 @@ class TestValidateAgainstAnalytic:
                 for crossing, c in zip(TransitionKind, checks[-4:])
             ]
 
+    # lam/mu near 1 at m = 5000: the stationary law's support ends at 170
+    past_support = params(lam=0.5, mu=0.45, m=5000, k1=0, k2=1)
+
+    def past_support_series(self):
+        p = self.past_support
+        return run_cell_mc(p, horizon_for_events(p, 20_000), 1.0, 1).per_type[UMTS]
+
+    def test_states_past_the_support_are_judged_as_one(self):
+        checks = validate_against_analytic(self.past_support_series()).checks
+        occupancy = [c for c in checks if c.name.startswith("occupancy")]
+        assert [c.name for c in occupancy] == [
+            *(f"occupancy[{k}]" for k in range(171)), "occupancy[>170]"]
+        assert checks[:len(occupancy)] == occupancy
+        assert occupancy[-1].status == "insufficient samples"
+
+    def test_time_past_the_support_fails(self):
+        stats = self.past_support_series()
+        freq = 0.99 * stats.occupancy_freq
+        freq[-1] += 0.01  # at m, the last state past the support
+        verdict = validate_against_analytic(dataclasses.replace(stats, occupancy_freq=freq))
+        assert [c.status for c in verdict.checks if c.name == "occupancy[>170]"] == ["fail"]
+        assert not verdict.passed
+
     @pytest.mark.parametrize("observed,expected,band,z", [
         (0.75, 0.5, 0.75, 1.0),
         (0.25, 0.5, 0.375, -2.0),
