@@ -70,16 +70,19 @@ WORK_CAP = 10**9
 # 64 x (m + 1) each (64 is ``simkernel._BATCHES``, which set-up does not
 # import; a test ties the two), so a capacity m may be at most
 # MAX_CAPACITY = 262 143. What else the kernel keeps is O(m) and small
-# beside them: the rate, zone and result tables and the successor list,
-# about 23 MiB at MAX_CAPACITY (a Tier-1 test bounds the whole).
+# beside them: the rate, zone and result tables and the successor list
+# (grown to the occupancies reached), about 23 MiB at MAX_CAPACITY (a
+# Tier-1 test bounds the whole).
 MEMORY_BUDGET = 256 * 2**20
 MAX_CAPACITY = MEMORY_BUDGET // (2 * 64 * 8) - 1
 # The protocol simulator (``run_system_sim``) must fit in the same budget.
-# Each of its cells * kinds streams keeps an RNG, a draw buffer and
-# tallies: tracemalloc measured 1140-1256 B per stream at a horizon of
-# 1e-6 on 2100 and 21 000 cells. Each of a stream's at most m live
-# sessions keeps an id and a queued departure: 211-236 B per occupied
-# server in saturated 3-cell runs at m = 1000-4000.
+# Each of its cells * kinds streams keeps a draw buffer and tallies, and
+# a generator only once it refills: tracemalloc measured 414-425 B per
+# stream at a horizon of 1e-6 on 2100 and 21 000 cells, where none
+# refills, and 1141 B over 10 s on 2100 baseline cells (a busy stream's
+# 64-draw buffer takes more: ROADMAP item 21). Each of a stream's at
+# most m live sessions keeps an id and a queued departure:
+# 211-236 B per occupied server in saturated 3-cell runs at m = 1000-4000.
 STREAM_BYTES = 1280
 SESSION_BYTES = 240
 

@@ -48,13 +48,14 @@ Determinism: one RNG stream per (cell, kind), the PCG64 stream of
 perturbs existing streams; the seed states of all streams are hashed in
 one vectorised pass (``sdlb.streams``). Draws come in buffered blocks
 that equal the scalar draws bit for bit; a stream's first block is sized
-from the draws it is expected to make by the horizon, so most streams
-refill once. Events wait in three queues: each stream's next arrival
-(time, stream), the departures (time, stream, session id), and the
-control events, ticks, heartbeat rounds, takeovers and border instants
-(time, rank, tick number or LMM id). The loop takes the earliest head;
-at equal times an arrival goes first, then a departure, then the
-control events by rank (``_TICK``, ``_HEARTBEAT``, ``_TAKEOVER``,
+from the draws it is expected to make by the horizon and drawn at
+set-up, so most streams never refill, and only those that do keep a
+generator (``_Draws``). Events wait in three queues: each stream's next
+arrival (time, stream), the departures (time, stream, session id), and
+the control events, ticks, heartbeat rounds, takeovers and border
+instants (time, rank, tick number or LMM id). The loop takes the
+earliest head; at equal times an arrival goes first, then a departure,
+then the control events by rank (``_TICK``, ``_HEARTBEAT``, ``_TAKEOVER``,
 ``_BORDER``), and within a queue ties break by ids. Identical inputs give
 byte-identical reports.
 """
@@ -172,7 +173,7 @@ def _lane_dtype(m):
     return next(t for t in (np.int8, np.int16, np.int32, np.int64) if m + 1 <= np.iinfo(t).max)
 
 
-def _lane_walk(k, c, up, s0):
+def _lane_walk(k, c, up, m, s0):
     """``_walk``'s occupancies, with every segment after the first read off lanes.
 
     The events are cut into segments of ``_SEG``. Segment s gets two lanes,
@@ -192,7 +193,6 @@ def _lane_walk(k, c, up, s0):
     n = c.size - c.size % _SEG
     if n < 2 * _SEG:
         return _walk(k, c, up)
-    m = len(up) - 1
     ks = np.empty(c.size, c.dtype)
     ks[:_SEG], k = _walk(k, c[:_SEG], up)
     segs = c[:n].reshape(-1, _SEG)
@@ -238,26 +238,32 @@ def _lane_walk(k, c, up, s0):
     return ks, k
 
 
-def _walk_span(k, exps, unis, budget, below, lam, mu, up, s0):
+def _walk_span(k, exps, unis, budget, below, lam, mu, up, m, s0):
     """Thresholds and occupancies for the events of ``exps``/``unis`` ahead.
 
     One block is walked plainly. With lanes (``s0`` not None) the span is
     as many blocks, the last possibly short, as surely end within
     ``budget``, the time left times lam (an event lasts exps[i] / tot[k]
     <= exps[i] / lam), if that repays the lanes; so no lane walks past
-    the horizon.
+    the horizon. ``up[j]`` = min(j + 1, m) is first grown, in place, to
+    every occupancy the span can reach: k plus its events, at most m.
     """
     n = 0
     if s0 is not None:
         sums = np.add.reduceat(exps, np.arange(0, exps.size, _BLOCK))
         n = min(int(np.searchsorted(np.cumsum(sums), budget)) * _BLOCK, exps.size)
-    if n < _LANE_MIN:
+    lanes = n >= _LANE_MIN
+    top = min(k + (n if lanes else _BLOCK), m)
+    if len(up) <= top:
+        up += range(len(up) + 1, top + 2)
+        up[-1] = min(top + 1, m)
+    if not lanes:
         c = _arrival_thresholds(unis[:_BLOCK], below, lam, mu)
         return (c, *_walk(k, c, up))
-    c = np.empty(n, _lane_dtype(len(up) - 1))
+    c = np.empty(n, _lane_dtype(m))
     for lo in range(0, n, _BLOCK):
         c[lo:lo + _BLOCK] = _arrival_thresholds(unis[lo:lo + _BLOCK], below, lam, mu)
-    return (c, *_lane_walk(k, c, up, s0))
+    return (c, *_lane_walk(k, c, up, m, s0))
 
 
 def _widen(a, width):
@@ -458,7 +464,7 @@ def run_cell_mc(
     inv_b = 1.0 / batch_len
     below = np.concatenate(([0.0], lam + np.arange(m + 1) * p.mu, [np.nan]))
     tot = below[1:-1]  # tot[k] = lam + k*mu
-    up = [*range(1, m + 1), m]
+    up = []  # up[k] = min(k + 1, m), grown by _walk_span to the occupancies reachable
     load = min(lam / p.mu, m)
     s0 = int(min(load, m - 1)) if load <= _LANE_LOAD else None  # lanes start at the mode
 
@@ -477,7 +483,7 @@ def run_cell_mc(
             if lo - start == len(ks):
                 start = lo
                 c_span, ks, k_span = _walk_span(k, exps[lo:], unis[lo:], (horizon - t) * lam,
-                                                below, lam, p.mu, up, s0)
+                                                below, lam, p.mu, up, m, s0)
                 top = max(int(ks.max()), k_span) + 1
                 if top > width:
                     # past half of m + 1, all of it: no copy of a nearly full array
@@ -555,24 +561,40 @@ class _Draws:
 
     ``exponential(scale)`` is ``scale * standard_exponential()``, and a
     block of n standard draws is the next n scalar ones, so ``scale *
-    draw(s)`` is bit for bit what ``rngs[s].exponential(scale)`` would
+    draw(s)`` is bit for bit what stream s's ``exponential(scale)`` would
     return. Buffers are reversed for ``pop()``. Stream s's first block is
-    ``first[s]`` draws; blocks then double up to 64, so a stream that
-    draws little holds little. Hot loops inline ``draw``: ``buf.pop() if
-    buf else refill(s)``.
+    ``first[s]`` draws, taken here from a generator built from its
+    ``states`` row and then dropped; blocks then double up to 64, so a
+    stream that draws little holds little. Only a stream's first refill
+    builds its generator again, from the same row, skipping the first
+    block; ``rngs`` keeps it from then on, so a stream that never refills
+    holds none. Hot loops inline ``draw``: ``buf.pop() if buf else
+    refill(s)``.
     """
 
-    def __init__(self, rngs: list[np.random.Generator], first: list[int]):
-        self.rngs = rngs
-        self.bufs: list[list[float]] = [[] for _ in rngs]
-        self.block = first
+    def __init__(self, states: np.ndarray, first: list[int]):
+        from .streams import stream_rng  # loads numpy.random: see run_system_sim
+
+        self.states, self.first = states, first
+        self.rngs: dict[int, np.random.Generator] = {}
+        self.bufs: list[list[float]] = [stream_rng(state).standard_exponential(n)[::-1].tolist()
+                                        for state, n in zip(states, first)]
+        self.block = [min(2 * n, 64) for n in first]
 
     def refill(self, s: int) -> float:
         """Refill stream s's empty buffer and take its first draw."""
         n = self.block[s]
         self.block[s] = min(2 * n, 64)
+        rng = self.rngs.get(s)
+        if rng is None:
+            from .streams import stream_rng
+
+            rng = self.rngs[s] = stream_rng(self.states[s])
+            block = rng.standard_exponential(self.first[s] + n)[self.first[s]:]
+        else:
+            block = rng.standard_exponential(n)
         buf = self.bufs[s]
-        buf += self.rngs[s].standard_exponential(n)[::-1].tolist()
+        buf += block[::-1].tolist()
         return buf.pop()
 
     def draw(self, s: int) -> float:
@@ -625,7 +647,7 @@ def run_system_sim(
     # + ki, which orders the (cell, kind) pairs as the tuples would.
     n_streams = n_cells * n_kinds
     # imported here: it loads numpy.random, which the other commands never need
-    from .streams import stream_rngs
+    from .streams import stream_states
 
     # a stream draws about 2*lam*horizon + 1 times (an arrival and a
     # service per admission, plus the first arrival): its first block is
@@ -636,7 +658,7 @@ def run_system_sim(
         while n < 64 and n < 2 * p.lam * horizon + 1:
             n *= 2
         first.append(n)
-    draws = _Draws(stream_rngs(seed, n_cells, n_kinds), first * n_cells)
+    draws = _Draws(stream_states(seed, n_cells, n_kinds), first * n_cells)
     bufs, refill = draws.bufs, draws.refill
     arr_scale = [1.0 / p.lam if p.lam > 0 else None for p in params] * n_cells
     svc_scale = [1.0 / p.mu for p in params] * n_cells

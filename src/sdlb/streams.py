@@ -5,16 +5,16 @@ stream of ``default_rng(SeedSequence(seed, spawn_key=(c, ki)))``, so
 adding cells never perturbs existing streams. NumPy's ``SeedSequence``
 is a fixed uint32 hash (O'Neill's seed_seq_fe, NEP 19) and every
 stream's entropy has the same length, so ``stream_states`` hashes all
-streams at once, bit for bit, and each generator is built from its
-precomputed state: about a seventh of the time of one ``SeedSequence``
-per stream.
+streams at once, bit for bit, and ``stream_rng`` builds a stream's
+generator from its precomputed state: about a seventh of the time of
+one ``SeedSequence`` per stream.
 """
 from __future__ import annotations
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["stream_rngs", "stream_states"]
+__all__ = ["stream_rng", "stream_states"]
 
 # SeedSequence's hash constants: each steps by a multiply per use
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -92,7 +92,6 @@ class _FixedSeed(ISeedSequence):
         return self.state
 
 
-def stream_rngs(seed: int, n_cells: int, n_kinds: int) -> list[np.random.Generator]:
-    """The generator of every (cell, kind) stream, in stream order."""
-    return [np.random.Generator(np.random.PCG64(_FixedSeed(state)))
-            for state in stream_states(seed, n_cells, n_kinds)]
+def stream_rng(state: np.ndarray) -> np.random.Generator:
+    """The generator of the stream whose ``stream_states`` row is ``state``."""
+    return np.random.Generator(np.random.PCG64(_FixedSeed(state)))

@@ -191,10 +191,11 @@ class TestRunCellMc:
 
     def test_tallies_follow_the_occupancy_reached_not_m(self):
         # at MAX_CAPACITY with lam/mu near 1 the chain stays within a few
-        # dozen states. The peak, about 21 MiB, is the O(m) tables: the
-        # successor list's Python ints (about 10 MiB), the rates, the zones
-        # and the two result arrays (2 MiB each). Two (64, m + 1) float64
-        # batch tallies would take 256 MiB.
+        # dozen states. The peak, about 11.3 MiB, is the O(m) arrays: the
+        # rates, the zones and the two result arrays (2 MiB each). The
+        # successor list grows only to the occupancies reachable: built to
+        # m, its Python ints would add 10 MiB. Two (64, m + 1) float64 batch
+        # tallies would take 256 MiB.
         p = params(lam=0.5, mu=0.45, m=MAX_CAPACITY, k1=0, k2=1)
         tracemalloc.start()
         try:
@@ -202,7 +203,7 @@ class TestRunCellMc:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2**20
+        assert peak < 13 * 2**20
         assert stats.events >= 20_000
         assert stats.occupancy_freq.shape == stats.occupancy_se.shape == (MAX_CAPACITY + 1,)
         top = np.flatnonzero(stats.occupancy_freq)[-1]
@@ -573,6 +574,21 @@ class TestCellKernelBitIdentity:
         below = np.concatenate(([0.0], tot, [np.nan]))
         assert np.array_equal(_arrival_thresholds(u, below, lam, mu), want)
 
+    @pytest.mark.parametrize("k0,m,s0", [
+        (0, 3 * simkernel._BLOCK, None), (0, 9 * simkernel._BLOCK, 0),
+        (100, 100 + simkernel._BLOCK // 2, None), (7, 7, None),
+    ])
+    def test_successor_list_grows_to_the_occupancies_reachable(self, k0, m, s0):
+        # every event an arrival (u = 0 gives c = m + 1): the walk climbs
+        # one state per event, the most any span can, up to the cap
+        n = simkernel._LANE_MIN if s0 is not None else simkernel._BLOCK
+        below = np.concatenate(([0.0], 1.0 + np.arange(m + 1.0), [np.nan]))
+        up = []
+        c, ks, k = simkernel._walk_span(k0, np.ones(n), np.zeros(n), math.inf, below,
+                                        1.0, 1.0, up, m, s0)
+        assert ks.tolist() == [min(k0 + i, m) for i in range(n)] and k == min(k0 + n, m)
+        assert up == [min(j + 1, m) for j in range(min(k0 + n, m) + 1)]
+
     @pytest.mark.parametrize("m", [1, 2, 20, 300])
     def test_walk_matches_plain_loop(self, m):
         rng = np.random.default_rng(m)
@@ -609,7 +625,7 @@ class TestCellKernelBitIdentity:
         m, k0, s0, c = case
         up = [min(j + 1, m) for j in range(m + 1)]
         want, k_want = _walk(k0, c, up)
-        got, k_got = simkernel._lane_walk(k0, c.astype(simkernel._lane_dtype(m)), up, s0)
+        got, k_got = simkernel._lane_walk(k0, c.astype(simkernel._lane_dtype(m)), up, m, s0)
         assert got.tolist() == want.tolist()
         assert k_got == k_want
 
@@ -628,7 +644,7 @@ class TestCellKernelBitIdentity:
         counts = dict(zip(["switch", "run of breaks", "miss"], lane_features(s0, c, up, s0)))
         assert all(counts[name] for name in meets), counts
         want_ks, want_k = _walk(s0, c, up)
-        got_ks, got_k = simkernel._lane_walk(s0, c.astype(simkernel._lane_dtype(m)), up, s0)
+        got_ks, got_k = simkernel._lane_walk(s0, c.astype(simkernel._lane_dtype(m)), up, m, s0)
         assert got_ks.tolist() == want_ks.tolist() and got_k == want_k
 
     @settings(max_examples=200, deadline=None)
@@ -1060,9 +1076,13 @@ class TestPerStreamState:
         # from a first block of 4, refills come at draws 0, 4, 12, 28, 60,
         # 124, 188 and 252, so the blocks of 4, 8, 16, 32 and 64 and two
         # refills at 64 are all crossed; from 16 at 0, 16, 48, 112, 176 and
-        # 240, from 64 at 0, 64, 128, 192 and 256
+        # 240, from 64 at 0, 64, 128, 192 and 256. The first block is drawn
+        # at 0 by the constructor, and the refill at ``first`` crosses to the
+        # rebuilt generator
         scales = [2.0, 1 / 3, 1e-3, 0.05, 7.5, 1e12]
-        draws = simkernel._Draws([np.random.default_rng(np.random.SeedSequence(seed))], [first])
+        state = np.random.SeedSequence(seed).generate_state(4, np.uint64)
+        draws = simkernel._Draws(state[None], [first])
+        assert not draws.rngs
         scalar = np.random.default_rng(np.random.SeedSequence(seed))
         got, want = [], []
         for i in range(300):
@@ -1070,25 +1090,49 @@ class TestPerStreamState:
             got.append(scale * draws.draw(0))
             want.append(scalar.exponential(scale))
         assert draws.block == [64]
+        assert list(draws.rngs) == [0]
         assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @staticmethod
+    def kept_draws(monkeypatch):
+        """The ``_Draws`` of every run_system_sim call from here on."""
+        made = []
+        init = simkernel._Draws.__init__
+
+        def keep(self, *args):
+            init(self, *args)
+            made.append(self)
+
+        monkeypatch.setattr(simkernel._Draws, "__init__", keep)
+        return made
 
     def test_first_block_covers_a_short_run(self, monkeypatch):
         # 700 cells x 10 s of baseline traffic: a stream draws about 11
-        # times, so a first block of 16 refills about 1.1 times per stream;
-        # blocks of 4, 8, 16 from the start refill about 2.3 times
-        calls = [0]
-        refill = simkernel._Draws.refill
-
-        def counted(self, s):
-            calls[0] += 1
-            return refill(self, s)
-
-        monkeypatch.setattr(simkernel._Draws, "refill", counted)
+        # times, so with a first block of 16 about one stream in eight
+        # refills and builds its generator again (0.13 per stream);
+        # blocks of 4, 8, 16 from the start would rebuild nearly every one
+        made = self.kept_draws(monkeypatch)
         topo = build_topology(100, 7)
         report = run_system_sim(topo, small_types(), SimScenario(), 10.0, 3)
         streams_ = topo.cell_count * len(AccessNetworkKind)
         assert sum(s.arrivals for s in report.per_type.values()) > 2 * streams_
-        assert calls[0] <= 1.3 * streams_
+        assert 0 < len(made[0].rngs) <= 0.3 * streams_
+
+    def test_streams_that_never_refill_hold_no_generator(self, monkeypatch):
+        # 2100 baseline cells for a microsecond: no stream draws past its
+        # first block. A generator kept per stream takes about 700 B of
+        # Python objects, 1131 B per stream in all against 414 B without
+        made = self.kept_draws(monkeypatch)
+        topo = build_topology(300, 7)
+        run_system_sim(BASELINE_TOPO, small_types(), SimScenario(), 1e-6, 1)  # lazy set-up
+        tracemalloc.start()
+        try:
+            run_system_sim(topo, small_types(), SimScenario(), 1e-6, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert made[-1].rngs == {}
+        assert peak < 700 * topo.cell_count * len(AccessNetworkKind)
 
     def test_memory_does_not_grow_with_the_horizon(self):
         # about 90 live sessions at any time and no over-loaded cell, so no
@@ -1141,7 +1185,8 @@ class TestBulkStreamSeeding:
 
     @pytest.mark.parametrize("seed", [0, 2**32, 2**63 - 1])
     def test_generators_draw_as_default_rng(self, seed):
-        for s, built in enumerate(streams.stream_rngs(seed, 7, 3)):
+        for s, state in enumerate(streams.stream_states(seed, 7, 3)):
+            built = streams.stream_rng(state)
             want = np.random.default_rng(spawned(seed, *divmod(s, 3)))
             assert (built.standard_exponential(100).tobytes()
                     == want.standard_exponential(100).tobytes())
