@@ -110,7 +110,7 @@ __all__ = [
 
 _CHUNK = 1 << 16  # events drawn at a time
 _BATCHES = 64  # equal time slices for the batch-means standard errors
-_BLOCK = 1 << 13  # events per vector stage: bounds the temporaries' memory
+_BLOCK = 1 << 13  # events per vector stage and uniform draw: bounds the temporaries' memory
 _SEG = 128  # events per lane segment
 _LEAD = 64  # events a segment's lanes run before the segment starts
 # Lanes pay where the chain forgets its start within the lead: where
@@ -238,8 +238,8 @@ def _lane_walk(k, c, up, m, s0):
     return ks, k
 
 
-def _walk_span(k, exps, unis, budget, below, lam, mu, up, m, s0):
-    """Thresholds and occupancies for the events of ``exps``/``unis`` ahead.
+def _walk_span(k, exps, c, budget, up, m, s0):
+    """Occupancies for the events of ``exps`` ahead, whose thresholds are ``c``.
 
     One block is walked plainly. With lanes (``s0`` not None) the span is
     as many blocks, the last possibly short, as surely end within
@@ -247,6 +247,7 @@ def _walk_span(k, exps, unis, budget, below, lam, mu, up, m, s0):
     <= exps[i] / lam), if that repays the lanes; so no lane walks past
     the horizon. ``up[j]`` = min(j + 1, m) is first grown, in place, to
     every occupancy the span can reach: k plus its events, at most m.
+    The dtype of ``c`` must hold m + 1.
     """
     n = 0
     if s0 is not None:
@@ -258,12 +259,8 @@ def _walk_span(k, exps, unis, budget, below, lam, mu, up, m, s0):
         up += range(len(up) + 1, top + 2)
         up[-1] = min(top + 1, m)
     if not lanes:
-        c = _arrival_thresholds(unis[:_BLOCK], below, lam, mu)
-        return (c, *_walk(k, c, up))
-    c = np.empty(n, _lane_dtype(m))
-    for lo in range(0, n, _BLOCK):
-        c[lo:lo + _BLOCK] = _arrival_thresholds(unis[lo:lo + _BLOCK], below, lam, mu)
-    return (c, *_lane_walk(k, c, up, m, s0))
+        return _walk(k, c[:_BLOCK], up)
+    return _lane_walk(k, c[:n], up, m, s0)
 
 
 def _widen(a, width):
@@ -302,9 +299,9 @@ def _add_intervals(occ, bt, kb, tp, tn, inv_b, batch_len):
     ends = tn * inv_b
     b = min(int(tp[0] * inv_b), last)
     # min(int(t * inv_b), last) >= j, for j <= last, iff t * inv_b >= j
-    cross = np.unique(np.searchsorted(ends, np.arange(b + 1, min(int(ends[-1]), last) + 1)))
+    cross = np.searchsorted(ends, np.arange(b + 1, min(int(ends[-1]), last) + 1)).tolist()
     start = 0
-    for i in [*cross.tolist(), len(kb)]:
+    for i in [*dict.fromkeys(cross), len(kb)]:  # non-decreasing: deduped in order
         np.add.at(occ, kb[start:i], dt[start:i])
         np.add.at(bt[b], kb[start:i], dt[start:i])
         if i < len(kb):
@@ -429,8 +426,10 @@ def run_cell_mc(
     Occupancy frequencies are time-weighted over the full horizon; their
     standard errors come from ``_BATCHES`` equal time slices (batch
     means). Zone moves are tallied between consecutive window boundaries
-    spaced ``window`` apart. Draws come ``_CHUNK`` at a time. Identical
-    seeds give bit-identical reports.
+    spaced ``window`` apart. Exponentials are drawn ``_CHUNK`` at a time;
+    the chunk's uniforms follow them in the stream, drawn ``_BLOCK`` at a
+    time and kept only as arrival thresholds. Identical seeds give
+    bit-identical reports.
 
     The occupancy walk is read off lanes (``_lane_walk``) where lam/mu,
     capped at m, is at most ``_LANE_LOAD``, over spans of whole blocks that
@@ -474,7 +473,12 @@ def run_cell_mc(
     done = lam <= 0
     while not done:
         exps = rng.standard_exponential(size=_CHUNK)
-        unis = rng.random(size=_CHUNK)
+        # the uniforms come next in the stream, a block at a time, kept only
+        # as thresholds: event i is an arrival iff its k < cs[i]
+        cs = np.empty(_CHUNK, _lane_dtype(m))
+        for lo in range(0, _CHUNK, _BLOCK):
+            part = cs[lo:lo + _BLOCK]
+            part[:] = _arrival_thresholds(rng.random(size=part.size), below, lam, p.mu)
         # per-chunk partial sums, the only tallies that grow; the totals join them at its end
         occ_c = np.zeros(width)
         bt_c = np.zeros((_BATCHES, width))
@@ -482,8 +486,7 @@ def run_cell_mc(
         for lo in range(0, _CHUNK, _BLOCK):
             if lo - start == len(ks):
                 start = lo
-                c_span, ks, k_span = _walk_span(k, exps[lo:], unis[lo:], (horizon - t) * lam,
-                                                below, lam, p.mu, up, m, s0)
+                ks, k_span = _walk_span(k, exps[lo:], cs[lo:], (horizon - t) * lam, up, m, s0)
                 top = max(int(ks.max()), k_span) + 1
                 if top > width:
                     # past half of m + 1, all of it: no copy of a nearly full array
@@ -491,7 +494,7 @@ def run_cell_mc(
                     width = m + 1 if 2 * width > m + 1 else width
                     occ_c, bt_c = _widen(occ_c, width), _widen(bt_c, width)
             i = lo - start
-            c = c_span[i:i + _BLOCK]
+            c = cs[lo:lo + _BLOCK]
             kb = ks[i:i + _BLOCK].astype(np.int64, copy=False)
             k_end = int(ks[i + _BLOCK]) if i + _BLOCK < len(ks) else k_span
             tn = exps[lo:lo + _BLOCK] / tot[kb]
@@ -517,6 +520,7 @@ def run_cell_mc(
         occ_c[:occ_time.size] += occ_time  # b + a is a + b, bit for bit
         bt_c[:, :occ_time.size] += batch_time
         occ_time, batch_time = occ_c, bt_c
+        del exps, cs, ks, kb, c, tn  # freed before the next chunk is drawn
 
     # the tail [t, horizon) at occupancy k
     _add_interval(occ_time, batch_time, k, t, horizon, inv_b, batch_len)

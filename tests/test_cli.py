@@ -320,13 +320,39 @@ class TestFailedFiguresWriteNothing:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 # ``sdlb`` on its arguments; stderr's last line is the exit code and the
-# process's peak RSS (``ru_maxrss``)
+# process's own peak RSS in KiB: ``VmHWM``, not ``ru_maxrss``, into which
+# Linux carries the parent's high-water mark across exec
 CHILD_WITH_PEAK_RSS = """
-import resource, sys
+import sys
 from sdlb.cli import main
 code = main(sys.argv[1:])
-print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+with open("/proc/self/status") as status:
+    hwm = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+print(code, hwm, file=sys.stderr)
 """
+
+
+def run_with_peak_rss(*args):
+    """``sdlb`` on ``args`` in a fresh interpreter: the completed process, the
+    exit code ``main`` returned and the child's own peak RSS in bytes."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    run = subprocess.run([sys.executable, "-c", CHILD_WITH_PEAK_RSS, *args],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    code, rss = map(int, run.stderr.splitlines()[-1].split())
+    return run, code, rss * 1024
+
+
+def test_peak_rss_is_the_childs_own(tmp_path):
+    # the parent's high-water mark rises by 64 MiB, touched so it is
+    # resident; the child's reported peak must not carry it
+    held = np.ones(64 * 2**20 // 8)
+    with open("/proc/self/status") as status:
+        parent = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    run, code, rss = run_with_peak_rss("figures", "--out", str(tmp_path / "figs"))
+    assert code == 0, run.stderr
+    assert 0 < rss < parent * 1024 - held.nbytes
 
 
 class TestValidate:
@@ -398,16 +424,10 @@ class TestValidate:
         path = tmp_path / "capacity.json"
         path.write_text(json.dumps(doc))
         out = tmp_path / "val"
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
-        run = subprocess.run(
-            [sys.executable, "-c", CHILD_WITH_PEAK_RSS, "validate", "--config", str(path),
-             "--target-events", "20000", "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert run.returncode == 0, run.stderr
-        code, rss = map(int, run.stderr.splitlines()[-1].split())
+        run, code, rss = run_with_peak_rss("validate", "--config", str(path),
+                                           "--target-events", "20000", "--out", str(out))
         assert code <= 1, run.stderr
-        assert rss * 1024 <= MEMORY_BUDGET  # ru_maxrss is in KiB on Linux
+        assert rss <= MEMORY_BUDGET
         lines = (out / "validation_report.txt").read_text().splitlines()
         assert len(lines) < 1000
 

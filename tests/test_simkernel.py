@@ -191,7 +191,7 @@ class TestRunCellMc:
 
     def test_tallies_follow_the_occupancy_reached_not_m(self):
         # at MAX_CAPACITY with lam/mu near 1 the chain stays within a few
-        # dozen states. The peak, about 11.3 MiB, is the O(m) arrays: the
+        # dozen states. The peak, about 9.3 MiB, is the O(m) arrays: the
         # rates, the zones and the two result arrays (2 MiB each). The
         # successor list grows only to the occupancies reachable: built to
         # m, its Python ints would add 10 MiB. Two (64, m + 1) float64 batch
@@ -209,6 +209,27 @@ class TestRunCellMc:
         top = np.flatnonzero(stats.occupancy_freq)[-1]
         assert 0 < top < 100
         assert not stats.occupancy_freq[top + 1:].any() and not stats.occupancy_se[top + 1:].any()
+
+    def test_baseline_kind_keeps_one_chunk_of_draws(self):
+        # the baseline WLAN kind at 10^6 events peaks near 1.17 MiB: a
+        # chunk's exponentials take 512 KiB; its uniforms, drawn a block at
+        # a time, are kept only as thresholds (64 KiB of int8), and a
+        # chunk's arrays go before the next chunk is drawn. Keeping the
+        # chunk's 512 KiB of uniforms and the last chunk's arrays peaked at
+        # 1.87 MiB. Measured on a second call: the first also counts what
+        # numpy loads lazily
+        cfg = default_config()
+        p = cfg.types[AccessNetworkKind.WLAN]
+        horizon = horizon_for_events(p, 10**6)
+        run_cell_mc(p, horizon, cfg.overhead.T, 1)
+        tracemalloc.start()
+        try:
+            stats = run_cell_mc(p, horizon, cfg.overhead.T, 1).per_type[UMTS]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.events >= 10**6
+        assert peak < 1.4 * 2**20, f"{peak / 2**20:.2f} MiB"
 
     def test_memory_of_a_chain_that_fills_to_m(self):
         # lam/mu = 1e6 fills the chain to MAX_CAPACITY, so the totals and one
@@ -579,13 +600,12 @@ class TestCellKernelBitIdentity:
         (100, 100 + simkernel._BLOCK // 2, None), (7, 7, None),
     ])
     def test_successor_list_grows_to_the_occupancies_reachable(self, k0, m, s0):
-        # every event an arrival (u = 0 gives c = m + 1): the walk climbs
+        # every event an arrival (c = m + 1, as u = 0 gives): the walk climbs
         # one state per event, the most any span can, up to the cap
         n = simkernel._LANE_MIN if s0 is not None else simkernel._BLOCK
-        below = np.concatenate(([0.0], 1.0 + np.arange(m + 1.0), [np.nan]))
+        c = np.full(n, m + 1, simkernel._lane_dtype(m))
         up = []
-        c, ks, k = simkernel._walk_span(k0, np.ones(n), np.zeros(n), math.inf, below,
-                                        1.0, 1.0, up, m, s0)
+        ks, k = simkernel._walk_span(k0, np.ones(n), c, math.inf, up, m, s0)
         assert ks.tolist() == [min(k0 + i, m) for i in range(n)] and k == min(k0 + n, m)
         assert up == [min(j + 1, m) for j in range(min(k0 + n, m) + 1)]
 
