@@ -76,13 +76,13 @@ WORK_CAP = 10**9
 MEMORY_BUDGET = 256 * 2**20
 MAX_CAPACITY = MEMORY_BUDGET // (2 * 64 * 8) - 1
 # The protocol simulator (``run_system_sim``) must fit in the same budget.
-# Each of its cells * kinds streams keeps a draw buffer and tallies, and
-# a generator only once it refills: tracemalloc measured 414-425 B per
-# stream at a horizon of 1e-6 on 2100 and 21 000 cells, where none
-# refills, and 1141 B over 10 s on 2100 baseline cells (a busy stream's
-# 64-draw buffer takes more: ROADMAP item 21). Each of a stream's at
-# most m live sessions keeps an id and a queued departure:
-# 211-236 B per occupied server in saturated 3-cell runs at m = 1000-4000.
+# Each of its cells * kinds streams keeps a buffer of packed draws and
+# tallies, and a generator only once it refills: tracemalloc measured
+# 362-372 B per stream at a horizon of 1e-6 on 2100 and 21 000 cells,
+# where none refills, and 815-847 B over 10 s on 2100 baseline cells (a
+# busy stream's generator takes more: ROADMAP item 21). Each of a
+# stream's at most m live sessions keeps an id and a queued departure:
+# 143-148 B per occupied server in saturated 3-cell runs at m = 1000-4000.
 STREAM_BYTES = 1280
 SESSION_BYTES = 240
 

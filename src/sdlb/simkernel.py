@@ -41,7 +41,8 @@ them on it.
 
 Each (cell, kind) pair is one stream: its occupancy, live sessions and
 draws sit at one index of flat per-stream lists, and a session is
-tracked only while it is live.
+tracked only while it is live. A stream's draws are packed doubles
+(``array('d')``) and its live sessions an ascending list of ids.
 
 Determinism: one RNG stream per (cell, kind), the PCG64 stream of
 ``SeedSequence(seed, spawn_key=(cell, kind))``, so adding cells never
@@ -61,9 +62,11 @@ byte-identical reports.
 """
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 from itertools import chain
 from typing import IO
@@ -566,9 +569,10 @@ class _Draws:
     ``exponential(scale)`` is ``scale * standard_exponential()``, and a
     block of n standard draws is the next n scalar ones, so ``scale *
     draw(s)`` is bit for bit what stream s's ``exponential(scale)`` would
-    return. Buffers are reversed for ``pop()``. Stream s's first block is
-    ``first[s]`` draws, taken here from a generator built from its
-    ``states`` row and then dropped; blocks then double up to 64, so a
+    return. Buffers are ``array('d')``, 8 B a draw, reversed for
+    ``pop()``, which returns the same Python float. Stream s's first
+    block is ``first[s]`` draws, taken here from a generator built from
+    its ``states`` row and then dropped; blocks then double up to 64, so a
     stream that draws little holds little. Only a stream's first refill
     builds its generator again, from the same row, skipping the first
     block; ``rngs`` keeps it from then on, so a stream that never refills
@@ -581,8 +585,9 @@ class _Draws:
 
         self.states, self.first = states, first
         self.rngs: dict[int, np.random.Generator] = {}
-        self.bufs: list[list[float]] = [stream_rng(state).standard_exponential(n)[::-1].tolist()
-                                        for state, n in zip(states, first)]
+        self.bufs: list[array] = [
+            array("d", stream_rng(state).standard_exponential(n)[::-1].tobytes())
+            for state, n in zip(states, first)]
         self.block = [min(2 * n, 64) for n in first]
 
     def refill(self, s: int) -> float:
@@ -598,7 +603,7 @@ class _Draws:
         else:
             block = rng.standard_exponential(n)
         buf = self.bufs[s]
-        buf += block[::-1].tolist()
+        buf.frombytes(block[::-1].tobytes())
         return buf.pop()
 
     def draw(self, s: int) -> float:
@@ -655,7 +660,8 @@ def run_system_sim(
 
     # a stream draws about 2*lam*horizon + 1 times (an arrival and a
     # service per admission, plus the first arrival): its first block is
-    # the power of two in 4..64 that covers that, so most refill once
+    # the power of two in 4..64 that covers that, so it covers most
+    # streams' draws and most never refill
     first = []
     for p in params:
         n = 4
@@ -683,8 +689,10 @@ def run_system_sim(
     # cells with an over-loaded and an under-loaded kind at the last tick
     both: set[int] = set()
 
-    # live session ids of each stream, oldest first; ids are global
-    live: list[dict[int, None]] = [{} for _ in range(n_streams)]
+    # live session ids of each stream, ascending: ids are global and only
+    # grow, and admission and migration both append a fresh one, so the
+    # oldest is first
+    live: list[list[int]] = [[] for _ in range(n_streams)]
     next_sid = 0
 
     arrivals = [0] * n_streams
@@ -732,6 +740,7 @@ def run_system_sim(
     push = heapq.heappush
     pop = heapq.heappop
     replace = heapq.heapreplace
+    bisect_left = bisect.bisect_left
 
     def emit(t: float, kind: str, src: str, dst: str):
         trace.write(f"{t!r},{kind},{src},{dst}\n")
@@ -779,8 +788,7 @@ def run_system_sim(
         dst = min((row[ki], ki) for ki in range(n_kinds) if states[ki] is UNDER)[1]
         s, d = base + src, base + dst
         # with occupancy > 0 the source has a live session: move its oldest
-        sessions = live[s]
-        del sessions[next(iter(sessions))]
+        del live[s][0]
         occ_row[s][occ[s]] += t - last_t[s]
         last_t[s] = t
         occ[s] -= 1
@@ -793,7 +801,7 @@ def run_system_sim(
         # match again, even if the session later migrates back
         new_sid = next_sid
         next_sid += 1
-        live[d][new_sid] = None
+        live[d].append(new_sid)
         mig_out[src] += 1
         mig_in[dst] += 1
         buf = bufs[d]
@@ -811,7 +819,7 @@ def run_system_sim(
                 c, ki = divmod(s, n_kinds)
                 emit(t, "Arrival", "mn", f"cell{c}.{names[ki]}")
             k = occ[s]
-            buf = bufs[s]  # refill extends this list in place
+            buf = bufs[s]  # refill extends this array in place
             if k >= cap[s]:
                 blocked[s] += 1
             else:
@@ -819,7 +827,7 @@ def run_system_sim(
                 last_t[s] = t
                 occ[s] = k + 1
                 dirty.add(s)
-                live[s][next_sid] = None
+                live[s].append(next_sid)
                 td = t + svc_scale[s] * (buf.pop() if buf else refill(s))
                 if td <= horizon:
                     push(dep, (td, s, next_sid))
@@ -833,10 +841,17 @@ def run_system_sim(
 
         if dep[0][0] <= next_ctl:
             t, s, sid = pop(dep)
+            # a missing id is stale: the session migrated kinds. The index
+            # past the end raises, where a len() check would cost every
+            # departure
+            sessions = live[s]
+            i = bisect_left(sessions, sid)
             try:
-                del live[s][sid]
-            except KeyError:
-                continue  # stale: the session migrated kinds
+                if sessions[i] != sid:
+                    continue
+            except IndexError:
+                continue
+            del sessions[i]
             k = occ[s]
             occ_row[s][k] += t - last_t[s]
             last_t[s] = t

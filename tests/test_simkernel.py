@@ -7,6 +7,7 @@ import random
 import sys
 import tracemalloc
 import warnings
+from array import array
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -1106,11 +1107,14 @@ class TestPerStreamState:
         scalar = np.random.default_rng(np.random.SeedSequence(seed))
         got, want = [], []
         for i in range(300):
+            # packed doubles, 8 B a draw, before and after every refill
+            assert type(draws.bufs[0]) is array and draws.bufs[0].typecode == "d"
             scale = scales[i % len(scales)]
             got.append(scale * draws.draw(0))
             want.append(scalar.exponential(scale))
         assert draws.block == [64]
         assert list(draws.rngs) == [0]
+        assert type(draws.bufs[0]) is array and draws.bufs[0].typecode == "d"
         assert np.array(got).tobytes() == np.array(want).tobytes()
 
     @staticmethod
@@ -1142,6 +1146,7 @@ class TestPerStreamState:
         # 2100 baseline cells for a microsecond: no stream draws past its
         # first block. A generator kept per stream takes about 700 B of
         # Python objects, 1131 B per stream in all against 414 B without
+        # while draws were kept in lists (362 B packed as doubles)
         made = self.kept_draws(monkeypatch)
         topo = build_topology(300, 7)
         run_system_sim(BASELINE_TOPO, small_types(), SimScenario(), 1e-6, 1)  # lazy set-up
@@ -1153,6 +1158,21 @@ class TestPerStreamState:
             tracemalloc.stop()
         assert made[-1].rngs == {}
         assert peak < 700 * topo.cell_count * len(AccessNetworkKind)
+
+    def test_many_cells_keep_little_per_stream(self):
+        # the 2100-cell protocol_ticks shape: baseline traffic over 10 s,
+        # where one stream in eight refills. Draws packed as doubles and
+        # live sessions as id lists peak at about 820 B per stream; boxed
+        # floats in lists and a dict of sessions per stream took about 1120
+        topo = build_topology(300, 7)
+        run_system_sim(topo, small_types(), SimScenario(), 10.0, 1)  # warm
+        tracemalloc.start()
+        try:
+            run_system_sim(topo, small_types(), SimScenario(), 10.0, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 950 * topo.cell_count * len(AccessNetworkKind)
 
     def test_memory_does_not_grow_with_the_horizon(self):
         # about 90 live sessions at any time and no over-loaded cell, so no
@@ -1421,6 +1441,42 @@ class TestRunSystemSim:
             for f in ("arrivals", "blocked", "departures", "in_system")
         ]
         assert totals[0] == totals[1] + totals[2] + totals[3]
+
+    def test_migrated_session_departs_once_from_its_new_kind(self, monkeypatch):
+        # Scripted draws, unit rates: cell 0's UMTS admits session 0 at 0.1
+        # (service 1.5) and session 1 at 0.2 (service 3.0); every other
+        # stream's first arrival falls past the horizon. At the 1.0 tick
+        # UMTS (occupancy 2 >= k2) is over-loaded and WiMax under-loaded, so
+        # the oldest session, 0, moves to WiMax under id 2 (service 5.0).
+        # Its UMTS departure at 1.6 is stale and skipped; session 1 leaves
+        # UMTS at 3.2 and session 2 WiMax at 6.0
+        script = {0: [0.1, 1.5, 0.1, 3.0, 100.0], 1: [100.0, 5.0]}
+
+        class ScriptedDraws(simkernel._Draws):
+            def __init__(self, states, first):
+                super().__init__(states, first)
+                self.bufs = [array("d", reversed(script.get(s, [100.0])))
+                             for s in range(len(first))]
+
+        monkeypatch.setattr(simkernel, "_Draws", ScriptedDraws)
+        topo = build_topology(3, 1)
+        scenario = SimScenario(window=1.0, heartbeat_period=5.0, heartbeat_timeout=15.0)
+        report = run_system_sim(topo, uniform_types(1.0, 1.0, 4, 1, 2), scenario, 10.0, 1)
+        stats = report.per_type
+        got = {kind: (s.arrivals, s.migrations_in, s.departures, s.in_system, s.migrations_out)
+               for kind, s in stats.items()}
+        assert got == {AccessNetworkKind.UMTS: (2, 0, 1, 0, 1),
+                       AccessNetworkKind.WIMAX: (0, 1, 1, 0, 0),
+                       AccessNetworkKind.WLAN: (0, 0, 0, 0, 0)}
+        for s in stats.values():
+            assert (s.arrivals + s.migrations_in
+                    == s.blocked + s.departures + s.in_system + s.migrations_out)
+        # 3 cells over 10 s; UMTS held 1 session over [0.1, 0.2] and [1.0,
+        # 3.2], 2 over [0.2, 1.0]; WiMax 1 over [1.0, 6.0]
+        assert stats[AccessNetworkKind.UMTS].occupancy_freq.tolist() == pytest.approx(
+            [26.9 / 30, 2.3 / 30, 0.8 / 30, 0.0, 0.0])
+        assert stats[AccessNetworkKind.WIMAX].occupancy_freq.tolist() == pytest.approx(
+            [25 / 30, 5 / 30, 0.0, 0.0, 0.0])
 
     def test_conservation_plain_when_balancing_off(self):
         report = self.run(horizon=500.0, balancing_enabled=False)
