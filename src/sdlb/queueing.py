@@ -31,12 +31,18 @@ FirstOrderValidityError instead of silently clamping.
 without the linearisation, from the chain's transient law by
 uniformization; the figures keep the first-order formulas.
 
+``state_probabilities`` is the one constructor of a kind's stationary law.
+It keeps the ``_LAWS_KEPT`` laws asked for last, so every function here
+that reads the law of the same parameters shares one read-only object,
+and a command builds each kind's law once.
+
 ``SystemTypeParams`` is defined in ``sdlb.params``, so that parsing a
 scenario document does not load this module. NumPy is imported by the
 functions that compute with it, so importing this module does not load it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -78,6 +84,10 @@ _POISSON_TAIL = 1e-18
 # runs and occupancy is judged per state: the states up to the first one
 # above which pi holds less than this
 _SUPPORT_TAIL = 1e-300
+# the laws ``state_probabilities`` keeps: one per access-network kind. It
+# stays bounded because sweeps and property tests pass thousands of
+# parameter sets, and one law at the largest accepted capacity is 2 MiB
+_LAWS_KEPT = 3
 
 
 class FirstOrderValidityError(ValueError):
@@ -158,7 +168,7 @@ CROSSING_MOVES = tuple(
 
 @dataclass(frozen=True)
 class StateDistribution:
-    """Stationary occupancy distribution; probs[k] for k in 0..m."""
+    """Stationary occupancy distribution; probs[k] for k in 0..m, read-only."""
 
     probs: np.ndarray
 
@@ -176,7 +186,7 @@ class StateDistribution:
     def blocking(self) -> float:
         return float(self.probs[-1])
 
-    @property
+    @functools.cached_property
     def support(self) -> int:
         """The last state b of the support 0..b: the first state above
         which pi holds less than ``_SUPPORT_TAIL`` in all, so b <= m."""
@@ -186,8 +196,13 @@ class StateDistribution:
         return int(np.argmax(above < _SUPPORT_TAIL))
 
 
+@functools.lru_cache(maxsize=_LAWS_KEPT)
 def state_probabilities(p: SystemTypeParams) -> StateDistribution:
     """Stationary M/M/m/m occupancy probabilities.
+
+    The law is shared: equal parameters give the same object, its
+    ``probs`` are read-only, and the ``_LAWS_KEPT`` laws asked for last
+    are kept.
 
     Uses the multiplicative recurrence with on-the-fly rescaling, so the
     result is finite and normalised for m up to 10^4 and beyond. Each run
@@ -222,24 +237,28 @@ def state_probabilities(p: SystemTypeParams) -> StateDistribution:
     total = terms.sum()
     if math.isnan(total):
         raise OccupancyOverflowError(p)
-    return StateDistribution(probs=terms / total)
+    probs = terms / total
+    probs.flags.writeable = False
+    return StateDistribution(probs=probs)
 
 
-def _check_first_order(p: SystemTypeParams, T: float):
-    if T <= 0:
-        raise ValueError(f"T must be > 0, got {T}")
+def _check_window(T: float):
+    if not 0 < T < math.inf:
+        raise ValueError(f"T must be finite and > 0, got {T}")
+
+
+def transition_probability(
+    p: SystemTypeParams, T: float, kind: TransitionKind
+) -> float:
+    """First-order probability of one directed load-state transition in T."""
+    _check_window(T)
     lam_t = p.lam * T
     if lam_t >= 1:
         raise FirstOrderValidityError(p, f"lam*T = {lam_t:g} >= 1")
     mu_t = (p.k2 + 1) * p.mu * T
     if mu_t >= 1:
         raise FirstOrderValidityError(p, f"(k2+1)*mu*T = {mu_t:g} >= 1")
-
-
-def _transition(
-    p: SystemTypeParams, T: float, kind: TransitionKind, dist: StateDistribution
-) -> float:
-    lam_t = p.lam * T
+    dist = state_probabilities(p)
     if kind is TransitionKind.UNDER_TO_BALANCED:
         return dist.prob_at(p.k1 - 1) * lam_t * (1.0 - (p.k1 - 1) * p.mu * T)
     if kind is TransitionKind.BALANCED_TO_OVER:
@@ -249,14 +268,6 @@ def _transition(
     if kind is TransitionKind.BALANCED_TO_UNDER:
         return dist.prob_at(p.k1 + 1) * (p.k1 + 1) * p.mu * T * (1.0 - lam_t)
     raise ValueError(f"unknown transition kind: {kind!r}")
-
-
-def transition_probability(
-    p: SystemTypeParams, T: float, kind: TransitionKind
-) -> float:
-    """First-order probability of one directed load-state transition in T."""
-    _check_first_order(p, T)
-    return _transition(p, T, kind, state_probabilities(p))
 
 
 def exact_zone_moves(p: SystemTypeParams, T: float) -> list[float]:
@@ -286,8 +297,7 @@ def exact_zone_moves(p: SystemTypeParams, T: float) -> list[float]:
     drops is below ``_POISSON_TAIL``, so an entry is low by at most that
     much per piece.
     """
-    if not 0 < T < math.inf:
-        raise ValueError(f"T must be finite and > 0, got {T}")
+    _check_window(T)
     m, lam, mu = p.m, p.lam, p.mu
     full = (lam + m * mu) * T  # judged on all of m, whatever the cap below
     if not full < math.inf:
@@ -340,9 +350,7 @@ def prob_state_change(p: SystemTypeParams, T: float) -> float:
     Sum of the four directed transition probabilities; under the validity
     preconditions the sum is a probability.
     """
-    _check_first_order(p, T)
-    dist = state_probabilities(p)
-    total = sum(_transition(p, T, kind, dist) for kind in TransitionKind)
+    total = sum(transition_probability(p, T, kind) for kind in TransitionKind)
     if total > 1.0 + 1e-12:
         raise AssertionError(f"state-change probability {total} > 1")
     return min(total, 1.0)

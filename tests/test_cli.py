@@ -17,6 +17,7 @@ import pytest
 from sdlb import cli
 from sdlb.cli import main
 from sdlb.config import MAX_CAPACITY, MEMORY_BUDGET, ScenarioConfig, default_config
+from sdlb.queueing import state_probabilities
 from sdlb.reliability import MAX_LMMS
 
 
@@ -355,6 +356,13 @@ def test_peak_rss_is_the_childs_own(tmp_path):
     assert 0 < rss < parent * 1024 - held.nbytes
 
 
+def _capacity_kind(doc):
+    # UMTS at m = MAX_CAPACITY with lam/mu near 1 and T = 1, on 3 cells
+    doc["types"]["umts"].update(lam=0.5, mu=0.45, m=MAX_CAPACITY, k1=0, k2=1)
+    doc["overhead"]["T"] = 1.0
+    doc["topology"].update(grid_count=3, cells_per_grid=1)
+
+
 class TestValidate:
     def test_default_preset_passes(self, tmp_path, config_path):
         out = tmp_path / "val"
@@ -417,9 +425,7 @@ class TestValidate:
         # kernel's tallies on the occupancy reached. Run in a fresh
         # interpreter, so that its peak RSS is this run's alone
         doc = default_config().to_dict()
-        doc["types"]["umts"].update(lam=0.5, mu=0.45, m=MAX_CAPACITY, k1=0, k2=1)
-        doc["overhead"]["T"] = 1.0
-        doc["topology"].update(grid_count=3, cells_per_grid=1)
+        _capacity_kind(doc)
         doc["sim"]["target_events"] = 20_000
         path = tmp_path / "capacity.json"
         path.write_text(json.dumps(doc))
@@ -555,6 +561,25 @@ class TestCrossings:
                            "--target-events", "2000")
         _, _, rows = read_series(out / "crossings.csv")
         assert ["WIMAX", "U->B", "0.0", "0.0", "0.0", ""] in rows
+
+
+class TestOneLawPerKind:
+    """A command builds each kind's stationary law once: the horizon, the
+    first-order crossings, the judge, the exact oracle and the overhead
+    all share it."""
+
+    @pytest.mark.parametrize("edit", [lambda doc: None, _capacity_kind],
+                             ids=["baseline", "capacity"])
+    def test_validate(self, tmp_path, edit):
+        state_probabilities.cache_clear()
+        code, _ = _validate(tmp_path, edit, "--target-events", "2000")
+        assert code <= 1
+        assert state_probabilities.cache_info().misses == 3
+
+    def test_figures(self, tmp_path):
+        state_probabilities.cache_clear()
+        assert main(["figures", "--out", str(tmp_path / "figs")]) == 0
+        assert state_probabilities.cache_info().misses == 3
 
 
 class TestScenario:

@@ -15,6 +15,7 @@ from sdlb.queueing import (
     TransitionKind,
     _zone,
     classify_load,
+    exact_zone_moves,
     prob_bb_update,
     prob_state_change,
     state_probabilities,
@@ -237,6 +238,25 @@ def reference_support(probs):
     return next(j for j in range(len(probs)) if math.fsum(probs[j + 1:]) < 1e-300)
 
 
+class TestSharedLaw:
+    """``state_probabilities`` hands every caller one read-only law per
+    parameter set and keeps only a few."""
+
+    def test_equal_params_give_the_same_law(self):
+        assert state_probabilities(params()) is state_probabilities(params())
+
+    def test_law_is_read_only(self):
+        dist = state_probabilities(params())
+        with pytest.raises(ValueError, match="read-only"):
+            dist.probs[0] = 0.5
+
+    def test_at_most_three_laws_are_kept(self):
+        state_probabilities.cache_clear()
+        for lam in range(10):
+            state_probabilities(params(lam=float(lam)))
+        assert state_probabilities.cache_info().currsize <= 3
+
+
 class TestSupport:
     @given(
         lam=st.floats(min_value=0.0, max_value=50.0),
@@ -340,9 +360,16 @@ class TestTransitionProbability:
         with pytest.raises(FirstOrderValidityError, match=r"\(k2\+1\)\*mu\*T"):
             transition_probability(p, 0.1, TransitionKind.OVER_TO_BALANCED)
 
-    def test_nonpositive_T_rejected(self):
-        with pytest.raises(ValueError):
-            transition_probability(params(), 0.0, TransitionKind.UNDER_TO_BALANCED)
+    # one rule for the window, whichever model reads it
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("model", [
+        lambda p, T: transition_probability(p, T, TransitionKind.UNDER_TO_BALANCED),
+        prob_state_change,
+        exact_zone_moves,
+    ], ids=["transition_probability", "prob_state_change", "exact_zone_moves"])
+    def test_nonpositive_T_rejected(self, model, T):
+        with pytest.raises(ValueError, match="^T must be finite and > 0, got "):
+            model(params(), T)
 
     @settings(max_examples=200)
     @given(
